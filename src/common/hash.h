@@ -16,9 +16,11 @@ constexpr uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// \brief FNV-1a over a byte string.
-constexpr uint64_t HashBytes(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+/// \brief FNV-1a over a byte string. Passing the hash of a prefix as `h`
+/// continues it: hashing pieces in turn equals hashing their
+/// concatenation.
+constexpr uint64_t HashBytes(std::string_view bytes,
+                             uint64_t h = 0xcbf29ce484222325ULL) {
   for (char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;

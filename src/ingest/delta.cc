@@ -38,49 +38,6 @@ std::shared_ptr<const DeltaPartition> DeltaPartition::Suffix(
   return next;
 }
 
-void DeltaPartition::ApplyToBuilder(TGraphBuilder* builder) const {
-  for (const auto& batch : batches_) {
-    for (const Event& event : batch->events) {
-      ApplyEventToBuilder(event, builder);
-    }
-  }
-}
-
-std::vector<const Event*> DeltaPartition::EventsForVertex(
-    VertexId vid) const {
-  std::vector<const Event*> events;
-  for (const auto& batch : batches_) {
-    for (const Event& event : batch->events) {
-      if (event.is_vertex() && event.id == vid) events.push_back(&event);
-    }
-  }
-  return events;
-}
-
-std::vector<const Event*> DeltaPartition::EventsForEdge(EdgeId eid) const {
-  std::vector<const Event*> events;
-  for (const auto& batch : batches_) {
-    for (const Event& event : batch->events) {
-      if (!event.is_vertex() && event.id == eid) events.push_back(&event);
-    }
-  }
-  return events;
-}
-
-bool DeltaPartition::FindEdgeEndpoints(EdgeId eid, VertexId* src,
-                                       VertexId* dst) const {
-  for (const auto& batch : batches_) {
-    for (const Event& event : batch->events) {
-      if (event.kind == EventKind::kAddEdge && event.id == eid) {
-        *src = event.src;
-        *dst = event.dst;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 void ApplyEventToBuilder(const Event& event, TGraphBuilder* builder) {
   switch (event.kind) {
     case EventKind::kAddVertex:

@@ -19,7 +19,8 @@ struct DeltaBatch {
 };
 
 /// \brief The in-memory delta partition: every acknowledged batch that has
-/// not yet been folded into the base store.
+/// not yet been written to a base generation. (Its events are already in
+/// the folded state; the delta is what WAL rotation keeps.)
 ///
 /// A DeltaPartition is IMMUTABLE — Append and Suffix return new partitions
 /// sharing the untouched batches. The live graph publishes the current
@@ -50,17 +51,6 @@ class DeltaPartition {
   /// Largest event timestamp across all batches; INT64_MIN when empty.
   TimePoint max_event_time() const { return max_event_time_; }
 
-  /// Replays every event, in batch order, into `builder`.
-  void ApplyToBuilder(TGraphBuilder* builder) const;
-
-  /// All events touching vertex `vid` / edge `eid`, in batch order.
-  /// (Pointers remain valid as long as this partition is alive.)
-  std::vector<const Event*> EventsForVertex(VertexId vid) const;
-  std::vector<const Event*> EventsForEdge(EdgeId eid) const;
-
-  /// Resolves the endpoints of an edge added somewhere in this delta.
-  bool FindEdgeEndpoints(EdgeId eid, VertexId* src, VertexId* dst) const;
-
  private:
   std::vector<std::shared_ptr<const DeltaBatch>> batches_;
   size_t event_count_ = 0;
@@ -69,8 +59,8 @@ class DeltaPartition {
 
 /// Replays one ingest event into a TGraphBuilder — the single translation
 /// point between the wire/WAL event model and the builder's API, used by
-/// the delta partition, batch validation, and the offline differential
-/// tests alike (so all paths fold events identically by construction).
+/// the per-batch fold and the offline differential tests alike (so both
+/// paths fold events identically by construction).
 void ApplyEventToBuilder(const Event& event, TGraphBuilder* builder);
 
 }  // namespace tgraph::ingest

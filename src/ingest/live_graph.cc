@@ -151,36 +151,9 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents) {
   return Status::OK();
 }
 
-/// Converts a materialized graph back into seed form for the next round
-/// of appends: each entity's rows become its folded History.
-std::shared_ptr<const BaseState> BaseFromGraph(const VeGraph& graph,
-                                               uint64_t last_seq,
-                                               TimePoint watermark,
-                                               uint64_t generation) {
-  auto base = std::make_shared<BaseState>();
-  base->last_seq = last_seq;
-  base->watermark = watermark;
-  base->generation = generation;
-  for (const VeVertex& row : graph.vertices().Collect()) {
-    base->vertex_seeds[row.vid].push_back(
-        HistoryItem{row.interval, row.properties});
-  }
-  for (const VeEdge& row : graph.edges().Collect()) {
-    BaseState::EdgeSeed& seed = base->edge_seeds[row.eid];
-    seed.src = row.src;
-    seed.dst = row.dst;
-    seed.states.push_back(HistoryItem{row.interval, row.properties});
-  }
-  auto by_start = [](const HistoryItem& a, const HistoryItem& b) {
-    return a.interval.start < b.interval.start;
-  };
-  for (auto& [vid, states] : base->vertex_seeds) {
-    std::sort(states.begin(), states.end(), by_start);
-  }
-  for (auto& [eid, seed] : base->edge_seeds) {
-    std::sort(seed.states.begin(), seed.states.end(), by_start);
-  }
-  return base;
+/// Whether a folded edge is alive: its last state runs to the horizon.
+bool Alive(const History& states, TimePoint horizon) {
+  return !states.empty() && states.back().interval.end == horizon;
 }
 
 }  // namespace
@@ -202,6 +175,143 @@ std::string WalPathFor(const std::string& dir, const std::string& wal_dir) {
   return wal_dir + "/" + base + "-" + hash + ".wal";
 }
 
+// --- FoldedState -----------------------------------------------------------
+
+FoldedState FoldedState::FromGraph(const VeGraph& graph, TimePoint horizon) {
+  TGraphBuilder::Folded folded;
+  for (const VeVertex& row : graph.vertices().Collect()) {
+    folded.vertices[row.vid].push_back(
+        HistoryItem{row.interval, row.properties});
+  }
+  for (const VeEdge& row : graph.edges().Collect()) {
+    EdgeHistory& edge = folded.edges[row.eid];
+    edge.src = row.src;
+    edge.dst = row.dst;
+    edge.states.push_back(HistoryItem{row.interval, row.properties});
+  }
+  auto by_start = [](const HistoryItem& a, const HistoryItem& b) {
+    return a.interval.start < b.interval.start;
+  };
+  for (auto& [vid, states] : folded.vertices) {
+    std::sort(states.begin(), states.end(), by_start);
+  }
+  for (auto& [eid, edge] : folded.edges) {
+    std::sort(edge.states.begin(), edge.states.end(), by_start);
+  }
+  return FoldedState().Replace(std::move(folded), horizon);
+}
+
+Result<FoldedState> FoldedState::Apply(dataflow::ExecutionContext* ctx,
+                                       const std::vector<Event>& events,
+                                       TimePoint horizon) const {
+  std::set<VertexId> vids;
+  std::set<EdgeId> eids;
+  for (const Event& event : events) {
+    if (event.is_vertex()) {
+      vids.insert(event.id);
+      if (event.kind != EventKind::kRemoveVertex) continue;
+      // The removal ends the vertex's alive edges without naming them.
+      alive_edges_.ForEachFrom(
+          Incidence{event.id, std::numeric_limits<EdgeId>::min()},
+          [&](const Incidence& incidence, std::monostate) {
+            if (incidence.first != event.id) return false;
+            eids.insert(incidence.second);
+            return true;
+          });
+    } else {
+      eids.insert(event.id);
+      if (event.kind == EventKind::kAddEdge) {
+        vids.insert(event.src);
+        vids.insert(event.dst);
+      }
+    }
+  }
+  // Edge replay consults both endpoints' presence.
+  for (EdgeId eid : eids) {
+    if (const auto* edge = edges_.Find(eid)) {
+      vids.insert((*edge)->src);
+      vids.insert((*edge)->dst);
+    }
+  }
+
+  TGraphBuilder builder(ctx);
+  for (VertexId vid : vids) {
+    if (const auto* states = vertices_.Find(vid)) {
+      builder.SeedVertex(vid, **states);
+    }
+  }
+  for (EdgeId eid : eids) {
+    if (const auto* edge = edges_.Find(eid)) {
+      builder.SeedEdge(eid, (*edge)->src, (*edge)->dst, (*edge)->states);
+    }
+  }
+  for (const Event& event : events) ApplyEventToBuilder(event, &builder);
+  TG_ASSIGN_OR_RETURN(TGraphBuilder::Folded folded, builder.Fold(horizon));
+  return Replace(std::move(folded), horizon);
+}
+
+FoldedState FoldedState::Replace(TGraphBuilder::Folded folded,
+                                 TimePoint horizon) const {
+  FoldedState next;
+  next.vertex_rows_ = vertex_rows_;
+  next.edge_rows_ = edge_rows_;
+  std::vector<decltype(vertices_)::Update> vertex_updates;
+  for (auto& [vid, states] : folded.vertices) {
+    if (const auto* before = vertices_.Find(vid)) {
+      next.vertex_rows_ -= (*before)->size();
+    }
+    next.vertex_rows_ += states.size();
+    vertex_updates.emplace_back(
+        vid, std::make_shared<const History>(std::move(states)));
+  }
+  std::vector<decltype(edges_)::Update> edge_updates;
+  std::vector<decltype(alive_edges_)::Update> alive;
+  for (auto& [eid, edge] : folded.edges) {
+    bool was_alive = false;
+    if (const auto* before = edges_.Find(eid)) {
+      next.edge_rows_ -= (*before)->states.size();
+      was_alive = Alive((*before)->states, horizon);
+    }
+    next.edge_rows_ += edge.states.size();
+    const bool alive_now = Alive(edge.states, horizon);
+    if (alive_now != was_alive) {
+      std::optional<std::monostate> mark;
+      if (alive_now) mark.emplace();
+      alive.emplace_back(Incidence{edge.src, eid}, mark);
+      alive.emplace_back(Incidence{edge.dst, eid}, mark);
+    }
+    edge_updates.emplace_back(
+        eid, std::make_shared<const EdgeHistory>(std::move(edge)));
+  }
+  // A self-loop marks the same (endpoint, edge) pair twice.
+  std::sort(alive.begin(), alive.end());
+  alive.erase(std::unique(alive.begin(), alive.end()), alive.end());
+  next.vertices_ = vertices_.With(std::move(vertex_updates));
+  next.edges_ = edges_.With(std::move(edge_updates));
+  next.alive_edges_ = alive_edges_.With(std::move(alive));
+  return next;
+}
+
+VeGraph FoldedState::Materialize(dataflow::ExecutionContext* ctx) const {
+  std::vector<VeVertex> vertices;
+  vertices.reserve(vertex_rows_);
+  vertices_.ForEach([&](VertexId vid, const auto& states) {
+    for (const HistoryItem& item : *states) {
+      vertices.push_back(VeVertex{vid, item.interval, item.properties});
+    }
+  });
+  std::vector<VeEdge> edges;
+  edges.reserve(edge_rows_);
+  edges_.ForEach([&](EdgeId eid, const auto& edge) {
+    for (const HistoryItem& item : edge->states) {
+      edges.push_back(
+          VeEdge{eid, edge->src, edge->dst, item.interval, item.properties});
+    }
+  });
+  return VeGraph::Create(ctx, std::move(vertices), std::move(edges),
+                         std::nullopt);
+}
+
 // --- LiveSnapshot ----------------------------------------------------------
 
 uint64_t LiveSnapshot::last_seq() const {
@@ -213,27 +323,11 @@ TimePoint LiveSnapshot::watermark() const {
 }
 
 Result<const VeGraph*> LiveSnapshot::Graph() const {
-  std::call_once(merge_once_, [this] {
+  std::call_once(materialized_->once, [this] {
     obs::Span span("ingest.merge", "ingest");
-    TGraphBuilder builder(ctx_);
-    for (const auto& [vid, states] : base_->vertex_seeds) {
-      builder.SeedVertex(vid, states);
-    }
-    for (const auto& [eid, seed] : base_->edge_seeds) {
-      builder.SeedEdge(eid, seed.src, seed.dst, seed.states);
-    }
-    delta_->ApplyToBuilder(&builder);
-    Result<VeGraph> merged = builder.Finish(horizon_);
-    if (!merged.ok()) {
-      // Batches are validated before acknowledgement, so this indicates a
-      // bug or on-disk tampering, not a user error.
-      merge_status_ = merged.status();
-      return;
-    }
-    merged_ = *std::move(merged);
+    materialized_->graph = state_->Materialize(ctx_);
   });
-  TG_RETURN_IF_ERROR(merge_status_);
-  return &*merged_;
+  return &*materialized_->graph;
 }
 
 // --- LiveGraph -------------------------------------------------------------
@@ -249,9 +343,9 @@ std::string LiveGraph::GenPath(uint64_t generation) const {
   return dir_ + "/" + name;
 }
 
-Result<std::shared_ptr<const BaseState>> LiveGraph::LoadBase(
-    const std::string& gen_file) {
-  if (gen_file == "none") return std::make_shared<const BaseState>();
+Status LiveGraph::LoadBase(const std::string& gen_file, BaseState* base,
+                           FoldedState* state) {
+  if (gen_file == "none") return Status::OK();
   const std::string path = dir_ + "/" + gen_file;
   TG_ASSIGN_OR_RETURN(std::unique_ptr<storage::StoreReader> reader,
                       storage::StoreReader::Open(path));
@@ -266,8 +360,11 @@ Result<std::shared_ptr<const BaseState>> LiveGraph::LoadBase(
   TG_ASSIGN_OR_RETURN(VeGraph graph,
                       storage::LoadVeGraphFromStore(ctx_, *reader));
   horizon_ = horizon;
-  return BaseFromGraph(graph, static_cast<uint64_t>(last_seq), watermark,
-                       static_cast<uint64_t>(generation));
+  base->last_seq = static_cast<uint64_t>(last_seq);
+  base->watermark = watermark;
+  base->generation = static_cast<uint64_t>(generation);
+  *state = FoldedState::FromGraph(graph, horizon);
+  return Status::OK();
 }
 
 Result<std::unique_ptr<LiveGraph>> LiveGraph::Open(
@@ -291,8 +388,9 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Open(
     std::vector<std::string> gens = ListGenFiles(dir);
     if (!gens.empty()) gen_file = gens.back();
   }
-  TG_ASSIGN_OR_RETURN(std::shared_ptr<const BaseState> base,
-                      live->LoadBase(gen_file));
+  auto base = std::make_shared<BaseState>();
+  FoldedState state;
+  TG_RETURN_IF_ERROR(live->LoadBase(gen_file, base.get(), &state));
 
   // A generation not referenced by CURRENT is an orphan from a crash
   // between writing the file and swinging the pointer; its batches are
@@ -326,13 +424,22 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Open(
   }
   live->horizon_ = replay.header.horizon;
 
-  // Rebuild the delta, skipping records already folded into the base
-  // (left behind when a crash hit between the CURRENT swap and the WAL
-  // rotation — replaying them would double-apply acknowledged events).
+  // Fold the WAL tail record by record, as Append did, skipping records
+  // already folded into the base (left behind when a crash hit between
+  // the CURRENT swap and the WAL rotation — replaying them would
+  // double-apply acknowledged events).
   std::shared_ptr<const DeltaPartition> delta = DeltaPartition::Empty();
   uint64_t max_seq = base->last_seq;
   for (WalRecord& record : replay.records) {
     if (record.seq <= base->last_seq) continue;
+    Result<FoldedState> folded =
+        state.Apply(ctx, record.events, live->horizon_);
+    if (!folded.ok()) {
+      return Status::IoError("WAL record " + std::to_string(record.seq) +
+                             " at '" + wal_path + "' does not apply: " +
+                             folded.status().message());
+    }
+    state = *std::move(folded);
     max_seq = record.seq;
     delta = delta->Append(DeltaBatch{record.seq, std::move(record.events)});
   }
@@ -341,7 +448,9 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Open(
 
   {
     std::lock_guard<std::mutex> lock(live->mu_);
-    live->Publish(std::move(base), std::move(delta));
+    live->Publish(std::move(base),
+                  std::make_shared<const FoldedState>(std::move(state)),
+                  std::move(delta), nullptr);
   }
 
   // Make sure the directory is recognizably live even when the WAL lives
@@ -366,78 +475,27 @@ std::shared_ptr<const LiveSnapshot> LiveGraph::snapshot() const {
   return snapshot_.load(std::memory_order_acquire);
 }
 
-uint64_t LiveGraph::Publish(std::shared_ptr<const BaseState> base,
-                            std::shared_ptr<const DeltaPartition> delta) {
+uint64_t LiveGraph::Publish(
+    std::shared_ptr<const BaseState> base,
+    std::shared_ptr<const FoldedState> state,
+    std::shared_ptr<const DeltaPartition> delta,
+    std::shared_ptr<LiveSnapshot::Materialized> materialized) {
   static obs::Gauge* epoch_gauge =
       obs::MetricsRegistry::Global().GetGauge(obs::metric_names::kIngestEpoch);
   static obs::Gauge* delta_gauge = obs::MetricsRegistry::Global().GetGauge(
       obs::metric_names::kIngestDeltaEvents);
 
   ++epoch_;
+  if (materialized == nullptr) {
+    materialized = std::make_shared<LiveSnapshot::Materialized>();
+  }
   auto snap = std::shared_ptr<const LiveSnapshot>(new LiveSnapshot(
-      epoch_, horizon_, std::move(base), std::move(delta), ctx_));
+      epoch_, horizon_, std::move(base), std::move(state), std::move(delta),
+      std::move(materialized), ctx_));
   epoch_gauge->Set(static_cast<int64_t>(epoch_));
   delta_gauge->Set(static_cast<int64_t>(snap->delta_events()));
   snapshot_.store(snap, std::memory_order_release);
   return epoch_;
-}
-
-Status LiveGraph::ValidateBatch(const LiveSnapshot& snap,
-                                const std::vector<Event>& events) const {
-  // Seed only the entities the batch touches (plus the endpoint vertices
-  // of touched edges, which edge validation consults), replay their
-  // existing delta events, then the batch: a Finish() error means the
-  // batch is inconsistent with the graph as acknowledged so far.
-  std::set<VertexId> vids;
-  std::set<EdgeId> eids;
-  for (const Event& event : events) {
-    if (event.is_vertex()) {
-      vids.insert(event.id);
-    } else {
-      eids.insert(event.id);
-      if (event.kind == EventKind::kAddEdge) {
-        vids.insert(event.src);
-        vids.insert(event.dst);
-      }
-    }
-  }
-  const BaseState& base = *snap.base_;
-  const DeltaPartition& delta = *snap.delta_;
-  for (EdgeId eid : eids) {
-    VertexId src = 0;
-    VertexId dst = 0;
-    if (delta.FindEdgeEndpoints(eid, &src, &dst)) {
-      vids.insert(src);
-      vids.insert(dst);
-    } else if (auto it = base.edge_seeds.find(eid);
-               it != base.edge_seeds.end()) {
-      vids.insert(it->second.src);
-      vids.insert(it->second.dst);
-    }
-  }
-
-  TGraphBuilder builder(ctx_);
-  for (VertexId vid : vids) {
-    if (auto it = base.vertex_seeds.find(vid); it != base.vertex_seeds.end()) {
-      builder.SeedVertex(vid, it->second);
-    }
-    for (const Event* event : delta.EventsForVertex(vid)) {
-      ApplyEventToBuilder(*event, &builder);
-    }
-  }
-  for (EdgeId eid : eids) {
-    if (auto it = base.edge_seeds.find(eid); it != base.edge_seeds.end()) {
-      builder.SeedEdge(eid, it->second.src, it->second.dst,
-                       it->second.states);
-    }
-    for (const Event* event : delta.EventsForEdge(eid)) {
-      ApplyEventToBuilder(*event, &builder);
-    }
-  }
-  for (const Event& event : events) {
-    ApplyEventToBuilder(event, &builder);
-  }
-  return builder.Finish(horizon_).status();
 }
 
 Result<uint64_t> LiveGraph::Append(const std::vector<Event>& events) {
@@ -475,10 +533,12 @@ Result<uint64_t> LiveGraph::Append(const std::vector<Event>& events) {
   }
   std::shared_ptr<const LiveSnapshot> snap =
       snapshot_.load(std::memory_order_acquire);
-  Status valid = ValidateBatch(*snap, events);
-  if (!valid.ok()) {
+  // Folding is the consistency check: an error rejects the batch before
+  // it reaches the WAL.
+  Result<FoldedState> folded = snap->state_->Apply(ctx_, events, horizon_);
+  if (!folded.ok()) {
     rejected->Increment();
-    return valid;
+    return folded.status();
   }
 
   const uint64_t seq = next_seq_;
@@ -490,7 +550,10 @@ Result<uint64_t> LiveGraph::Append(const std::vector<Event>& events) {
   std::shared_ptr<const DeltaPartition> delta =
       snap->delta_->Append(DeltaBatch{seq, events});
   const size_t delta_events = delta->event_count();
-  const uint64_t epoch = Publish(snap->base_, std::move(delta));
+  const uint64_t epoch =
+      Publish(snap->base_,
+              std::make_shared<const FoldedState>(*std::move(folded)),
+              std::move(delta), nullptr);
   ingested->Add(static_cast<int64_t>(events.size()));
   if (options_.delta_events_threshold > 0 &&
       delta_events >= options_.delta_events_threshold) {
@@ -516,8 +579,8 @@ Status LiveGraph::Compact() {
   obs::Span span("ingest.compact", "ingest");
   const auto started = std::chrono::steady_clock::now();
 
-  // Freeze: everything up to this sequence number folds into the new
-  // generation; batches appended while we merge stay in the delta.
+  // Freeze: the snapshot's folded state becomes the new generation;
+  // batches appended while it is written stay in the delta.
   const uint64_t frozen_last_seq = snap->delta_->last_seq();
   const uint64_t generation = snap->base_->generation + 1;
   const TimePoint watermark =
@@ -544,19 +607,24 @@ Status LiveGraph::Compact() {
   //    or the new generation, never a half-written pointer).
   TG_RETURN_IF_ERROR(WriteFileAtomic(CurrentPath(), gen_file + "\n"));
 
-  std::shared_ptr<const BaseState> base =
-      BaseFromGraph(*merged, frozen_last_seq, watermark, generation);
+  auto base = std::make_shared<BaseState>();
+  base->last_seq = frozen_last_seq;
+  base->watermark = watermark;
+  base->generation = generation;
 
-  // 3. Swap the in-memory snapshot and truncate the WAL down to the
-  //    unfolded suffix. A crash before the rotation replays the folded
-  //    records as duplicates, which recovery skips by sequence number.
+  // 3. Publish the new base beside the current folded state (which the
+  //    generation's content does not change) and truncate the WAL down to
+  //    the unwritten suffix. A crash before the rotation replays the
+  //    written records as duplicates, which recovery skips by sequence
+  //    number.
   Status rotate_status;
   uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<const LiveSnapshot> latest =
+        snapshot_.load(std::memory_order_acquire);
     std::shared_ptr<const DeltaPartition> suffix =
-        snapshot_.load(std::memory_order_acquire)
-            ->delta_->Suffix(frozen_last_seq);
+        latest->delta_->Suffix(frozen_last_seq);
     std::vector<WalRecord> records;
     records.reserve(suffix->batches().size());
     for (const auto& batch : suffix->batches()) {
@@ -566,7 +634,8 @@ Status LiveGraph::Compact() {
     header.horizon = horizon_;
     header.base_seq = frozen_last_seq;
     rotate_status = wal_->Rotate(header, records);
-    epoch = Publish(std::move(base), std::move(suffix));
+    epoch = Publish(std::move(base), latest->state_, std::move(suffix),
+                    latest->materialized_);
   }
   if (options_.epoch_listener) options_.epoch_listener(dir_, epoch);
 

@@ -12,12 +12,16 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/cow_map.h"
 #include "common/result.h"
 #include "ingest/delta.h"
 #include "ingest/event.h"
 #include "ingest/wal.h"
+#include "tgraph/builder.h"
 #include "tgraph/ve.h"
 
 namespace tgraph::ingest {
@@ -61,18 +65,9 @@ bool IsLiveDir(const std::string& dir);
 /// directories share a basename.
 std::string WalPathFor(const std::string& dir, const std::string& wal_dir);
 
-/// \brief The immutable base of a live graph: the newest compacted
-/// generation, reloaded into seed form so the next merge or compaction can
-/// continue the builder's replay exactly where the offline fold stopped.
+/// \brief The newest compacted generation of a live graph: which prefix
+/// of the WAL it holds.
 struct BaseState {
-  /// Seeded states per entity (empty maps before the first compaction).
-  std::map<VertexId, History> vertex_seeds;
-  struct EdgeSeed {
-    VertexId src = 0;
-    VertexId dst = 0;
-    History states;
-  };
-  std::map<EdgeId, EdgeSeed> edge_seeds;
   /// Last WAL sequence number folded into this generation (0 = none).
   uint64_t last_seq = 0;
   /// Largest event timestamp folded into this generation. Every later
@@ -82,9 +77,56 @@ struct BaseState {
   uint64_t generation = 0;  ///< 0 before the first compaction.
 };
 
-/// \brief A consistent, immutable view of a live graph: base generation +
-/// frozen delta at one publication instant. Reads are completely lock-free
-/// — grab the snapshot (one atomic shared_ptr load), then everything
+/// \brief Every entity's coalesced history after the last acknowledged
+/// batch: the output of one TGraphBuilder replay of the whole log, kept
+/// per entity and shared copy-on-write between snapshots.
+///
+/// Apply() folds one batch by replaying only the entities it touches,
+/// seeded from their folded histories. The builder guarantees that a
+/// seeded replay judges and folds a log exactly as an unseeded one does,
+/// so folding after every batch equals compacting after every batch,
+/// which equals an offline rebuild of the full log.
+class FoldedState {
+ public:
+  using EdgeHistory = TGraphBuilder::EdgeHistory;
+
+  /// Seed form of a materialized graph (a loaded generation): each
+  /// entity's rows become its history. `horizon` is the graph's end of
+  /// time, at which alive entities' last states end.
+  static FoldedState FromGraph(const VeGraph& graph, TimePoint horizon);
+
+  /// The state after `events`, or the builder's InvalidArgument when the
+  /// batch is inconsistent with the log so far (double add, remove of an
+  /// absent entity, edge with an absent endpoint, ...). Replays the
+  /// batch's entities, the endpoints of its edges, and every alive edge
+  /// incident to a vertex it removes (the builder ends those
+  /// implicitly); every other entity is shared with this state.
+  Result<FoldedState> Apply(dataflow::ExecutionContext* ctx,
+                            const std::vector<Event>& events,
+                            TimePoint horizon) const;
+
+  /// All states as a graph: vertices then edges, each in id order — the
+  /// rows an offline TGraphBuilder::Finish over the full log returns.
+  VeGraph Materialize(dataflow::ExecutionContext* ctx) const;
+
+ private:
+  /// (endpoint, edge id) of every edge whose last state is still open.
+  using Incidence = std::pair<VertexId, EdgeId>;
+
+  /// This state with the entities of `folded` replaced (or added).
+  FoldedState Replace(TGraphBuilder::Folded folded, TimePoint horizon) const;
+
+  CowMap<VertexId, std::shared_ptr<const History>> vertices_;
+  CowMap<EdgeId, std::shared_ptr<const EdgeHistory>> edges_;
+  CowMap<Incidence, std::monostate> alive_edges_;
+  size_t vertex_rows_ = 0;
+  size_t edge_rows_ = 0;
+};
+
+/// \brief A consistent, immutable view of a live graph at one publication
+/// instant: the folded state, the base generation, and the delta of
+/// batches not yet in a generation. Reads are completely lock-free —
+/// grab the snapshot (one atomic shared_ptr load), then everything
 /// reachable from it is frozen. Writers publish a *new* snapshot for every
 /// acknowledged batch and every compaction; they never mutate an old one,
 /// so a reader holding epoch N can never observe a partial batch from
@@ -100,8 +142,8 @@ class LiveSnapshot {
   /// Largest event timestamp folded into the base generation
   /// (TimePoint::min before the first compaction). Events at or before
   /// this are no longer individually addressable — they live only in the
-  /// compacted seeds — which is what forces a view that missed epochs
-  /// past a compaction onto the full-recompute path.
+  /// compacted generation — which is what forces a view that missed
+  /// epochs past a compaction onto the full-recompute path.
   TimePoint base_watermark() const { return base_->watermark; }
 
   /// Largest event timestamp visible in this snapshot: the base
@@ -112,48 +154,59 @@ class LiveSnapshot {
   /// maintenance splices on.
   TimePoint watermark() const;
 
-  /// The frozen delta partition (never null; may be empty).
+  /// The batches acknowledged since the base generation (never null; may
+  /// be empty).
   const DeltaPartition& delta() const { return *delta_; }
 
-  /// The merged base-plus-delta graph, materialized lazily on first use
-  /// and cached for the snapshot's lifetime (concurrent callers
-  /// synchronize on a once_flag; the result is immutable after that).
+  /// The folded state as a graph, materialized on first use and cached.
+  /// Snapshots that share a folded state (a compaction republishes it)
+  /// share the graph too. Concurrent callers synchronize on a once_flag;
+  /// the result is immutable after that.
   Result<const VeGraph*> Graph() const;
 
  private:
   friend class LiveGraph;
+  /// The lazily materialized graph of one folded state.
+  struct Materialized {
+    std::once_flag once;
+    std::optional<VeGraph> graph;
+  };
+
   LiveSnapshot(uint64_t epoch, TimePoint horizon,
                std::shared_ptr<const BaseState> base,
+               std::shared_ptr<const FoldedState> state,
                std::shared_ptr<const DeltaPartition> delta,
+               std::shared_ptr<Materialized> materialized,
                dataflow::ExecutionContext* ctx)
       : epoch_(epoch),
         horizon_(horizon),
         base_(std::move(base)),
+        state_(std::move(state)),
         delta_(std::move(delta)),
+        materialized_(std::move(materialized)),
         ctx_(ctx) {}
 
   uint64_t epoch_ = 0;
   TimePoint horizon_ = kDefaultHorizon;
   std::shared_ptr<const BaseState> base_;
+  std::shared_ptr<const FoldedState> state_;
   std::shared_ptr<const DeltaPartition> delta_;
+  std::shared_ptr<Materialized> materialized_;
   dataflow::ExecutionContext* ctx_ = nullptr;
-
-  mutable std::once_flag merge_once_;
-  mutable Status merge_status_ = Status::OK();
-  mutable std::optional<VeGraph> merged_;
 };
 
 /// \brief One live (write-accepting) graph: WAL + delta partition + base
-/// generation, with snapshot-isolated reads and LSM-style compaction.
+/// generation + folded state, with snapshot-isolated reads and LSM-style
+/// compaction.
 ///
 /// Writers call Append(); an OK return means the batch is WAL-durable
-/// (fdatasync'd by default) and visible to every snapshot taken from then
-/// on. A background compactor (or an explicit Compact() call) freezes the
-/// delta, merges it with the base through the seeded TGraphBuilder, writes
-/// a new `gen-NNNNNN.tgs` tgraph-store v2 generation, swaps the CURRENT
-/// pointer, and truncates the WAL to the unfolded suffix. Every crash
-/// window in that sequence recovers: replay skips records already folded
-/// into the base generation (by sequence number), so duplicates are
+/// (fdatasync'd by default), folded into the state, and visible to every
+/// snapshot taken from then on. A background compactor (or an explicit
+/// Compact() call) freezes a snapshot, writes its folded state as a new
+/// `gen-NNNNNN.tgs` tgraph-store generation, swaps the CURRENT pointer,
+/// and truncates the WAL to the batches the generation does not hold.
+/// Every crash window in that sequence recovers: replay skips records
+/// already in the base generation (by sequence number), so duplicates are
 /// harmless and acknowledged events are never lost.
 class LiveGraph {
  public:
@@ -223,22 +276,19 @@ class LiveGraph {
   std::string CurrentPath() const;
   std::string GenPath(uint64_t generation) const;
 
-  /// Loads generation `gen_file` (or an empty base when "none") into seed
-  /// form.
-  Result<std::shared_ptr<const BaseState>> LoadBase(
-      const std::string& gen_file);
-
-  /// Mini-builder consistency check of `events` against the snapshot:
-  /// seeds only the touched entities (plus edge endpoints), replays their
-  /// existing delta events and the batch, and runs Finish. Errors reject
-  /// the batch before it reaches the WAL.
-  Status ValidateBatch(const LiveSnapshot& snap,
-                       const std::vector<Event>& events) const;
+  /// Loads generation `gen_file` (or an empty graph when "none"): its WAL
+  /// position into `base`, its graph in folded form into `state`.
+  Status LoadBase(const std::string& gen_file, BaseState* base,
+                  FoldedState* state);
 
   /// Publishes a new snapshot (epoch+1). Requires mu_ held; returns the
   /// published epoch. Callers invoke the epoch listener after unlocking.
+  /// `materialized` is shared when `state` is the previous snapshot's;
+  /// null starts a fresh one.
   uint64_t Publish(std::shared_ptr<const BaseState> base,
-                   std::shared_ptr<const DeltaPartition> delta);
+                   std::shared_ptr<const FoldedState> state,
+                   std::shared_ptr<const DeltaPartition> delta,
+                   std::shared_ptr<LiveSnapshot::Materialized> materialized);
 
   void CompactorLoop();
 

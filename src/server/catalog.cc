@@ -5,6 +5,7 @@
 #include "obs/trace.h"
 #include "storage/graph_io.h"
 #include "storage/store_reader.h"
+#include "tgraph/slice.h"
 
 namespace tgraph::server {
 
@@ -126,19 +127,13 @@ Result<VeGraph> GraphCatalog::LoadLiveSnapshot(
   TG_ASSIGN_OR_RETURN(const VeGraph* merged, snap->Graph());
   if (!range.has_value()) return *merged;
   // Mirror the static loaders' pushdown semantics: clip every state to
-  // range ∩ lifetime and drop the ones that vanish.
-  const Interval clip = range->Intersect(merged->lifetime());
-  std::vector<VeVertex> vertices;
-  for (VeVertex row : merged->vertices().Collect()) {
-    row.interval = row.interval.Intersect(clip);
-    if (!row.interval.empty()) vertices.push_back(std::move(row));
-  }
-  std::vector<VeEdge> edges;
-  for (VeEdge row : merged->edges().Collect()) {
-    row.interval = row.interval.Intersect(clip);
-    if (!row.interval.empty()) edges.push_back(std::move(row));
-  }
-  return VeGraph::Create(ctx_, std::move(vertices), std::move(edges), clip);
+  // range ∩ lifetime and drop the ones that vanish. The clip runs per
+  // partition and copies only the surviving rows, so a narrow window
+  // never copies the whole history; collecting them detaches the result
+  // from the snapshot's graph.
+  VeGraph sliced = SliceVe(*merged, *range);
+  return VeGraph::Create(ctx_, sliced.vertices().Collect(),
+                         sliced.edges().Collect(), sliced.lifetime());
 }
 
 void GraphCatalog::PruneLiveEpochs(const std::string& dir,

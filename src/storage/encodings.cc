@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/serde.h"
@@ -165,6 +166,25 @@ bool EncodeDictionary(const std::string* values, size_t n, std::string* out) {
   BitPacker packer(out);
   for (uint8_t code : codes) packer.Append(code, width);
   return true;
+}
+
+void EncodeDeltaRunLength(std::span<const int64_t> values, std::string* out) {
+  std::vector<std::pair<uint64_t, uint64_t>> runs;  // (delta, length)
+  uint64_t previous = 0;
+  for (int64_t v : values) {
+    const uint64_t delta = static_cast<uint64_t>(v) - previous;  // mod 2^64
+    previous = static_cast<uint64_t>(v);
+    if (!runs.empty() && runs.back().first == delta) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(delta, 1);
+    }
+  }
+  PutVarint(out, runs.size());
+  for (const auto& [delta, length] : runs) {
+    PutVarint(out, ZigZagEncode(static_cast<int64_t>(delta)));
+    PutVarint(out, length);
+  }
 }
 
 bool EncodeRunLength(std::span<const uint8_t> values, std::string* out) {
@@ -336,6 +356,41 @@ Status DecodeRunLength(std::string_view encoded, size_t rows,
   return Status::OK();
 }
 
+Status DecodeDeltaRunLength(std::string_view encoded, size_t rows,
+                            std::string* out) {
+  size_t pos = 0;
+  TG_ASSIGN_OR_RETURN(uint64_t run_count, GetVarint(encoded, &pos));
+  out->resize(rows * 8);
+  char* dst = out->data();
+  size_t filled = 0;
+  uint64_t value = 0;
+  for (uint64_t r = 0; r < run_count; ++r) {
+    TG_ASSIGN_OR_RETURN(uint64_t zigzag, GetVarint(encoded, &pos));
+    TG_ASSIGN_OR_RETURN(uint64_t length, GetVarint(encoded, &pos));
+    if (length == 0) {
+      return Status::IoError("delta_rle segment has an empty run");
+    }
+    if (length > rows - filled) {
+      return Status::IoError("delta_rle segment runs overflow the row count");
+    }
+    const uint64_t delta = static_cast<uint64_t>(ZigZagDecode(zigzag));
+    for (uint64_t k = 0; k < length; ++k) {
+      value += delta;  // wraparound mirrors encode
+      std::memcpy(dst + filled * 8, &value, 8);
+      ++filled;
+    }
+  }
+  if (filled != rows) {
+    return Status::IoError("delta_rle segment runs cover " +
+                           std::to_string(filled) + " of " +
+                           std::to_string(rows) + " rows");
+  }
+  if (pos != encoded.size()) {
+    return Status::IoError("delta_rle segment has trailing bytes");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status DecodeSegment(SegmentEncoding encoding, ColumnType type,
@@ -373,6 +428,12 @@ Status DecodeSegment(SegmentEncoding encoding, ColumnType type,
         return Status::IoError("rle plain size does not match rows");
       }
       TG_RETURN_IF_ERROR(DecodeRunLength(encoded, rows, out));
+      break;
+    case SegmentEncoding::kDeltaRunLength:
+      if (plain_size != rows * 8) {
+        return Status::IoError("delta_rle plain size does not match rows");
+      }
+      TG_RETURN_IF_ERROR(DecodeDeltaRunLength(encoded, rows, out));
       break;
   }
   if (out->size() != plain_size) {

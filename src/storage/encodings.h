@@ -42,6 +42,13 @@ void EncodeDeltaVarint(std::span<const int64_t> values, std::string* out);
 /// Unused trailing bits of the last byte are zero.
 void EncodeFrameOfReference(std::span<const int64_t> values, std::string* out);
 
+/// run_count: varint, then run_count pairs of (delta: zvarint, length:
+/// varint >= 1): the deltas of EncodeDeltaVarint, the first one taken
+/// from 0, run-length encoded. Columns that step by a constant for long
+/// stretches (an id repeated over an entity's states, a sequential id,
+/// periodic times) take a few bytes per stretch instead of one per row.
+void EncodeDeltaRunLength(std::span<const int64_t> values, std::string* out);
+
 /// dict_count: varint, dict_count length-prefixed byte strings (first
 /// occurrence order), width: u8, then ceil(n * width / 8) bytes of
 /// LSB-first bit-packed codes. Returns false (out untouched) when the

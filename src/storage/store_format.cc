@@ -18,6 +18,8 @@ const char* SegmentEncodingName(SegmentEncoding encoding) {
       return "dict";
     case SegmentEncoding::kRunLength:
       return "rle";
+    case SegmentEncoding::kDeltaRunLength:
+      return "delta_rle";
   }
   return "unknown";
 }
@@ -27,7 +29,8 @@ bool SegmentEncodingApplies(SegmentEncoding encoding, ColumnType type) {
   switch (type) {
     case ColumnType::kInt64:
       return encoding == SegmentEncoding::kDeltaVarint ||
-             encoding == SegmentEncoding::kFrameOfReference;
+             encoding == SegmentEncoding::kFrameOfReference ||
+             encoding == SegmentEncoding::kDeltaRunLength;
     case ColumnType::kDouble:
       return false;
     case ColumnType::kBool:
@@ -203,11 +206,15 @@ Status ValidateStoreLayout(const StoreFooter& footer, uint64_t file_size,
         return Status::IoError(where + " segment count does not match schema");
       }
       uint64_t rows = static_cast<uint64_t>(partition.num_rows);
-      // Bounds rows before any `rows * 8` arithmetic below can overflow: a
-      // partition with more rows than the data area has 8-byte slots for
-      // cannot be well-formed.
-      if (rows > data_end / 8) {
-        return Status::IoError(where + " row count exceeds file capacity");
+      // Bounds rows before any `rows * 8` arithmetic below can overflow.
+      // Every column type takes at least one plain byte per row, and a
+      // plain size is at most the data area (raw segments) or
+      // kStoreMaxPlainSegmentSize (encoded ones). Encoded segments may
+      // take far less than 8 bytes a row on disk, so the data area alone
+      // is no bound.
+      if (rows > std::max(data_end, kStoreMaxPlainSegmentSize)) {
+        return Status::IoError(where + " row count exceeds any segment's "
+                               "plain size");
       }
       for (size_t c = 0; c < partition.segments.size(); ++c) {
         const SegmentMeta& segment = partition.segments[c];
@@ -242,7 +249,7 @@ Status ValidateStoreLayout(const StoreFooter& footer, uint64_t file_size,
         switch (table.schema.columns[c].type) {
           case ColumnType::kInt64:
           case ColumnType::kDouble:
-            // rows * 8 cannot overflow: rows <= data_end / 8 above.
+            // rows * 8 cannot overflow: rows is bounded above.
             expected = rows * 8;
             break;
           case ColumnType::kBool:

@@ -68,16 +68,17 @@ enum class SegmentEncoding : uint8_t {
   kFrameOfReference = 2,  ///< int64: base + fixed-width bit-packed offsets.
   kDictionary = 3,        ///< binary: value dictionary + bit-packed codes.
   kRunLength = 4,         ///< bool: (value, run length) pairs.
+  kDeltaRunLength = 5,    ///< int64: (delta, run length) pairs.
 };
 /// Highest encoding tag a reader understands; greater tags are IoError.
-inline constexpr uint8_t kStoreMaxSegmentEncoding = 4;
+inline constexpr uint8_t kStoreMaxSegmentEncoding = 5;
 
 /// Name used in docs, stats output, and bench reports ("raw",
-/// "delta_varint", "for", "dict", "rle").
+/// "delta_varint", "for", "dict", "rle", "delta_rle").
 const char* SegmentEncodingName(SegmentEncoding encoding);
 
 /// Whether `encoding` may legally be applied to a column of `type`:
-/// int64 -> raw/delta_varint/for, double -> raw, bool -> raw/rle,
+/// int64 -> raw/delta_varint/for/delta_rle, double -> raw, bool -> raw/rle,
 /// binary -> raw/dict. Anything else in a footer is IoError.
 bool SegmentEncodingApplies(SegmentEncoding encoding, ColumnType type);
 

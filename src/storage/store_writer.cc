@@ -143,16 +143,22 @@ Status StoreWriter::FlushPartition(int table) {
         segment.stats = ColumnStats{true, *min_it, *max_it};
         if (v3) {
           // Sorted interval columns make tiny zigzag deltas; clustered
-          // ones make narrow frame-of-reference widths. Both candidates
-          // are one cheap pass over an in-memory slice.
+          // ones make narrow frame-of-reference widths; columns that step
+          // by a constant for long stretches make few delta runs. Each
+          // candidate is one cheap pass over an in-memory slice, and a
+          // later one wins only when strictly smaller.
           std::string delta;
           EncodeDeltaVarint(values, &delta);
           std::string frame;
           EncodeFrameOfReference(values, &frame);
+          std::string delta_runs;
+          EncodeDeltaRunLength(values, &delta_runs);
           std::string* best = delta.size() <= frame.size() ? &delta : &frame;
+          if (delta_runs.size() < best->size()) best = &delta_runs;
           if (best->size() < plain.size()) {
-            choice = best == &delta ? SegmentEncoding::kDeltaVarint
-                                    : SegmentEncoding::kFrameOfReference;
+            choice = best == &delta    ? SegmentEncoding::kDeltaVarint
+                     : best == &frame ? SegmentEncoding::kFrameOfReference
+                                      : SegmentEncoding::kDeltaRunLength;
             encoded = std::move(*best);
           }
         }

@@ -115,7 +115,7 @@ TGraphBuilder& TGraphBuilder::SeedVertex(VertexId vid, History states) {
 
 TGraphBuilder& TGraphBuilder::SeedEdge(EdgeId eid, VertexId src, VertexId dst,
                                        History states) {
-  edge_seeds_[eid] = EdgeSeed{src, dst, std::move(states)};
+  edge_seeds_[eid] = EdgeHistory{src, dst, std::move(states)};
   return *this;
 }
 
@@ -209,12 +209,14 @@ Result<History> TGraphBuilder::Replay(History seed, std::vector<Event> events,
   return CoalesceHistory(std::move(history));
 }
 
-Result<VeGraph> TGraphBuilder::Finish(TimePoint end_of_time) {
+Result<TGraphBuilder::Folded> TGraphBuilder::Fold(TimePoint end_of_time) {
   // Union of seeded and evented entity ids, in id order: a seeded entity
   // with no events replays to its seed, an unseeded one replays from
   // scratch, and a seeded one with events continues where the seed ended.
-  std::vector<VeVertex> vertices;
-  std::map<VertexId, History> presence;
+  Folded folded;
+  // Every replayed vertex's states, empty ones included: edges consult
+  // their endpoints here.
+  std::map<VertexId, History>& presence = folded.vertices;
   std::map<VertexId, std::vector<Event>*> vertex_ids;
   for (auto& [vid, events] : vertex_events_) vertex_ids[vid] = &events;
   for (auto& [vid, seed] : vertex_seeds_) vertex_ids.emplace(vid, nullptr);
@@ -234,12 +236,10 @@ Result<VeGraph> TGraphBuilder::Finish(TimePoint end_of_time) {
         return Status::InvalidArgument("vertex " + std::to_string(vid) +
                                        " lacks the required type property");
       }
-      vertices.push_back(VeVertex{vid, item.interval, item.properties});
     }
     presence[vid] = std::move(history);
   }
 
-  std::vector<VeEdge> edges;
   std::map<EdgeId, std::vector<Event>*> edge_ids;
   for (auto& [eid, events] : edge_events_) edge_ids[eid] = &events;
   for (auto& [eid, seed] : edge_seeds_) edge_ids.emplace(eid, nullptr);
@@ -381,9 +381,28 @@ Result<VeGraph> TGraphBuilder::Finish(TimePoint end_of_time) {
             label + " state at " + std::to_string(item.interval.start) +
             " extends outside its endpoints' presence");
       }
-      HistoryItem& piece = clipped.front();
-      edges.push_back(
-          VeEdge{eid, src, dst, piece.interval, std::move(piece.properties)});
+    }
+    folded.edges.emplace(eid, EdgeHistory{src, dst, std::move(history)});
+  }
+  std::erase_if(folded.vertices,
+                [](const auto& entry) { return entry.second.empty(); });
+  return folded;
+}
+
+Result<VeGraph> TGraphBuilder::Finish(TimePoint end_of_time) {
+  TG_ASSIGN_OR_RETURN(Folded folded, Fold(end_of_time));
+  std::vector<VeVertex> vertices;
+  for (auto& [vid, history] : folded.vertices) {
+    for (HistoryItem& item : history) {
+      vertices.push_back(
+          VeVertex{vid, item.interval, std::move(item.properties)});
+    }
+  }
+  std::vector<VeEdge> edges;
+  for (auto& [eid, edge] : folded.edges) {
+    for (HistoryItem& item : edge.states) {
+      edges.push_back(VeEdge{eid, edge.src, edge.dst, item.interval,
+                             std::move(item.properties)});
     }
   }
   return VeGraph::Create(ctx_, std::move(vertices), std::move(edges),

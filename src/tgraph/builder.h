@@ -27,11 +27,11 @@ namespace tgraph {
 /// starts from the properties given to that segment's Add event.
 ///
 /// A builder can also be *seeded* with already-folded states (SeedVertex /
-/// SeedEdge): the streaming ingest path reloads a compacted base store as
-/// seeds and appends only the events that arrived since, and Finish()
+/// SeedEdge): the streaming ingest path seeds the entities a batch touches
+/// with their folded histories and appends only the batch, and Fold()
 /// extends the seeded states instead of replaying history from scratch.
 /// Because the seeded continuation runs the exact replay loop an
-/// unseeded build would, base-plus-delta merges are equivalent to an
+/// unseeded build would, folding batch by batch is equivalent to an
 /// offline rebuild over the full event log by construction.
 class TGraphBuilder {
  public:
@@ -67,7 +67,26 @@ class TGraphBuilder {
   TGraphBuilder& SeedEdge(EdgeId eid, VertexId src, VertexId dst,
                           History states);
 
-  /// Replays the log and returns the graph. Entities still alive are
+  /// One edge's endpoints and folded states.
+  struct EdgeHistory {
+    VertexId src = 0;
+    VertexId dst = 0;
+    History states;
+  };
+  /// A replayed log, entity by entity in id order. Only entities with at
+  /// least one state appear.
+  struct Folded {
+    std::map<VertexId, History> vertices;
+    std::map<EdgeId, EdgeHistory> edges;
+  };
+
+  /// Replays the log exactly as Finish() does, with the same errors, but
+  /// returns each entity's states instead of a graph. The states are
+  /// seed-ready: a later builder seeded with them continues this replay.
+  Result<Folded> Fold(TimePoint end_of_time);
+
+  /// Replays the log and returns the graph: Fold(), flattened into rows in
+  /// id order (vertices, then edges). Entities still alive are
   /// closed at `end_of_time` (which must be after every event). Fails with
   /// InvalidArgument on an inconsistent log: double add, remove/set on a
   /// dead entity (including an edge implicitly killed by an endpoint's
@@ -91,12 +110,6 @@ class TGraphBuilder {
     VertexId dst = 0;
   };
 
-  struct EdgeSeed {
-    VertexId src = 0;
-    VertexId dst = 0;
-    History states;
-  };
-
   // Replays one entity's events into states, continuing from `seed` (empty
   // for unseeded entities); appends (interval, props). `label` names the
   // entity in error messages.
@@ -107,7 +120,7 @@ class TGraphBuilder {
   std::map<VertexId, std::vector<Event>> vertex_events_;
   std::map<EdgeId, std::vector<Event>> edge_events_;
   std::map<VertexId, History> vertex_seeds_;
-  std::map<EdgeId, EdgeSeed> edge_seeds_;
+  std::map<EdgeId, EdgeHistory> edge_seeds_;
 };
 
 }  // namespace tgraph

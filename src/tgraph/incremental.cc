@@ -1,10 +1,7 @@
 #include "tgraph/incremental.h"
 
-#include <limits>
 #include <utility>
 #include <vector>
-
-#include "tgraph/slice.h"
 
 namespace tgraph::incremental {
 
@@ -80,16 +77,6 @@ DeltaPlan PlanDelta(const Pipeline& pipeline, Interval source_lifetime,
   plan.incremental = true;
   plan.cut = cut;
   return plan;
-}
-
-VeGraph SpliceAtCut(const VeGraph& prev, const VeGraph& suffix,
-                    TimePoint cut) {
-  VeGraph prefix = SliceVe(
-      prev, Interval(std::numeric_limits<TimePoint>::min(), cut));
-  Interval lifetime = prefix.lifetime().Merge(suffix.lifetime());
-  return VeGraph(prefix.vertices().Union(suffix.vertices()),
-                 prefix.edges().Union(suffix.edges()), lifetime)
-      .Coalesce();
 }
 
 Representation FinalRepresentation(const Pipeline& pipeline,

@@ -35,7 +35,9 @@ namespace tgraph::incremental {
 ///
 ///    new = Coalesce( prev | [start, cut)  UNION  pipeline(src|[cut, end)) )
 ///
-/// (SpliceAtCut). Coalescing makes the result canonical: a window output
+/// (views::ViewContent::Splice, entity by entity: only entities with a
+/// state reaching past the cut or a state in the recomputed suffix can
+/// change). Coalescing makes the result canonical: a window output
 /// or aZoom group state that straddles the cut is re-merged with its
 /// recomputed continuation iff the values still agree, so the spliced
 /// state is record-for-record identical to a coalesced full recompute.
@@ -69,12 +71,6 @@ struct DeltaPlan {
 /// ("suffix-fraction").
 DeltaPlan PlanDelta(const Pipeline& pipeline, Interval source_lifetime,
                     TimePoint t_min, double max_suffix_fraction);
-
-/// Splices the recomputed suffix into the previous view state:
-/// Coalesce( prev|(-inf, cut)  UNION  suffix ). Both inputs and the
-/// result are plain VE relations; the result is coalesced (canonical).
-VeGraph SpliceAtCut(const VeGraph& prev, const VeGraph& suffix,
-                    TimePoint cut);
 
 /// The representation the pipeline publishes: the last CONVERT target,
 /// or the source representation when no step converts.

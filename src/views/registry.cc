@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "ingest/wal.h"
 #include "obs/metrics.h"
 #include "tql/canonical.h"
 #include "tql/parser.h"
@@ -231,9 +232,13 @@ Status ViewRegistry::SaveLocked() {
     out.flush();
     if (!out.good()) return Status::IoError("write " + tmp);
   }
+  // The temp file's bytes must be durable before the rename publishes
+  // them, and the rename itself before the DDL is acknowledged.
+  TG_RETURN_IF_ERROR(ingest::FsyncPath(tmp));
   if (std::rename(tmp.c_str(), options_.views_path.c_str()) != 0) {
     return Status::IoError("rename " + tmp + " -> " + options_.views_path);
   }
+  ingest::FsyncParentDir(options_.views_path);
   return Status::OK();
 }
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/hash.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tgraph/incremental.h"
@@ -21,15 +20,6 @@ int64_t UnixNowUs() {
       .count();
 }
 
-/// Forces a VE graph to concrete record vectors. The maintained internal
-/// state feeds the next epoch's splice; without materialization each
-/// snapshot would hold a lazy plan over its predecessor's plan, and
-/// evaluation depth would grow with every applied delta.
-VeGraph MaterializeVe(dataflow::ExecutionContext* ctx, const VeGraph& graph) {
-  return VeGraph::Create(ctx, graph.vertices().Collect(),
-                         graph.edges().Collect(), graph.lifetime());
-}
-
 }  // namespace
 
 MaterializedView::MaterializedView(dataflow::ExecutionContext* ctx,
@@ -42,42 +32,35 @@ MaterializedView::MaterializedView(dataflow::ExecutionContext* ctx,
                                                  Representation::kVe)),
       options_(std::move(options)) {}
 
-Result<std::shared_ptr<ViewSnapshot>> MaterializedView::MakeSnapshot(
-    const VeGraph& internal) const {
-  TG_ASSIGN_OR_RETURN(TGraph published,
-                      TGraph::FromVe(internal, /*coalesced=*/true)
-                          .As(final_rep_));
-  published.Materialize();
+Result<TGraph> ViewSnapshot::Graph() const {
+  Published& published = *published_;
+  std::call_once(published.once, [&] {
+    TGraph graph = TGraph::FromVe(content.ToVe(published.ctx),
+                                  /*coalesced=*/true);
+    published.graph = graph.As(published.rep);
+    if (published.graph.ok()) published.graph->Materialize();
+  });
+  return published.graph;
+}
 
+std::shared_ptr<ViewSnapshot> MaterializedView::MakeSnapshot(
+    ViewContent content) const {
   // Render once at publish: canonical sorted VE lines hashed into a
   // content fingerprint. The text carries no version or epoch, so the
   // incremental and full-recompute paths — and a post-restart rebuild —
   // produce byte-identical output for identical content.
-  std::vector<std::string> lines;
-  std::vector<VeVertex> vertices = internal.vertices().Collect();
-  std::vector<VeEdge> edges = internal.edges().Collect();
-  lines.reserve(vertices.size() + edges.size());
-  for (const VeVertex& v : vertices) lines.push_back("V " + v.ToString());
-  for (const VeEdge& e : edges) lines.push_back("E " + e.ToString());
-  std::sort(lines.begin(), lines.end());
-  std::string joined;
-  for (const std::string& line : lines) {
-    joined += line;
-    joined += '\n';
-  }
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(HashBytes(joined)));
-
-  auto snapshot = std::make_shared<ViewSnapshot>(std::move(published),
-                                                 internal);
-  const Interval lifetime = internal.lifetime();
+                static_cast<unsigned long long>(content.Hash()));
+  const Interval lifetime = content.lifetime();
   std::ostringstream out;
   out << "view " << definition_.name << " ["
       << RepresentationName(final_rep_) << "] lifetime [" << lifetime.start
-      << "," << lifetime.end << "): " << vertices.size()
-      << " vertex records, " << edges.size() << " edge records\n"
+      << "," << lifetime.end << "): " << content.vertex_records()
+      << " vertex records, " << content.edge_records() << " edge records\n"
       << "content " << hex << "\n";
+  auto snapshot =
+      std::make_shared<ViewSnapshot>(ctx_, final_rep_, std::move(content));
   snapshot->rendered = out.str();
   return snapshot;
 }
@@ -88,9 +71,8 @@ Result<std::shared_ptr<ViewSnapshot>> MaterializedView::FullRebuild(
   obs::Span span("views.full_rebuild", "views");
   TG_ASSIGN_OR_RETURN(TGraph output, pipeline_.Run(source));
   TG_ASSIGN_OR_RETURN(TGraph output_ve, output.As(Representation::kVe));
-  VeGraph internal = MaterializeVe(ctx_, output_ve.Coalesce().ve());
-  TG_ASSIGN_OR_RETURN(std::shared_ptr<ViewSnapshot> next,
-                      MakeSnapshot(internal));
+  std::shared_ptr<ViewSnapshot> next =
+      MakeSnapshot(ViewContent::Build(output_ve.ve()));
   next->applied_deltas = prev != nullptr ? prev->applied_deltas : 0;
   next->full_rebuilds = (prev != nullptr ? prev->full_rebuilds : 0) + 1;
   next->last_fallback = reason;
@@ -104,10 +86,8 @@ Result<std::shared_ptr<ViewSnapshot>> MaterializedView::ApplyDelta(
       source.Slice(Interval(cut, source.lifetime().end));
   TG_ASSIGN_OR_RETURN(TGraph output, pipeline_.Run(suffix_source));
   TG_ASSIGN_OR_RETURN(TGraph output_ve, output.As(Representation::kVe));
-  VeGraph internal = MaterializeVe(
-      ctx_, incremental::SpliceAtCut(prev.internal, output_ve.ve(), cut));
-  TG_ASSIGN_OR_RETURN(std::shared_ptr<ViewSnapshot> next,
-                      MakeSnapshot(internal));
+  std::shared_ptr<ViewSnapshot> next =
+      MakeSnapshot(prev.content.Splice(output_ve.ve(), cut));
   next->applied_deltas = prev.applied_deltas + 1;
   next->full_rebuilds = prev.full_rebuilds;
   next->last_fallback = prev.last_fallback;
@@ -142,7 +122,7 @@ Status MaterializedView::Refresh(ingest::LiveGraph* live,
   obs::Span span("views.refresh", "views");
   const auto started = std::chrono::steady_clock::now();
   TG_ASSIGN_OR_RETURN(const VeGraph* source_ve, snap->Graph());
-  // The merged base+delta VE comes out of the builder coalesced (the
+  // The live graph's VE is its folded state, coalesced per entity (the
   // ingest differential tests pin that property).
   TGraph source = TGraph::FromVe(*source_ve, /*coalesced=*/true);
   const TimePoint watermark = snap->watermark();
@@ -154,7 +134,7 @@ Status MaterializedView::Refresh(ingest::LiveGraph* live,
     rebuilds->Increment();
   } else if (watermark == cur->watermark) {
     // No new events (a compaction-only epoch): the content is unchanged,
-    // so share graph/internal/rendering and just advance version+epoch.
+    // so share content/graph/rendering and just advance version+epoch.
     next = std::make_shared<ViewSnapshot>(*cur);
   } else {
     // The earliest timestamp this delta could touch. When compaction

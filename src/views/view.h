@@ -17,6 +17,7 @@
 #include "tgraph/pipeline.h"
 #include "tgraph/tgraph.h"
 #include "tql/ast.h"
+#include "views/content.h"
 
 namespace tgraph::views {
 
@@ -36,8 +37,10 @@ struct ViewDefinition {
 /// current snapshot with a single atomic load and keep using it while the
 /// maintainer publishes successors; nothing here mutates after publish.
 struct ViewSnapshot {
-  ViewSnapshot(TGraph graph_in, VeGraph internal_in)
-      : graph(std::move(graph_in)), internal(std::move(internal_in)) {}
+  ViewSnapshot(dataflow::ExecutionContext* ctx, Representation rep,
+               ViewContent content_in)
+      : content(std::move(content_in)),
+        published_(std::make_shared<Published>(ctx, rep)) {}
 
   /// Monotonically increasing per view (starts at 1, bumps on every
   /// applied source epoch — including no-op epochs, so cache keys built
@@ -47,16 +50,13 @@ struct ViewSnapshot {
   /// their source, never more than one refresh behind).
   uint64_t source_epoch = 0;
   /// The source ingest watermark the snapshot reflects: max event time
-  /// folded into `graph`. The next refresh cuts strictly after this.
+  /// folded into `content`. The next refresh cuts strictly after this.
   TimePoint watermark = std::numeric_limits<TimePoint>::min();
-  /// The published zoomed graph, in the pipeline's final representation;
-  /// its content is always coalesced (canonical), so a view rebuilt from
-  /// scratch after a restart renders byte-identically.
-  TGraph graph;
-  /// The same content as a coalesced VE relation — the splice input for
-  /// the next incremental apply (VE is the only representation SpliceAtCut
-  /// can cut positionally).
-  VeGraph internal;
+  /// The view's coalesced VE content, per entity — the splice input for
+  /// the next incremental apply (VE is the only representation a splice
+  /// can cut positionally). Always coalesced (canonical), so a view
+  /// rebuilt from scratch after a restart renders byte-identically.
+  ViewContent content;
   /// Lifetime counters, carried forward across snapshots.
   uint64_t applied_deltas = 0;
   uint64_t full_rebuilds = 0;
@@ -69,6 +69,22 @@ struct ViewSnapshot {
   /// When this snapshot was published (unix micros) — staleness metric
   /// input and SHOW VIEWS display.
   int64_t refreshed_unix_us = 0;
+
+  /// The zoomed graph in the pipeline's final representation: `content`
+  /// converted on first use and cached. Copies of a snapshot share it, as
+  /// they share the content.
+  Result<TGraph> Graph() const;
+
+ private:
+  struct Published {
+    Published(dataflow::ExecutionContext* ctx_in, Representation rep_in)
+        : ctx(ctx_in), rep(rep_in) {}
+    dataflow::ExecutionContext* ctx;
+    Representation rep;
+    std::once_flag once;
+    Result<TGraph> graph = Status::Internal("view graph not materialized");
+  };
+  std::shared_ptr<Published> published_;
 };
 
 /// \brief A registered view plus its maintenance state machine.
@@ -115,11 +131,9 @@ class MaterializedView {
   Status Refresh(ingest::LiveGraph* live, int64_t published_unix_us);
 
  private:
-  /// Builds an unpublished snapshot around coalesced VE content: converts
-  /// to the final representation, materializes, and renders. The caller
-  /// fills counters/version/epoch before publishing.
-  Result<std::shared_ptr<ViewSnapshot>> MakeSnapshot(
-      const VeGraph& internal) const;
+  /// Builds an unpublished snapshot around `content` and renders it. The
+  /// caller fills counters/version/epoch before publishing.
+  std::shared_ptr<ViewSnapshot> MakeSnapshot(ViewContent content) const;
   Result<std::shared_ptr<ViewSnapshot>> FullRebuild(
       const TGraph& source, const ViewSnapshot* prev,
       const std::string& reason) const;

@@ -6,7 +6,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +19,8 @@
 #include "ingest/event.h"
 #include "ingest/live_graph.h"
 #include "ingest/wal.h"
+#include "storage/graph_io.h"
+#include "storage/store_reader.h"
 #include "tgraph/builder.h"
 #include "test_util.h"
 
@@ -95,16 +101,132 @@ std::vector<std::vector<Event>> Workload() {
   };
 }
 
-/// Offline reference: one builder over the flattened event stream.
+/// Offline reference: one builder over the flattened event stream of the
+/// first `prefix` batches (all of them by default).
 VeGraph OfflineBuild(const std::vector<std::vector<Event>>& batches,
-                     TimePoint horizon) {
+                     TimePoint horizon, size_t prefix = SIZE_MAX) {
   TGraphBuilder builder(testing::Ctx());
-  for (const std::vector<Event>& batch : batches) {
-    for (const Event& event : batch) ApplyEventToBuilder(event, &builder);
+  for (size_t i = 0; i < std::min(prefix, batches.size()); ++i) {
+    for (const Event& event : batches[i]) {
+      ApplyEventToBuilder(event, &builder);
+    }
   }
   Result<VeGraph> graph = builder.Finish(horizon);
   TG_CHECK(graph.ok()) << graph.status();
   return *graph;
+}
+
+Event SetEdge(int64_t eid, TimePoint at, const std::string& key,
+              PropertyValue value) {
+  Event e;
+  e.kind = EventKind::kSetEdgeProperty;
+  e.id = eid;
+  e.at = at;
+  e.props = Properties{{key, std::move(value)}};
+  return e;
+}
+
+/// A random valid log of `num_batches` batches of 1-6 events at strictly
+/// increasing times: vertex adds, re-adds and removals, edge adds, re-adds
+/// and removals, and property churn on both. Unlike Workload(), a vertex
+/// removal here leaves its alive edges for the builder to end implicitly,
+/// so later batches never mention those edges again unless re-adding one.
+std::vector<std::vector<Event>> RandomLog(uint64_t seed, int num_batches) {
+  Rng rng(seed);
+  TimePoint t = 10;
+  std::map<int64_t, bool> vertices;  // vid -> alive
+  std::map<int64_t, std::pair<VertexId, VertexId>> edge_ends;
+  std::set<int64_t> alive_edges;
+  int64_t next_vid = 1;
+  int64_t next_eid = 1000;
+  auto pick = [&rng](const auto& ids) {
+    auto it = ids.begin();
+    std::advance(it, rng.NextBounded(ids.size()));
+    return *it;
+  };
+  auto alive_vertices = [&vertices] {
+    std::vector<int64_t> out;
+    for (const auto& [vid, alive] : vertices) {
+      if (alive) out.push_back(vid);
+    }
+    return out;
+  };
+  std::vector<std::vector<Event>> batches;
+  for (int b = 0; b < num_batches; ++b) {
+    std::vector<Event> batch;
+    const uint64_t size = 1 + rng.NextBounded(6);
+    while (batch.size() < size) {
+      const std::vector<int64_t> alive = alive_vertices();
+      const uint64_t op = rng.NextBounded(9);
+      if (op == 0 || alive.size() < 2) {
+        batch.push_back(AddVertex(next_vid, t++, {{"g", "a"}}));
+        vertices[next_vid++] = true;
+      } else if (op == 1 && alive.size() < vertices.size()) {
+        std::vector<int64_t> dead;
+        for (const auto& [vid, is_alive] : vertices) {
+          if (!is_alive) dead.push_back(vid);
+        }
+        const int64_t vid = pick(dead);
+        batch.push_back(AddVertex(vid, t++, {{"g", "b"}}));
+        vertices[vid] = true;
+      } else if (op == 2) {
+        const int64_t vid = pick(alive);
+        batch.push_back(RemoveVertex(vid, t++));
+        vertices[vid] = false;
+        std::erase_if(alive_edges, [&](int64_t eid) {
+          return edge_ends[eid].first == vid || edge_ends[eid].second == vid;
+        });
+      } else if (op == 3) {
+        batch.push_back(SetVertex(pick(alive), t++, "g",
+                                  "g" + std::to_string(rng.NextBounded(3))));
+      } else if (op == 4) {
+        const int64_t eid = next_eid++;
+        edge_ends[eid] = {pick(alive), pick(alive)};
+        batch.push_back(AddEdge(eid, edge_ends[eid].first,
+                                edge_ends[eid].second, t++, {{"w", 0}}));
+        alive_edges.insert(eid);
+      } else if (op == 5) {
+        // Re-add a dead edge whose endpoints are both alive again.
+        std::vector<int64_t> candidates;
+        for (const auto& [eid, ends] : edge_ends) {
+          if (!alive_edges.count(eid) && vertices[ends.first] &&
+              vertices[ends.second]) {
+            candidates.push_back(eid);
+          }
+        }
+        if (candidates.empty()) continue;
+        const int64_t eid = pick(candidates);
+        batch.push_back(AddEdge(eid, edge_ends[eid].first,
+                                edge_ends[eid].second, t++, {{"w", 1}}));
+        alive_edges.insert(eid);
+      } else if (op == 6 && !alive_edges.empty()) {
+        const int64_t eid = pick(alive_edges);
+        batch.push_back(RemoveEdge(eid, t++));
+        alive_edges.erase(eid);
+      } else if (!alive_edges.empty()) {
+        batch.push_back(
+            SetEdge(pick(alive_edges), t++, "w",
+                    static_cast<int64_t>(rng.NextBounded(4))));
+      }
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Row-for-row identity, order included: the fold materializes exactly
+/// the rows an offline build returns.
+void ExpectSameRows(const VeGraph& live, const VeGraph& offline,
+                    const std::string& where) {
+  EXPECT_EQ(live.vertices().Collect(), offline.vertices().Collect())
+      << where;
+  EXPECT_EQ(live.edges().Collect(), offline.edges().Collect()) << where;
+  EXPECT_EQ(live.lifetime(), offline.lifetime()) << where;
 }
 
 class LiveGraphTest : public ::testing::Test {
@@ -169,6 +291,118 @@ TEST_F(LiveGraphTest, LiveEqualsOfflineAcrossEveryCompactionPoint) {
     EXPECT_EQ(testing::Canonical(**merged),
               testing::Canonical(OfflineBuild(batches, (*live)->horizon())))
         << "compacted after batch " << compact_after;
+    ASSERT_TRUE((*live)->Close().ok());
+  }
+}
+
+TEST_F(LiveGraphTest, FoldEqualsOfflineAfterEveryBatch) {
+  // Every ack folds its batch into the per-entity state; after every batch
+  // the materialized state must be the offline build of the log so far,
+  // row for row — across compactions and a close/reopen (WAL replay).
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const std::vector<std::vector<Event>> batches = RandomLog(seed, 40);
+    std::string dir = Dir("fold_" + std::to_string(seed));
+    Result<std::unique_ptr<LiveGraph>> live =
+        LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+    ASSERT_TRUE(live.ok()) << live.status();
+    for (size_t i = 0; i < batches.size(); ++i) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " batch " + std::to_string(i);
+      Result<uint64_t> seq = (*live)->Append(batches[i]);
+      ASSERT_TRUE(seq.ok()) << where << ": " << seq.status();
+      if (i % 7 == 6) ASSERT_TRUE((*live)->Compact().ok()) << where;
+      if (i == 17 || i == 30) {
+        ASSERT_TRUE((*live)->Close().ok());
+        live = LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+        ASSERT_TRUE(live.ok()) << where << ": " << live.status();
+      }
+      Result<const VeGraph*> graph = (*live)->snapshot()->Graph();
+      ASSERT_TRUE(graph.ok()) << where << ": " << graph.status();
+      ExpectSameRows(**graph,
+                     OfflineBuild(batches, (*live)->horizon(), i + 1), where);
+    }
+    ASSERT_TRUE((*live)->Close().ok());
+  }
+}
+
+TEST_F(LiveGraphTest, RemovalEndsAliveEdgeTheBatchNeverMentions) {
+  std::vector<std::vector<Event>> batches = {
+      {AddVertex(1, 10, {}), AddVertex(2, 11, {}), AddVertex(3, 12, {}),
+       AddEdge(100, 1, 2, 13, {}), AddEdge(101, 2, 3, 14, {})},
+      {RemoveVertex(2, 20)},  // ends edges 100 and 101 implicitly
+  };
+  std::string dir = Dir("implicit_end");
+  Result<std::unique_ptr<LiveGraph>> live =
+      LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+  ASSERT_TRUE(live.ok()) << live.status();
+  for (const std::vector<Event>& batch : batches) {
+    ASSERT_TRUE((*live)->Append(batch).ok());
+  }
+  Result<const VeGraph*> graph = (*live)->snapshot()->Graph();
+  ASSERT_TRUE(graph.ok());
+  ExpectSameRows(**graph, OfflineBuild(batches, (*live)->horizon()),
+                 "after the removal");
+  for (const VeEdge& edge : (*graph)->edges().Collect()) {
+    EXPECT_EQ(edge.interval.end, 20) << "edge " << edge.eid;
+  }
+
+  // The ended edge is dead for good: a property change is rejected even
+  // after its endpoint is re-added, and only a fresh add revives it.
+  ASSERT_TRUE((*live)->Append({AddVertex(2, 30, {})}).ok());
+  Result<uint64_t> dead_set = (*live)->Append({SetEdge(100, 31, "w", 1)});
+  ASSERT_FALSE(dead_set.ok());
+  EXPECT_TRUE(dead_set.status().IsInvalidArgument()) << dead_set.status();
+  ASSERT_TRUE((*live)->Append({AddEdge(100, 1, 2, 32, {})}).ok());
+  batches.push_back({AddVertex(2, 30, {})});
+  batches.push_back({AddEdge(100, 1, 2, 32, {})});
+  graph = (*live)->snapshot()->Graph();
+  ASSERT_TRUE(graph.ok());
+  ExpectSameRows(**graph, OfflineBuild(batches, (*live)->horizon()),
+                 "after the re-add");
+  ASSERT_TRUE((*live)->Close().ok());
+}
+
+TEST_F(LiveGraphTest, GenerationFromFoldIsByteIdenticalToFullRebuild) {
+  // A generation is the folded state written out. It must be the very
+  // file a full offline rebuild of the same log writes with the same
+  // metadata — with and without an earlier generation underneath.
+  const std::vector<std::vector<Event>> batches = RandomLog(9, 30);
+  for (bool compact_midway : {false, true}) {
+    std::string dir =
+        Dir(std::string("gen_bytes_") + (compact_midway ? "mid" : "once"));
+    Result<std::unique_ptr<LiveGraph>> live =
+        LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+    ASSERT_TRUE(live.ok()) << live.status();
+    for (size_t i = 0; i < batches.size(); ++i) {
+      ASSERT_TRUE((*live)->Append(batches[i]).ok()) << "batch " << i;
+      if (compact_midway && i == batches.size() / 2) {
+        ASSERT_TRUE((*live)->Compact().ok());
+      }
+    }
+    ASSERT_TRUE((*live)->Compact().ok());
+    const uint64_t generation = (*live)->snapshot()->generation();
+    char name[32];
+    std::snprintf(name, sizeof(name), "/gen-%06llu.tgs",
+                  static_cast<unsigned long long>(generation));
+    const std::string gen_path = dir + name;
+
+    Result<std::unique_ptr<storage::StoreReader>> reader =
+        storage::StoreReader::Open(gen_path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    std::vector<std::pair<std::string, std::string>> meta;
+    for (const char* key : {kMetaIngestLastSeq, kMetaIngestWatermark,
+                            kMetaIngestHorizon, kMetaIngestGeneration}) {
+      const std::string* value = (*reader)->FindMetadata(key);
+      ASSERT_NE(value, nullptr) << key;
+      meta.emplace_back(key, *value);
+    }
+    const std::string rebuilt_path = dir + "/rebuilt.tgs";
+    ASSERT_TRUE(storage::WriteVeStoreFile(
+                    OfflineBuild(batches, (*live)->horizon()), rebuilt_path,
+                    {}, meta)
+                    .ok());
+    EXPECT_EQ(ReadFile(gen_path), ReadFile(rebuilt_path))
+        << "compact_midway " << compact_midway;
     ASSERT_TRUE((*live)->Close().ok());
   }
 }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "common/hash.h"
@@ -188,6 +189,26 @@ TEST(StoreCorruptionTest, OverlappingSectionsAreRejected) {
   EXPECT_FALSE(StoreReader::Open(StorePath(dir)).ok());
   EXPECT_TRUE(LoadStatus(dir).IsIoError());
   std::filesystem::remove_all(dir);
+}
+
+TEST(StoreCorruptionTest, AbsurdRowCountIsRejected) {
+  // Row counts are bounded by what a segment's plain size can describe,
+  // before any `rows * 8` arithmetic: absurd counts fail with a Status on
+  // both the raw (v2) and the encoded (v3) layout.
+  for (uint32_t version : {2u, 3u}) {
+    for (int64_t rows : {int64_t{1} << 40, int64_t{1} << 61,
+                         std::numeric_limits<int64_t>::max()}) {
+      std::string dir = MakeVictim("corrupt_rows", version);
+      FileParts parts = Dissect(ReadAll(StorePath(dir)));
+      parts.footer.tables[0].partitions[0].num_rows = rows;
+      WriteAll(StorePath(dir), Reassemble(parts));
+      Result<std::unique_ptr<StoreReader>> reader =
+          StoreReader::Open(StorePath(dir));
+      ASSERT_FALSE(reader.ok()) << "v" << version << " rows " << rows;
+      EXPECT_TRUE(reader.status().IsIoError()) << reader.status();
+      std::filesystem::remove_all(dir);
+    }
+  }
 }
 
 TEST(StoreCorruptionTest, SegmentPastEndOfFileIsRejected) {

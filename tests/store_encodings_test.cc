@@ -25,7 +25,8 @@ namespace {
 
 std::string RawInt64Layout(const std::vector<int64_t>& values) {
   std::string raw(values.size() * 8, '\0');
-  std::memcpy(raw.data(), values.data(), raw.size());
+  // An empty vector's data() may be null, which memcpy must never get.
+  if (!raw.empty()) std::memcpy(raw.data(), values.data(), raw.size());
   return raw;
 }
 
@@ -57,6 +58,8 @@ void ExpectInt64RoundTrip(SegmentEncoding encoding,
   std::string encoded;
   if (encoding == SegmentEncoding::kDeltaVarint) {
     EncodeDeltaVarint(values, &encoded);
+  } else if (encoding == SegmentEncoding::kDeltaRunLength) {
+    EncodeDeltaRunLength(values, &encoded);
   } else {
     EncodeFrameOfReference(values, &encoded);
   }
@@ -83,6 +86,7 @@ TEST(StoreEncodingsTest, Int64RoundTrips) {
   };
   for (const auto& values : cases) {
     ExpectInt64RoundTrip(SegmentEncoding::kFrameOfReference, values);
+    ExpectInt64RoundTrip(SegmentEncoding::kDeltaRunLength, values);
     if (!values.empty()) {
       ExpectInt64RoundTrip(SegmentEncoding::kDeltaVarint, values);
     }
@@ -96,6 +100,21 @@ TEST(StoreEncodingsTest, DeltaVarintWrapsAroundExtremes) {
                                  std::numeric_limits<int64_t>::min(),
                                  std::numeric_limits<int64_t>::max()};
   ExpectInt64RoundTrip(SegmentEncoding::kDeltaVarint, values);
+}
+
+TEST(StoreEncodingsTest, DeltaRunLengthWrapsAndCollapsesRuns) {
+  std::vector<int64_t> extremes = {std::numeric_limits<int64_t>::max(),
+                                   std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max()};
+  ExpectInt64RoundTrip(SegmentEncoding::kDeltaRunLength, extremes);
+  // An id repeated over 15 states, then the next id: delta runs of 0 and
+  // one jump per id, far below a byte per row.
+  std::vector<int64_t> ids;
+  for (int64_t id = 1; id <= 100; ++id) ids.insert(ids.end(), 15, id * 37);
+  ExpectInt64RoundTrip(SegmentEncoding::kDeltaRunLength, ids);
+  std::string encoded;
+  EncodeDeltaRunLength(ids, &encoded);
+  EXPECT_LT(encoded.size(), ids.size() / 3);
 }
 
 TEST(StoreEncodingsTest, FrameOfReferenceFullWidthRange) {
@@ -419,6 +438,63 @@ TEST(StoreEncodingsTest, RunLengthRejectsMalformedRuns) {
                   .IsIoError());
 }
 
+TEST(StoreEncodingsTest, DeltaRunLengthRejectsMalformedRuns) {
+  std::string out;
+  // Runs sum past the row count: 2 + 2 > 3.
+  std::string over;
+  PutVarint(&over, 2);
+  PutVarint(&over, 2);  // zvarint(1)
+  PutVarint(&over, 2);
+  PutVarint(&over, 0);
+  PutVarint(&over, 2);
+  Status status = Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
+                         over, 3, 24, &out);
+  ASSERT_TRUE(status.IsIoError());
+  EXPECT_NE(status.message().find("overflow"), std::string::npos);
+  // A huge run length must not expand anything.
+  std::string huge;
+  PutVarint(&huge, 1);
+  PutVarint(&huge, 2);
+  PutVarint(&huge, uint64_t{1} << 62);
+  EXPECT_TRUE(Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
+                     huge, 3, 24, &out)
+                  .IsIoError());
+  // Zero-length run.
+  std::string zero;
+  PutVarint(&zero, 2);
+  PutVarint(&zero, 2);
+  PutVarint(&zero, 0);
+  PutVarint(&zero, 0);
+  PutVarint(&zero, 3);
+  EXPECT_TRUE(Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
+                     zero, 3, 24, &out)
+                  .IsIoError());
+  // Short of the row count, a plain size lie, truncation at every prefix,
+  // and trailing bytes.
+  std::vector<int64_t> values = {5, 5, 9};
+  std::string good;
+  EncodeDeltaRunLength(values, &good);
+  EXPECT_TRUE(Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
+                     good, 4, 32, &out)
+                  .IsIoError());
+  EXPECT_TRUE(Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
+                     good, 3, 25, &out)
+                  .IsIoError());
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_TRUE(Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
+                       std::string_view(good).substr(0, len), 3, 24, &out)
+                    .IsIoError())
+        << "prefix " << len;
+  }
+  EXPECT_TRUE(Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
+                     good + '\x00', 3, 24, &out)
+                  .IsIoError());
+  // Not applicable to any other column type.
+  EXPECT_TRUE(Decode(SegmentEncoding::kDeltaRunLength, ColumnType::kBool,
+                     good, 3, 3, &out)
+                  .IsIoError());
+}
+
 // Byte-flip fuzz over every codec: any single-byte mutation of a valid
 // payload must either decode to *something* or fail cleanly — never crash
 // (ASan/UBSan enforce the "cleanly"). Mutations that survive decoding are
@@ -442,6 +518,10 @@ TEST(StoreEncodingsTest, ByteFlipFuzzNeverCrashes) {
   payload.clear();
   EncodeFrameOfReference(ints, &payload);
   cases.push_back({SegmentEncoding::kFrameOfReference, ColumnType::kInt64,
+                   payload, ints.size(), ints.size() * 8});
+  payload.clear();
+  EncodeDeltaRunLength(ints, &payload);
+  cases.push_back({SegmentEncoding::kDeltaRunLength, ColumnType::kInt64,
                    payload, ints.size(), ints.size() * 8});
   payload.clear();
   ASSERT_TRUE(EncodeDictionary(bins.data(), bins.size(), &payload));

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "ingest/live_graph.h"
 #include "obs/metrics.h"
 #include "storage/graph_io.h"
 #include "storage/store_format.h"
@@ -293,6 +295,63 @@ TEST(StoreV3Test, DecodeCacheBudgetOverflowIsCounted) {
   EXPECT_GT(CounterValue(delta, names::kStoreDecodeCacheOverflows), 0);
   SetStoreDecodeCacheBudgetBytes(saved);
   EXPECT_EQ(StoreDecodeCacheBudgetBytes(), saved);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StoreV3Test, GenerationBelowEightBytesARowOpensAndRoundTrips) {
+  // A compacted live generation of many short-lived edges between two
+  // vertices: sequential ids and times, constant endpoints and properties.
+  // Its encoded segments take far less than 8 bytes a row, which layout
+  // validation once mistook for a row count the file could not hold.
+  std::string dir = TempDir("v3_tiny_live");
+  ingest::LiveGraph::Options options;
+  options.delta_events_threshold = 0;
+  options.sync = false;
+  Result<std::unique_ptr<ingest::LiveGraph>> live =
+      ingest::LiveGraph::Open(Ctx(), dir, options);
+  ASSERT_TRUE(live.ok()) << live.status();
+  constexpr int kEdges = 2000;
+  std::vector<ingest::Event> events;
+  for (VertexId vid : {1, 2}) {
+    ingest::Event add;
+    add.kind = ingest::EventKind::kAddVertex;
+    add.id = vid;
+    add.at = vid;
+    add.props = Properties{{"type", "node"}};
+    events.push_back(std::move(add));
+  }
+  for (int i = 0; i < kEdges; ++i) {
+    ingest::Event add;
+    add.kind = ingest::EventKind::kAddEdge;
+    add.id = i + 1;
+    add.src = 1;
+    add.dst = 2;
+    add.at = 10 + 2 * i;
+    add.props = Properties{{"type", "link"}};
+    events.push_back(std::move(add));
+    ingest::Event remove;
+    remove.kind = ingest::EventKind::kRemoveEdge;
+    remove.id = i + 1;
+    remove.at = 11 + 2 * i;
+    events.push_back(std::move(remove));
+  }
+  ASSERT_TRUE((*live)->Append(events).ok());
+  ASSERT_TRUE((*live)->Compact().ok());
+  Result<const VeGraph*> expected = (*live)->snapshot()->Graph();
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  std::string gen_file;
+  std::ifstream(dir + "/" + ingest::kCurrentFileName) >> gen_file;
+  const std::string gen_path = dir + "/" + gen_file;
+  // The premise: the whole file is smaller than 8 bytes per edge row.
+  ASSERT_LT(std::filesystem::file_size(gen_path), uint64_t{8} * kEdges);
+
+  Result<std::unique_ptr<StoreReader>> reader = StoreReader::Open(gen_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  Result<VeGraph> loaded = LoadVeGraphFromStore(Ctx(), **reader);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(Canonical(*loaded), Canonical(**expected));
+  ASSERT_TRUE((*live)->Close().ok());
   std::filesystem::remove_all(dir);
 }
 

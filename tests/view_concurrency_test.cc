@@ -47,11 +47,13 @@ std::vector<ingest::Event> FlattenedEvents(uint64_t seed, int num_events) {
 /// snapshot's content; a snapshot whose header disagrees with its own
 /// graph would mean a torn publish.
 void ExpectInternallyConsistent(const ViewSnapshot& snapshot) {
+  Result<TGraph> published = snapshot.Graph();
+  ASSERT_TRUE(published.ok()) << published.status();
+  Result<TGraph> ve = published->As(Representation::kVe);
+  ASSERT_TRUE(ve.ok()) << ve.status();
   const std::string expected =
-      std::to_string(snapshot.internal.NumVertexRecords()) +
-      " vertex records, " +
-      std::to_string(snapshot.internal.NumEdgeRecords()) +
-      " edge records";
+      std::to_string(ve->ve().NumVertexRecords()) + " vertex records, " +
+      std::to_string(ve->ve().NumEdgeRecords()) + " edge records";
   EXPECT_NE(snapshot.rendered.find(expected), std::string::npos)
       << "rendered header does not match content: " << snapshot.rendered;
   EXPECT_EQ(snapshot.rendered.rfind("view v [", 0), 0u);

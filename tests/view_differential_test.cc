@@ -46,7 +46,8 @@ struct RunStats {
 
 /// Ingests `batches` one by one; after each, refreshes both the view under
 /// test and the always-recompute oracle, and asserts
-///  view == offline recompute (canonical content) and
+///  view == offline recompute (canonical content),
+///  view.rendered == ReferenceRender(offline recompute) and
 ///  view.rendered == oracle.rendered (byte-identical).
 /// `compact_every` > 0 interleaves LSM compactions. (void: ASSERT_* needs
 /// a void-returning function; counters come back via `stats`.)
@@ -73,36 +74,60 @@ void RunDifferential(const std::string& tag, Pipeline pipeline,
   MaterializedView oracle(testing::Ctx(), def, pipeline, oracle_options);
 
   const TimePoint horizon = (*live)->horizon();
-  for (size_t i = 0; i < batches.size(); ++i) {
-    Result<uint64_t> seq = (*live)->Append(batches[i]);
-    ASSERT_TRUE(seq.ok()) << tag << " batch " << i << ": " << seq.status();
-    if (compact_every > 0 && (i + 1) % compact_every == 0) {
-      ASSERT_TRUE((*live)->Compact().ok()) << tag << " batch " << i;
-    }
-    ASSERT_TRUE(view.Refresh(live->get(), UnixNowUs()).ok())
-        << tag << " batch " << i;
-    ASSERT_TRUE(oracle.Refresh(live->get(), UnixNowUs()).ok())
-        << tag << " batch " << i;
+  const Representation rep = view.representation();
+  uint64_t version = 0;
+  // Refreshes both views at the current epoch and checks them against the
+  // offline recompute of the first `prefix` batches.
+  auto check = [&](size_t prefix, const std::string& where) {
+    ASSERT_TRUE(view.Refresh(live->get(), UnixNowUs()).ok()) << where;
+    ASSERT_TRUE(oracle.Refresh(live->get(), UnixNowUs()).ok()) << where;
 
     std::shared_ptr<const ViewSnapshot> cur = view.Current();
-    ASSERT_NE(cur, nullptr) << tag << " batch " << i;
-    EXPECT_EQ(cur->version, i + 1) << tag << " batch " << i;
+    ASSERT_NE(cur, nullptr) << where;
+    EXPECT_EQ(cur->version, ++version) << where;
 
     Result<TGraph> offline = pipeline.Run(
-        TGraph::FromVe(OfflineBuild(batches, i + 1, horizon), true));
-    ASSERT_TRUE(offline.ok()) << tag << " batch " << i << ": "
-                              << offline.status();
-    EXPECT_EQ(testing::Canonical(cur->graph), testing::Canonical(*offline))
-        << tag << ": view diverged from offline recompute after batch " << i;
+        TGraph::FromVe(OfflineBuild(batches, prefix, horizon), true));
+    ASSERT_TRUE(offline.ok()) << where << ": " << offline.status();
+    Result<TGraph> published = cur->Graph();
+    ASSERT_TRUE(published.ok()) << where << ": " << published.status();
+    EXPECT_EQ(testing::Canonical(*published), testing::Canonical(*offline))
+        << where << ": view diverged from offline recompute";
 
+    // The per-entity render cache must reproduce the reference render of
+    // the offline recompute byte for byte, and so must the oracle's.
+    Result<TGraph> offline_ve = offline->As(Representation::kVe);
+    ASSERT_TRUE(offline_ve.ok()) << where << ": " << offline_ve.status();
+    EXPECT_EQ(cur->rendered, testing::ReferenceRender(
+                                 "v", rep, offline_ve->ve().Coalesce()))
+        << where << ": render != reference render";
     std::shared_ptr<const ViewSnapshot> oracle_cur = oracle.Current();
     ASSERT_NE(oracle_cur, nullptr);
     EXPECT_EQ(cur->rendered, oracle_cur->rendered)
-        << tag << ": incremental render != recompute render after batch "
-        << i;
+        << where << ": incremental render != recompute render";
     if (stats != nullptr) {
       stats->applied_deltas = cur->applied_deltas;
       stats->full_rebuilds = cur->full_rebuilds;
+    }
+  };
+
+  for (size_t i = 0; i < batches.size(); ++i) {
+    const std::string where = tag + " batch " + std::to_string(i);
+    Result<uint64_t> seq = (*live)->Append(batches[i]);
+    ASSERT_TRUE(seq.ok()) << where << ": " << seq.status();
+    // Compactions alternate between folding an epoch the views have not
+    // seen yet and publishing a compaction-only epoch after they have.
+    const bool compact =
+        compact_every > 0 && (i + 1) % compact_every == 0;
+    const bool compact_unseen =
+        compact && ((i + 1) / compact_every) % 2 == 1;
+    if (compact_unseen) ASSERT_TRUE((*live)->Compact().ok()) << where;
+    check(i + 1, where);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (compact && !compact_unseen) {
+      ASSERT_TRUE((*live)->Compact().ok()) << where;
+      check(i + 1, where + " (compaction-only epoch)");
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
   ASSERT_TRUE((*live)->Close().ok());

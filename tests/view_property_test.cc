@@ -106,7 +106,9 @@ Outcome CheckStream(const Stream& batches, const Config& config,
       outcome = Outcome::kInvalid;
       break;
     }
-    if (testing::Canonical(cur->graph) != testing::Canonical(*offline)) {
+    Result<TGraph> published = cur->Graph();
+    if (!published.ok() ||
+        testing::Canonical(*published) != testing::Canonical(*offline)) {
       outcome = Outcome::kFail;
       if (first_fail != nullptr) *first_fail = i;
       if (why != nullptr) {

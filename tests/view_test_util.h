@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -16,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "common/hash.h"
 #include "ingest/event.h"
 #include "test_util.h"
 #include "tgraph/builder.h"
@@ -185,6 +187,35 @@ inline VeGraph OfflineBuild(const std::vector<std::vector<ingest::Event>>& batch
   Result<VeGraph> graph = builder.Finish(horizon);
   TG_CHECK(graph.ok()) << graph.status();
   return *graph;
+}
+
+/// The `VIEW <name>` render as first specified, kept as the reference for
+/// the view's per-entity render cache: every record of the coalesced VE
+/// `content` as a `V `/`E ` line, all lines sorted, joined with '\n'
+/// terminators and hashed with FNV-1a, under the header.
+inline std::string ReferenceRender(const std::string& name,
+                                   Representation rep,
+                                   const VeGraph& content) {
+  std::vector<std::string> lines;
+  std::vector<VeVertex> vertices = content.vertices().Collect();
+  std::vector<VeEdge> edges = content.edges().Collect();
+  for (const VeVertex& v : vertices) lines.push_back("V " + v.ToString());
+  for (const VeEdge& e : edges) lines.push_back("E " + e.ToString());
+  std::sort(lines.begin(), lines.end());
+  std::string joined;
+  for (const std::string& line : lines) {
+    joined += line;
+    joined += '\n';
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(HashBytes(joined)));
+  const Interval lifetime = content.lifetime();
+  return "view " + name + " [" + RepresentationName(rep) + "] lifetime [" +
+         std::to_string(lifetime.start) + "," + std::to_string(lifetime.end) +
+         "): " + std::to_string(vertices.size()) + " vertex records, " +
+         std::to_string(edges.size()) + " edge records\ncontent " + hex +
+         "\n";
 }
 
 inline AZoomSpec GroupZoom() {

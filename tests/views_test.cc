@@ -4,6 +4,7 @@
 // and the view registry (DDL, lazy materialization, version monotonicity,
 // and definition persistence).
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,6 +20,8 @@
 #include "tql/canonical.h"
 #include "tql/parser.h"
 #include "tql/pipeline_build.h"
+#include "common/hash.h"
+#include "views/content.h"
 #include "views/registry.h"
 #include "views/view.h"
 
@@ -213,27 +216,77 @@ TEST(PlanDelta, ChainedWZoomGridsReachAFixpoint) {
   EXPECT_EQ(plan.cut, 12);
 }
 
-// --- SpliceAtCut -----------------------------------------------------------
+// --- ViewContent ---------------------------------------------------------
 
-TEST(SpliceAtCut, RemergesStatesStraddlingTheCut) {
+std::string Lines(const ViewContent& content) {
+  std::vector<std::string> lines;
+  VeGraph ve = content.ToVe(testing::Ctx());
+  for (const VeVertex& v : ve.vertices().Collect()) {
+    lines.push_back("V " + v.ToString());
+  }
+  for (const VeEdge& e : ve.edges().Collect()) {
+    lines.push_back("E " + e.ToString());
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string joined;
+  for (const std::string& line : lines) joined += line + "\n";
+  return joined;
+}
+
+TEST(ViewContent, SpliceRemergesStatesStraddlingTheCut) {
   // prev: one vertex state [0, 10) value "a". The recomputed suffix
   // reproduces [6, 10) with the same value: the splice must re-merge them
   // into the original record (canonical = coalesced).
-  VeGraph prev = VeGraph::Create(
-      testing::Ctx(), {{1, {0, 10}, Properties{{"school", "a"}}}}, {});
+  ViewContent prev = ViewContent::Build(VeGraph::Create(
+      testing::Ctx(), {{1, {0, 10}, Properties{{"school", "a"}}}}, {}));
   VeGraph suffix = VeGraph::Create(
       testing::Ctx(), {{1, {6, 10}, Properties{{"school", "a"}}}}, {},
       Interval(6, 10));
-  VeGraph spliced = incremental::SpliceAtCut(prev, suffix, 6);
-  EXPECT_EQ(testing::Canonical(spliced), testing::Canonical(prev));
+  ViewContent spliced = prev.Splice(suffix, 6);
+  EXPECT_EQ(testing::Canonical(spliced.ToVe(testing::Ctx())),
+            testing::Canonical(prev.ToVe(testing::Ctx())));
+  EXPECT_EQ(spliced.Hash(), prev.Hash());
 
   // A suffix whose value changed keeps two records.
   VeGraph changed = VeGraph::Create(
       testing::Ctx(), {{1, {6, 10}, Properties{{"school", "b"}}}}, {},
       Interval(6, 10));
-  VeGraph respliced = incremental::SpliceAtCut(prev, changed, 6);
-  EXPECT_EQ(respliced.NumVertexRecords(), 2);
+  ViewContent respliced = prev.Splice(changed, 6);
+  EXPECT_EQ(respliced.vertex_records(), 2u);
   EXPECT_EQ(respliced.lifetime(), Interval(0, 10));
+  EXPECT_NE(respliced.Hash(), prev.Hash());
+}
+
+TEST(ViewContent, HashIsFnvOfSortedLinesAcrossIdsOfEveryWidth) {
+  // Ids whose decimal strings sort differently from their values (9 <
+  // 10 < 100 but "10" < "100" < "9"), negative ids, and several rows per
+  // entity whose lines sort differently from their start times.
+  std::vector<VeVertex> vertices;
+  for (VertexId vid : {9, 10, 100, -3, 1000000007}) {
+    vertices.push_back({vid, {2, 9}, Properties{{"g", "a"}}});
+    vertices.push_back({vid, {10, 12}, Properties{{"g", "b"}}});
+  }
+  std::vector<VeEdge> edges = {{12, 9, 10, {3, 5}, Properties{{"w", 1}}},
+                               {12, 9, 10, {10, 11}, Properties{{"w", 2}}},
+                               {-7, 100, 9, {2, 4}, Properties{}},
+                               {123, 10, 100, {4, 8}, Properties{}}};
+  ViewContent content = ViewContent::Build(
+      VeGraph::Create(testing::Ctx(), vertices, edges, Interval(0, 20)));
+  EXPECT_EQ(content.Hash(), HashBytes(Lines(content)));
+  EXPECT_EQ(content.vertex_records(), 10u);
+  EXPECT_EQ(content.edge_records(), 4u);
+
+  // A splice that changes a few rows re-renders only those, and the hash
+  // still covers every line in order.
+  VeGraph suffix = VeGraph::Create(
+      testing::Ctx(),
+      {{10, {11, 14}, Properties{{"g", "c"}}},
+       {100, {11, 12}, Properties{{"g", "b"}}},
+       {55, {11, 13}, Properties{{"g", "a"}}}},
+      {{12, 9, 10, {11, 13}, Properties{{"w", 2}}}}, Interval(11, 20));
+  ViewContent spliced = content.Splice(suffix, 11);
+  EXPECT_EQ(spliced.Hash(), HashBytes(Lines(spliced)));
+  EXPECT_EQ(spliced.lifetime(), Interval(0, 20));
 }
 
 TEST(FinalRepresentation, LastConvertWins) {

@@ -73,7 +73,7 @@ if [ -f "$FORMAT" ]; then
   # the §5 spec (between "## 5." and the next "## "): an encoding cannot
   # ship without its byte-level specification.
   awk '/^## 5\./{s=1; next} /^## /{s=0} s' "$FORMAT" > "$TMP/sec5.txt"
-  for enc in raw delta_varint for dict rle; do
+  for enc in raw delta_varint for dict rle delta_rle; do
     if ! grep -qE "\`$enc\`|\($enc\)|tag [0-9]+.*$enc|$enc.*tag [0-9]+" \
         "$TMP/sec5.txt"; then
       echo "check_docs: segment encoding '$enc' is not specified in docs/FORMAT.md §5" >&2
