@@ -1,14 +1,17 @@
 // Ablation (tgraph-store v3): what the per-segment encodings buy and
-// cost. For each benchmark dataset the same graph is written twice —
-// --store-version 2 (raw segments) and 3 (measured per-segment encoding
-// selection with raw fallback) — and both containers are measured on:
+// cost. For each benchmark dataset the same graph is written twice — as
+// the raw v2 layout (GraphWriteOptions::store_version = 2, the library's
+// reference writer) and as v3 (measured per-segment encoding selection
+// with raw fallback) — and both containers are measured on:
 //   bytes      — file size on disk (the compression claim)
 //   cold load  — open + full load, mmap and decode from scratch
 //   selective  — open + narrow ranged load with zone-map pushdown (the
 //                selective-decode claim: pruned partitions are never
 //                decoded, so the decode tax shrinks with selectivity)
 // plus the v3 footer's per-encoding segment histogram and the pruned vs
-// decoded partition counters of the selective leg.
+// decoded partition counters of the selective leg. Each timing is
+// repeated kRepeats times and reported as min, median, quartiles and
+// spread.
 //
 // Prints one human-readable block per dataset and writes the machine-
 // readable trajectory to BENCH_compression.json (override the path with
@@ -35,18 +38,12 @@ using namespace tgraph;           // NOLINT
 using namespace tgraph::bench;    // NOLINT
 using namespace tgraph::storage;  // NOLINT
 
-constexpr int kRepeats = 5;
+constexpr int kRepeats = 21;
 
 std::string Dir(const std::string& dataset, const std::string& leg) {
   return (std::filesystem::temp_directory_path() /
           ("tgz_bench_compression_" + dataset + "_" + leg))
       .string();
-}
-
-double MinMillis(const std::vector<double>& samples) {
-  double best = samples[0];
-  for (double s : samples) best = std::min(best, s);
-  return best;
 }
 
 /// One open-and-load pass, timed end to end (the cold path: header and
@@ -65,40 +62,30 @@ double TimedLoadMillis(const std::string& dir,
 
 struct LegResult {
   uintmax_t bytes = 0;
-  double cold_ms = 0;
-  double selective_ms = 0;
+  Samples cold;
+  Samples selective;
   int64_t partitions_pruned = 0;    // selective leg
   int64_t partitions_decoded = 0;   // selective leg
   int64_t segments_decoded = 0;     // selective leg (0 for v2: raw is
                                     // served zero-copy, never decoded)
 };
 
-struct DatasetResult {
-  std::string name;
-  LegResult v2;
-  LegResult v3;
-  std::map<std::string, int> encodings;  // v3 per-encoding segment counts
-};
-
 LegResult MeasureLeg(const std::string& dir, const Interval& narrow) {
   LegResult result;
   result.bytes = std::filesystem::file_size(StorePath(dir));
-  std::vector<double> cold, selective;
   for (int r = 0; r < kRepeats; ++r) {
-    cold.push_back(TimedLoadMillis(dir, std::nullopt));
+    result.cold.ms.push_back(TimedLoadMillis(dir, std::nullopt));
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::MetricsSnapshot before = registry.Snapshot();
   for (int r = 0; r < kRepeats; ++r) {
-    selective.push_back(TimedLoadMillis(dir, narrow));
+    result.selective.ms.push_back(TimedLoadMillis(dir, narrow));
   }
   obs::MetricsSnapshot delta = registry.Snapshot().DeltaSince(before);
   auto counter = [&](const char* name) -> int64_t {
     auto it = delta.counters.find(name);
     return it == delta.counters.end() ? 0 : it->second / kRepeats;
   };
-  result.cold_ms = MinMillis(cold);
-  result.selective_ms = MinMillis(selective);
   result.partitions_pruned = counter(obs::metric_names::kStorePartitionsPruned);
   result.partitions_decoded =
       counter(obs::metric_names::kStorePartitionsDecoded);
@@ -121,18 +108,15 @@ std::map<std::string, int> EncodingHistogram(const std::string& dir) {
   return histogram;
 }
 
-void AppendLegJson(std::string* out, const char* name, const LegResult& leg) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "      \"%s\": {\"bytes\": %llu, \"cold_load_ms\": %.2f, "
-                "\"selective_query_ms\": %.2f, \"partitions_pruned\": %lld, "
-                "\"partitions_decoded\": %lld, \"segments_decoded\": %lld}",
-                name, static_cast<unsigned long long>(leg.bytes), leg.cold_ms,
-                leg.selective_ms,
-                static_cast<long long>(leg.partitions_pruned),
-                static_cast<long long>(leg.partitions_decoded),
-                static_cast<long long>(leg.segments_decoded));
-  *out += buffer;
+JsonObject LegJson(const LegResult& leg) {
+  JsonObject json;
+  json.Int("bytes", static_cast<int64_t>(leg.bytes))
+      .Timing("cold_load", leg.cold)
+      .Timing("selective_query", leg.selective)
+      .Int("partitions_pruned", leg.partitions_pruned)
+      .Int("partitions_decoded", leg.partitions_decoded)
+      .Int("segments_decoded", leg.segments_decoded);
+  return json;
 }
 
 }  // namespace
@@ -147,7 +131,7 @@ int main(int argc, char** argv) {
                          {"SNB", &SnbBase},
                          {"NGrams", &NGramsBase}};
 
-  std::vector<DatasetResult> results;
+  std::vector<JsonObject> datasets;
   for (const DatasetCase& c : cases) {
     VeGraph g = c.base();
     GraphWriteOptions options;
@@ -165,67 +149,50 @@ int main(int argc, char** argv) {
     TimePoint mid = (lifetime.start + lifetime.end) / 2;
     Interval narrow(mid, mid + 6);
 
-    DatasetResult result;
-    result.name = c.name;
-    result.v2 = MeasureLeg(Dir(c.name, "v2"), narrow);
-    result.v3 = MeasureLeg(Dir(c.name, "v3"), narrow);
-    result.encodings = EncodingHistogram(Dir(c.name, "v3"));
-    results.push_back(result);
+    const LegResult v2 = MeasureLeg(Dir(c.name, "v2"), narrow);
+    const LegResult v3 = MeasureLeg(Dir(c.name, "v3"), narrow);
+    const std::map<std::string, int> encodings =
+        EncodingHistogram(Dir(c.name, "v3"));
+    const double ratio =
+        static_cast<double>(v2.bytes) / static_cast<double>(v3.bytes);
 
-    double ratio = static_cast<double>(result.v2.bytes) /
-                   static_cast<double>(result.v3.bytes);
     std::printf("%s\n", c.name);
     std::printf("  bytes          v2 %9llu   v3 %9llu   (%.2fx smaller)\n",
-                static_cast<unsigned long long>(result.v2.bytes),
-                static_cast<unsigned long long>(result.v3.bytes), ratio);
-    std::printf("  cold load      v2 %7.2f ms  v3 %7.2f ms\n",
-                result.v2.cold_ms, result.v3.cold_ms);
-    std::printf("  selective      v2 %7.2f ms  v3 %7.2f ms\n",
-                result.v2.selective_ms, result.v3.selective_ms);
+                static_cast<unsigned long long>(v2.bytes),
+                static_cast<unsigned long long>(v3.bytes), ratio);
+    std::printf("  cold load      v2 %7.2f ms  v3 %7.2f ms  (median)\n",
+                v2.cold.Median(), v3.cold.Median());
+    std::printf("  selective      v2 %7.2f ms  v3 %7.2f ms  (median)\n",
+                v2.selective.Median(), v3.selective.Median());
     std::printf(
         "  selective scan pruned %lld / decoded %lld partitions, "
         "%lld segments decoded\n",
-        static_cast<long long>(result.v3.partitions_pruned),
-        static_cast<long long>(result.v3.partitions_decoded),
-        static_cast<long long>(result.v3.segments_decoded));
+        static_cast<long long>(v3.partitions_pruned),
+        static_cast<long long>(v3.partitions_decoded),
+        static_cast<long long>(v3.segments_decoded));
     std::printf("  v3 encodings   ");
-    for (const auto& [name, count] : result.encodings) {
+    JsonObject histogram;
+    for (const auto& [name, count] : encodings) {
       std::printf("%s=%d ", name.c_str(), count);
+      histogram.Int(name, count);
     }
     std::printf("\n");
+
+    JsonObject dataset;
+    dataset.Str("name", c.name)
+        .Obj("v2_raw", LegJson(v2))
+        .Obj("v3_encoded", LegJson(v3))
+        .Num("compression_ratio", ratio)
+        .Obj("v3_segment_encodings", std::move(histogram));
+    datasets.push_back(std::move(dataset));
     std::filesystem::remove_all(Dir(c.name, "v2"));
     std::filesystem::remove_all(Dir(c.name, "v3"));
   }
 
-  std::string json = "{\n  \"benchmark\": \"ablation_compression\",\n"
-                     "  \"datasets\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const DatasetResult& r = results[i];
-    json += "    {\n      \"name\": \"" + r.name + "\",\n";
-    AppendLegJson(&json, "v2_raw", r.v2);
-    json += ",\n";
-    AppendLegJson(&json, "v3_encoded", r.v3);
-    json += ",\n      \"compression_ratio\": ";
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.3f",
-                  static_cast<double>(r.v2.bytes) /
-                      static_cast<double>(r.v3.bytes));
-    json += buffer;
-    json += ",\n      \"v3_segment_encodings\": {";
-    bool first = true;
-    for (const auto& [name, count] : r.encodings) {
-      if (!first) json += ", ";
-      first = false;
-      json += "\"" + name + "\": " + std::to_string(count);
-    }
-    json += "}\n    }";
-    json += i + 1 < results.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  TG_CHECK(f != nullptr) << json_path;
-  TG_CHECK(std::fwrite(json.data(), 1, json.size(), f) == json.size());
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  JsonObject json;
+  json.Str("benchmark", "ablation_compression")
+      .Int("repetitions", kRepeats)
+      .Arr("datasets", std::move(datasets));
+  json.WriteFile(json_path);
   return 0;
 }

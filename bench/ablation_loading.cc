@@ -1,18 +1,29 @@
-// Ablation (Section 4, "Data loading"): what the storage backend costs.
-// Three legs per dataset:
-//   text       — the v1 delta-varint columnar files, streamed and decoded
-//   store-cold — tgraph-store v2, reopened (header/footer parse + mmap)
-//                every iteration
-//   store-warm — tgraph-store v2 through an already-open mmap reader,
-//                the resident-server (tgraphd catalog) serving path
-// Each leg loads the full graph and a narrow time range; ranged loads
-// report the zone-map pushdown counters (groups scanned vs total). Also
-// keeps the paper's original sort-order comparison for ranged text loads.
-// Expected shape: v2 cold beats text by >3x (no varint decode, parallel
-// partition scans); warm beats cold by the reopen cost; ranged loads scan
-// a fraction of the groups.
+// Ablation (Section 4, "Data loading"): what loading a graph out of the
+// tgraph-store v3 container costs, along the three choices the paper's
+// loading story turns on:
+//   sort order — temporal (entity id, start) vs structural (start, id)
+//   reader     — cold: StoreReader::Open plus a load (footer parse, mmap,
+//                checksum, decode) every repetition; warm: one reader,
+//                opened and its decoded-segment cache filled before timing
+//                (the tgraphd catalog's serving path)
+//   range      — the full lifetime vs a narrow 6-tick slice with zone-map
+//                pushdown
+// Every cell is timed kRepeats times and reported as min, median,
+// quartiles and spread; ranged cells also report partitions decoded out of
+// the total. "Cold" means a cold reader, not a cold page cache: the store
+// file stays in the OS cache between repetitions.
+//
+// The paper's claim under test: a ranged load of a structurally sorted
+// store touches fewer partitions, and is faster, than the same load of a
+// temporally sorted one. Prints one line per cell and writes the
+// trajectory to BENCH_loading.json (override the path with argv[1]).
 
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "storage/graph_io.h"
@@ -20,30 +31,55 @@
 
 namespace {
 
-using namespace tgraph;          // NOLINT
-using namespace tgraph::bench;   // NOLINT
-using namespace tgraph::storage; // NOLINT
+using namespace tgraph;           // NOLINT
+using namespace tgraph::bench;    // NOLINT
+using namespace tgraph::storage;  // NOLINT
 
-std::string Dir(const char* dataset, const char* backend) {
+constexpr int kRepeats = 21;
+
+std::string Dir(const std::string& dataset, SortOrder order) {
   return (std::filesystem::temp_directory_path() /
-          (std::string("tgz_bench_") + dataset + "_" + backend))
+          ("tgz_bench_loading_" + dataset + "_" + SortOrderName(order)))
       .string();
 }
 
-void ReportPushdown(benchmark::State& state, const LoadMetrics& metrics) {
-  state.counters["vertex_groups_scanned"] =
-      static_cast<double>(metrics.vertex_groups_scanned);
-  state.counters["vertex_groups_total"] =
-      static_cast<double>(metrics.vertex_groups_total);
-  state.counters["edge_groups_scanned"] =
-      static_cast<double>(metrics.edge_groups_scanned);
-  state.counters["edge_groups_total"] =
-      static_cast<double>(metrics.edge_groups_total);
+struct Cell {
+  Samples time;
+  LoadMetrics metrics;  // of the last repetition (identical every time)
+};
+
+/// Times kRepeats loads of `dir`; `warm` shares one primed reader.
+Cell Measure(const std::string& dir, bool warm,
+             const std::optional<Interval>& range) {
+  LoadOptions options;
+  options.time_range = range;
+  std::unique_ptr<StoreReader> shared;
+  if (warm) {
+    Result<std::unique_ptr<StoreReader>> reader =
+        StoreReader::Open(StorePath(dir));
+    TG_CHECK_OK(reader.status());
+    shared = *std::move(reader);
+    TG_CHECK_OK(LoadVeGraphFromStore(Ctx(), *shared, options).status());
+  }
+  Cell cell;
+  for (int r = 0; r < kRepeats; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    Result<VeGraph> g =
+        warm ? LoadVeGraphFromStore(Ctx(), *shared, options, &cell.metrics)
+             : LoadVeGraph(Ctx(), dir, options, &cell.metrics);
+    TG_CHECK_OK(g.status());
+    benchmark::DoNotOptimize(g->NumEdgeRecords());
+    const auto end = std::chrono::steady_clock::now();
+    cell.time.ms.push_back(
+        std::chrono::duration<double, std::milli>(end - start).count());
+  }
+  return cell;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string json_path = argc > 1 ? argv[1] : "BENCH_loading.json";
   struct DatasetCase {
     const char* name;
     VeGraph (*base)();
@@ -51,107 +87,88 @@ int main(int argc, char** argv) {
   DatasetCase cases[] = {{"WikiTalk", &WikiTalkBase},
                          {"SNB", &SnbBase},
                          {"NGrams", &NGramsBase}};
+  const SortOrder orders[] = {SortOrder::kTemporalLocality,
+                              SortOrder::kStructuralLocality};
 
-  for (DatasetCase& c : cases) {
-    PrintDataset(c.name, c.base());
-    GraphWriteOptions write_options;
-    write_options.row_group_size = 4096;
-    TG_CHECK_OK(WriteVeGraph(c.base(), Dir(c.name, "text"), write_options));
-    TG_CHECK_OK(WriteVeStore(c.base(), Dir(c.name, "store"), write_options));
-
-    Interval lifetime = c.base().lifetime();
-    TimePoint mid = (lifetime.start + lifetime.end) / 2;
-    Interval narrow(mid, mid + 6);
-
-    for (const char* mode : {"full", "range"}) {
-      bool ranged = std::string(mode) == "range";
-      std::optional<Interval> range =
-          ranged ? std::optional<Interval>(narrow) : std::nullopt;
-
-      // Leg 1: v1 text files, streamed.
-      std::string text_dir = Dir(c.name, "text");
-      benchmark::RegisterBenchmark(
-          (std::string("load/") + c.name + "/text/" + mode).c_str(),
-          [text_dir, range](benchmark::State& state) {
-            LoadOptions load;
-            load.time_range = range;
-            LoadMetrics metrics;
-            for (auto _ : state) {
-              Result<VeGraph> g = LoadVeGraph(Ctx(), text_dir, load, &metrics);
-              TG_CHECK(g.ok());
-              benchmark::DoNotOptimize(g->NumEdgeRecords());
-            }
-            ReportPushdown(state, metrics);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-
-      // Leg 2: v2 container, reopened every iteration.
-      std::string store_dir = Dir(c.name, "store");
-      benchmark::RegisterBenchmark(
-          (std::string("load/") + c.name + "/store-cold/" + mode).c_str(),
-          [store_dir, range](benchmark::State& state) {
-            LoadOptions load;
-            load.time_range = range;
-            LoadMetrics metrics;
-            for (auto _ : state) {
-              Result<VeGraph> g = LoadVeGraph(Ctx(), store_dir, load, &metrics);
-              TG_CHECK(g.ok());
-              benchmark::DoNotOptimize(g->NumEdgeRecords());
-            }
-            ReportPushdown(state, metrics);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-
-      // Leg 3: v2 through a shared, already-mapped reader.
-      benchmark::RegisterBenchmark(
-          (std::string("load/") + c.name + "/store-warm/" + mode).c_str(),
-          [store_dir, range](benchmark::State& state) {
-            Result<std::unique_ptr<StoreReader>> reader =
-                StoreReader::Open(StorePath(store_dir));
-            TG_CHECK(reader.ok());
-            (*reader)->Prefetch();
-            LoadOptions load;
-            load.time_range = range;
-            LoadMetrics metrics;
-            for (auto _ : state) {
-              Result<VeGraph> g =
-                  LoadVeGraphFromStore(Ctx(), **reader, load, &metrics);
-              TG_CHECK(g.ok());
-              benchmark::DoNotOptimize(g->NumEdgeRecords());
-            }
-            ReportPushdown(state, metrics);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+  std::vector<JsonObject> datasets;
+  for (const DatasetCase& c : cases) {
+    const VeGraph g = c.base();
+    PrintDataset(c.name, g);
+    for (SortOrder order : orders) {
+      GraphWriteOptions write;
+      write.row_group_size = 4096;
+      write.sort_order = order;
+      TG_CHECK_OK(WriteVeStore(g, Dir(c.name, order), write));
     }
+    const Interval lifetime = g.lifetime();
+    const TimePoint mid = (lifetime.start + lifetime.end) / 2;
+    const Interval narrow(mid, mid + 6);
 
-    // The paper's sort-order leg: ranged text loads from a structurally
-    // sorted copy, to keep the original ablation comparable.
-    GraphWriteOptions structural = write_options;
-    structural.sort_order = SortOrder::kStructuralLocality;
-    TG_CHECK_OK(
-        WriteVeGraph(c.base(), Dir(c.name, "text_structural"), structural));
-    std::string structural_dir = Dir(c.name, "text_structural");
-    benchmark::RegisterBenchmark(
-        (std::string("load/") + c.name + "/text-structural/range").c_str(),
-        [structural_dir, narrow](benchmark::State& state) {
-          LoadOptions load;
-          load.time_range = narrow;
-          LoadMetrics metrics;
-          for (auto _ : state) {
-            Result<VeGraph> g =
-                LoadVeGraph(Ctx(), structural_dir, load, &metrics);
-            TG_CHECK(g.ok());
-            benchmark::DoNotOptimize(g->NumEdgeRecords());
+    std::vector<JsonObject> cells;
+    // Ranged median per (reader, sort order), for the sort-order claim.
+    double ranged_median[2][2] = {};
+    for (SortOrder order : orders) {
+      for (bool warm : {false, true}) {
+        for (bool ranged : {false, true}) {
+          const Cell cell =
+              Measure(Dir(c.name, order), warm,
+                      ranged ? std::optional<Interval>(narrow) : std::nullopt);
+          const LoadMetrics& m = cell.metrics;
+          if (ranged) {
+            ranged_median[warm][order == SortOrder::kStructuralLocality] =
+                cell.time.Median();
           }
-          ReportPushdown(state, metrics);
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
+          std::printf(
+              "load/%s/%s/%s/%s  min %7.2f  median %7.2f ms  spread %.3f  "
+              "partitions v %zu/%zu e %zu/%zu\n",
+              c.name, SortOrderName(order), warm ? "warm" : "cold",
+              ranged ? "range" : "full", cell.time.Min(), cell.time.Median(),
+              cell.time.Spread(), m.vertex_groups_scanned,
+              m.vertex_groups_total, m.edge_groups_scanned,
+              m.edge_groups_total);
+          JsonObject json;
+          json.Str("sort", SortOrderName(order))
+              .Str("reader", warm ? "warm" : "cold")
+              .Str("range", ranged ? "range" : "full")
+              .Timing("load", cell.time)
+              .Int("vertex_partitions_decoded",
+                   static_cast<int64_t>(m.vertex_groups_scanned))
+              .Int("vertex_partitions_total",
+                   static_cast<int64_t>(m.vertex_groups_total))
+              .Int("edge_partitions_decoded",
+                   static_cast<int64_t>(m.edge_groups_scanned))
+              .Int("edge_partitions_total",
+                   static_cast<int64_t>(m.edge_groups_total));
+          cells.push_back(std::move(json));
+        }
+      }
+    }
+    // Structural over temporal median ranged-load time; < 1 means the
+    // structural sort loads the slice faster.
+    JsonObject claim;
+    claim.Num("cold", ranged_median[0][1] / ranged_median[0][0])
+        .Num("warm", ranged_median[1][1] / ranged_median[1][0]);
+    std::printf("%s ranged load, structural / temporal median: cold %.3f "
+                "warm %.3f\n",
+                c.name, ranged_median[0][1] / ranged_median[0][0],
+                ranged_median[1][1] / ranged_median[1][0]);
+
+    JsonObject dataset;
+    dataset.Str("name", c.name)
+        .Str("range", narrow.ToString())
+        .Obj("ranged_structural_over_temporal", std::move(claim))
+        .Arr("cells", std::move(cells));
+    datasets.push_back(std::move(dataset));
+    for (SortOrder order : orders) {
+      std::filesystem::remove_all(Dir(c.name, order));
+    }
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+
+  JsonObject json;
+  json.Str("benchmark", "ablation_loading")
+      .Int("repetitions", kRepeats)
+      .Int("partition_rows", 4096)
+      .Arr("datasets", std::move(datasets));
+  json.WriteFile(json_path);
   return 0;
 }

@@ -3,13 +3,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/generators.h"
 #include "gen/stats.h"
 #include "gen/transform.h"
+#include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tgraph/tgraph.h"
@@ -191,6 +196,123 @@ inline AZoomSpec RandomGroupAZoom() {
 inline void PrintDataset(const char* name, const VeGraph& graph) {
   printf("# %s: %s\n", name, gen::ComputeStats(graph).ToString().c_str());
 }
+
+/// \brief Repeated timings of one measurement, in milliseconds.
+struct Samples {
+  std::vector<double> ms;
+
+  double Quantile(double q) const {
+    TG_CHECK(!ms.empty()) << "no samples";
+    std::vector<double> sorted = ms;
+    std::sort(sorted.begin(), sorted.end());
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] +
+           (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+  }
+  double Min() const { return Quantile(0); }
+  double Median() const { return Quantile(0.5); }
+  /// Interquartile range over the median: the run-to-run spread.
+  double Spread() const {
+    const double median = Median();
+    return median > 0 ? (Quantile(0.75) - Quantile(0.25)) / median : 0;
+  }
+};
+
+/// \brief An ordered JSON object for BENCH_*.json trajectories. Fields
+/// keep insertion order; an object holding only scalars renders on one
+/// line, so one measurement stays one diffable line. Keys and strings are
+/// the benches' own identifiers and are written unescaped.
+class JsonObject {
+ public:
+  JsonObject& Str(const std::string& key, const std::string& value) {
+    std::string quoted = "\"";
+    quoted.append(value).append("\"");
+    return Scalar(key, std::move(quoted));
+  }
+  JsonObject& Int(const std::string& key, int64_t value) {
+    return Scalar(key, std::to_string(value));
+  }
+  JsonObject& Num(const std::string& key, double value, int digits = 3) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
+    return Scalar(key, buffer);
+  }
+  /// min_ms, median_ms, p25_ms, p75_ms, spread and the repetition count.
+  JsonObject& Timing(const std::string& key, const Samples& samples) {
+    JsonObject timing;
+    timing.Num("min_ms", samples.Min(), 2)
+        .Num("median_ms", samples.Median(), 2)
+        .Num("p25_ms", samples.Quantile(0.25), 2)
+        .Num("p75_ms", samples.Quantile(0.75), 2)
+        .Num("spread", samples.Spread())
+        .Int("reps", static_cast<int64_t>(samples.ms.size()));
+    return Obj(key, std::move(timing));
+  }
+  JsonObject& Obj(const std::string& key, JsonObject value) {
+    fields_.push_back(Field{key, "", {std::move(value)}, false});
+    return *this;
+  }
+  JsonObject& Arr(const std::string& key, std::vector<JsonObject> values) {
+    fields_.push_back(Field{key, "", std::move(values), true});
+    return *this;
+  }
+
+  std::string Render(int indent = 0) const {
+    const bool flat = std::all_of(fields_.begin(), fields_.end(),
+                                  [](const Field& f) {
+                                    return !f.array && f.objects.empty();
+                                  });
+    const std::string pad(static_cast<size_t>(indent) + 2, ' ');
+    std::string out = "{";
+    for (size_t i = 0; i < fields_.size(); ++i) {
+      const Field& f = fields_[i];
+      if (i > 0) out += flat ? ", " : ",";
+      if (!flat) out.append("\n").append(pad);
+      out.append("\"").append(f.key).append("\": ");
+      if (f.array) {
+        out += "[";
+        for (size_t j = 0; j < f.objects.size(); ++j) {
+          out.append(j == 0 ? "\n" : ",\n").append(pad).append("  ");
+          out += f.objects[j].Render(indent + 4);
+        }
+        if (!f.objects.empty()) out.append("\n").append(pad);
+        out += "]";
+      } else if (!f.objects.empty()) {
+        out += f.objects[0].Render(indent + 2);
+      } else {
+        out += f.scalar;
+      }
+    }
+    if (!flat) out.append("\n").append(static_cast<size_t>(indent), ' ');
+    return out + "}";
+  }
+
+  /// Writes the object as a file (a BENCH_*.json trajectory).
+  void WriteFile(const std::string& path) const {
+    const std::string json = Render() + "\n";
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    TG_CHECK(f != nullptr) << path;
+    TG_CHECK(std::fwrite(json.data(), 1, json.size(), f) == json.size());
+    TG_CHECK(std::fclose(f) == 0) << path;
+    std::printf("wrote %s\n", path.c_str());
+  }
+
+ private:
+  JsonObject& Scalar(const std::string& key, std::string rendered) {
+    fields_.push_back(Field{key, std::move(rendered), {}, false});
+    return *this;
+  }
+
+  struct Field {
+    std::string key;
+    std::string scalar;
+    std::vector<JsonObject> objects;  // one for Obj, any number for Arr
+    bool array = false;
+  };
+  std::vector<Field> fields_;
+};
 
 }  // namespace tgraph::bench
 

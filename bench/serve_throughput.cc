@@ -43,7 +43,7 @@ std::string DatasetDir() {
   static std::string dir = [] {
     std::string path =
         (std::filesystem::temp_directory_path() / "tgz_bench_serve").string();
-    TG_CHECK_OK(storage::WriteVeGraph(SnbBase(), path,
+    TG_CHECK_OK(storage::WriteVeStore(SnbBase(), path,
                                       storage::GraphWriteOptions()));
     return path;
   }();

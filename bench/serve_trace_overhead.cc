@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "tgz_bench_trace_overhead")
           .string();
   TG_CHECK_OK(
-      storage::WriteVeGraph(SnbBase(), dir, storage::GraphWriteOptions()));
+      storage::WriteVeStore(SnbBase(), dir, storage::GraphWriteOptions()));
 
   server::ServerOptions options;
   options.port = 0;

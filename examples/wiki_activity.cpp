@@ -41,14 +41,14 @@ int main() {
   std::cout << "half-year windows, edges=exists (any contact): "
             << any_halves.NumEdgeRecords() << " edge states\n\n";
 
-  // Columnar storage round-trip with a date-range load. Structural sort
-  // clusters each snapshot's rows, so pushdown skips most row groups.
+  // Store round-trip with a date-range load. Structural sort clusters
+  // each snapshot's rows, so zone-map pushdown skips most partitions.
   std::string dir =
       (std::filesystem::temp_directory_path() / "wiki_example").string();
   storage::GraphWriteOptions write_options;
   write_options.sort_order = storage::SortOrder::kStructuralLocality;
   write_options.row_group_size = 4096;
-  TG_CHECK_OK(storage::WriteVeGraph(wiki, dir, write_options));
+  TG_CHECK_OK(storage::WriteVeStore(wiki, dir, write_options));
   storage::LoadOptions load_options;
   load_options.time_range = Interval(24, 36);  // one year of history
   storage::LoadMetrics metrics;
@@ -56,7 +56,7 @@ int main() {
   TG_CHECK_OK(year.status());
   std::cout << "loaded year [24,36): " << year->NumEdgeRecords()
             << " edge states; pushdown scanned " << metrics.edge_groups_scanned
-            << "/" << metrics.edge_groups_total << " edge row groups\n\n";
+            << "/" << metrics.edge_groups_total << " edge partitions\n\n";
 
   // Pregel-style analytics on the communication graph of that year
   // (Section 7 names this as the system's next extension).

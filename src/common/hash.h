@@ -39,9 +39,8 @@ constexpr uint64_t HashCombine(uint64_t seed, uint64_t value) {
 /// the multiply chains overlap instead of serializing. An order of
 /// magnitude faster than byte-wise FNV-1a, which matters when every segment
 /// of a multi-megabyte store file is checksummed on first touch. Not
-/// FNV-compatible; this is the tgraph-store v2 checksum (docs/FORMAT.md
-/// section 1.7). TCOL v1 keeps FNV-1a (HashBytes) so v1 files stay
-/// readable.
+/// FNV-compatible; this is the tgraph-store checksum (docs/FORMAT.md
+/// section 1.7).
 inline uint64_t HashBytesFast(std::string_view bytes) {
   uint64_t h0 = 0xcbf29ce484222325ULL ^ bytes.size();
   uint64_t h1 = 0x9e3779b97f4a7c15ULL;

@@ -1,7 +1,6 @@
 #include "ingest/live_graph.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,6 +12,7 @@
 #include <cstring>
 #include <set>
 
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -46,25 +46,6 @@ Status MkDirs(const std::string& dir) {
   return Status::OK();
 }
 
-Result<std::string> ReadSmallFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::NotFound("no file at '" + path + "'");
-    return Status::IoError("open '" + path + "': " + std::strerror(errno));
-  }
-  std::string data;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    data.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (n < 0) {
-    return Status::IoError("read '" + path + "': " + std::strerror(errno));
-  }
-  return data;
-}
-
 std::string Trim(std::string s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
     s.pop_back();
@@ -75,24 +56,31 @@ std::string Trim(std::string s) {
   return s;
 }
 
+/// Names of the entries in `dir`, sorted.
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (struct dirent* entry = ::readdir(d)) names.emplace_back(entry->d_name);
+  ::closedir(d);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+bool IsGenFile(const std::string& name) {
+  return name.size() == 14 && name.rfind("gen-", 0) == 0 &&
+         name.substr(10) == ".tgs" &&
+         std::all_of(name.begin() + 4, name.begin() + 10,
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
 /// Generation filenames in `dir` matching gen-NNNNNN.tgs, sorted (name
 /// order == generation order thanks to the fixed-width counter).
 std::vector<std::string> ListGenFiles(const std::string& dir) {
   std::vector<std::string> gens;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return gens;
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.size() == 14 && name.rfind("gen-", 0) == 0 &&
-        name.substr(10) == ".tgs" &&
-        std::all_of(name.begin() + 4, name.begin() + 10, [](char c) {
-          return c >= '0' && c <= '9';
-        })) {
-      gens.push_back(std::move(name));
-    }
+  for (std::string& name : ListDir(dir)) {
+    if (IsGenFile(name)) gens.push_back(std::move(name));
   }
-  ::closedir(d);
-  std::sort(gens.begin(), gens.end());
   return gens;
 }
 
@@ -111,44 +99,6 @@ Result<int64_t> ParseMetaInt(const storage::StoreReader& reader,
                            *value + "'");
   }
   return parsed;
-}
-
-/// Writes `contents` to `path` durably via temp file + rename.
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IoError("open '" + tmp + "': " + std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < contents.size()) {
-    ssize_t n = ::write(fd, contents.data() + off, contents.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status =
-          Status::IoError("write '" + tmp + "': " + std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return status;
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status status =
-        Status::IoError("fsync '" + tmp + "': " + std::strerror(errno));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status status =
-        Status::IoError("rename '" + tmp + "': " + std::strerror(errno));
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  FsyncParentDir(path);
-  return Status::OK();
 }
 
 /// Whether a folded edge is alive: its last state runs to the horizon.
@@ -378,7 +328,7 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Open(
   // the newest generation on disk when the pointer is absent (a
   // hand-assembled directory — no crash window produces this state).
   std::string gen_file = "none";
-  Result<std::string> current = ReadSmallFile(live->CurrentPath());
+  Result<std::string> current = ReadFile(live->CurrentPath());
   if (current.ok()) {
     gen_file = Trim(*std::move(current));
     if (gen_file.empty()) gen_file = "none";
@@ -394,9 +344,14 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Open(
 
   // A generation not referenced by CURRENT is an orphan from a crash
   // between writing the file and swinging the pointer; its batches are
-  // still in the WAL, so deleting it loses nothing.
-  for (const std::string& gen : ListGenFiles(dir)) {
-    if (gen != gen_file) ::unlink((dir + "/" + gen).c_str());
+  // still in the WAL, so deleting it loses nothing. A `*.tmp` is a
+  // WriteFileAtomic that crashed before its rename, so nothing names it.
+  for (const std::string& name : ListDir(dir)) {
+    const bool tmp =
+        name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0;
+    if ((IsGenFile(name) && name != gen_file) || tmp) {
+      ::unlink((dir + "/" + name).c_str());
+    }
   }
 
   const std::string wal_path = live->options_.wal_path.empty()
@@ -600,8 +555,6 @@ Status LiveGraph::Compact() {
   };
   TG_RETURN_IF_ERROR(
       storage::WriteVeStoreFile(*merged, gen_path, {}, meta));
-  TG_RETURN_IF_ERROR(FsyncPath(gen_path));
-  FsyncParentDir(gen_path);
 
   // 2. Swing CURRENT (temp + rename: readers of the directory see the old
   //    or the new generation, never a half-written pointer).

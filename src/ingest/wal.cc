@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "obs/metrics.h"
 #include "storage/serde.h"
@@ -67,32 +68,6 @@ std::string EncodeRecord(uint64_t seq, const std::vector<Event>& events) {
   return frame;
 }
 
-Result<std::string> ReadWholeFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return Status::NotFound("no WAL at '" + path + "'");
-    }
-    return Status::IoError("open '" + path + "': " + std::strerror(errno));
-  }
-  std::string data;
-  char buf[64 * 1024];
-  while (true) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status =
-          Status::IoError("read '" + path + "': " + std::strerror(errno));
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    data.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return data;
-}
-
 Status WriteAll(int fd, std::string_view data, const std::string& path) {
   size_t off = 0;
   while (off < data.size()) {
@@ -115,32 +90,8 @@ Status SyncFd(int fd, const std::string& path) {
 
 }  // namespace
 
-Status FsyncPath(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("open '" + path + "': " + std::strerror(errno));
-  }
-  if (::fsync(fd) != 0) {
-    Status status =
-        Status::IoError("fsync '" + path + "': " + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  ::close(fd);
-  return Status::OK();
-}
-
-void FsyncParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  (void)::fsync(fd);
-  ::close(fd);
-}
-
 Result<WalReplay> ReplayWalFile(const std::string& path) {
-  TG_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
+  TG_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
   WalReplay replay;
   if (data.size() < kWalHeaderSize) {
     // A header shorter than 32 bytes can only be a crash during file
@@ -340,30 +291,11 @@ Status Wal::Append(uint64_t seq, const std::vector<Event>& events,
 
 Status Wal::Rotate(const WalHeader& header,
                    const std::vector<WalRecord>& records) {
-  const std::string tmp = path_ + ".tmp";
-  int tmp_fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                      0644);
-  if (tmp_fd < 0) {
-    return Status::IoError("open '" + tmp + "': " + std::strerror(errno));
-  }
   std::string contents = EncodeHeader(header);
   for (const WalRecord& record : records) {
     contents += EncodeRecord(record.seq, record.events);
   }
-  Status status = WriteAll(tmp_fd, contents, tmp);
-  if (status.ok()) status = SyncFd(tmp_fd, tmp);
-  ::close(tmp_fd);
-  if (!status.ok()) {
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    Status renamed =
-        Status::IoError("rename '" + tmp + "': " + std::strerror(errno));
-    ::unlink(tmp.c_str());
-    return renamed;
-  }
-  FsyncParentDir(path_);
+  TG_RETURN_IF_ERROR(WriteFileAtomic(path_, contents));
   // The old fd now points at an unlinked inode; reopen the live file.
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);

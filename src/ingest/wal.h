@@ -78,14 +78,6 @@ struct WalReplay {
 /// prefix and reports torn_tail.
 Result<WalReplay> ReplayWalFile(const std::string& path);
 
-/// fsync's an existing file by path (the compactor runs this on a freshly
-/// written generation before pointing CURRENT at it).
-Status FsyncPath(const std::string& path);
-
-/// Best-effort fsync of the directory containing `path`, making a
-/// creation or rename durable (some filesystems refuse directory fsync).
-void FsyncParentDir(const std::string& path);
-
 /// \brief Appender for one tgraph-wal v1 file.
 ///
 /// Open() creates the file (header + fsync) when absent, or replays the
@@ -116,11 +108,10 @@ class Wal {
                 size_t* bytes_out = nullptr);
 
   /// Atomically replaces the log with a fresh file holding `header` and
-  /// `records` (the delta batches not yet folded into the base): write to
-  /// a temp path, fsync, rename over the live path. This is the
-  /// compactor's "truncate the WAL" step; a crash before the rename
-  /// leaves the old log, whose already-folded records replay as
-  /// harmless duplicates.
+  /// `records` (the delta batches not yet folded into the base) through
+  /// WriteFileAtomic. This is the compactor's "truncate the WAL" step; a
+  /// crash before the rename leaves the old log, whose already-folded
+  /// records replay as harmless duplicates.
   Status Rotate(const WalHeader& header, const std::vector<WalRecord>& records);
 
   const WalHeader& header() const { return header_; }

@@ -78,21 +78,14 @@ Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
   loads->Increment();
   storage::LoadOptions options;
   options.time_range = range;
-  // Serve off the directory's shared mmap reader when it has a v2/v3 store
-  // with the flat representation; otherwise the plain loader (which still
-  // auto-detects a store holding another representation's tables). Sharing
-  // the reader also shares its decoded-segment cache, so a v3 segment is
-  // decoded at most once per directory no matter how many queries touch it.
+  // Serve off the directory's shared mmap reader. Sharing the reader
+  // also shares its decoded-segment cache, so a v3 segment is decoded at
+  // most once per directory no matter how many queries touch it.
   Result<VeGraph> loaded = [&]() -> Result<VeGraph> {
     if (snap != nullptr) return LoadLiveSnapshot(snap, range);
-    if (storage::HasStore(dir)) {
-      auto store = GetOrOpenStore(dir);
-      if (!store.ok()) return store.status();
-      if ((*store)->FindTable("vertices") >= 0) {
-        return storage::LoadVeGraphFromStore(ctx_, **store, options);
-      }
-    }
-    return storage::LoadVeGraph(ctx_, dir, options);
+    TG_ASSIGN_OR_RETURN(std::shared_ptr<storage::StoreReader> store,
+                        GetOrOpenStore(dir));
+    return storage::LoadVeGraphFromStore(ctx_, *store, options);
   }();
   std::optional<TGraph> graph;
   if (loaded.ok()) {

@@ -24,7 +24,7 @@ class LiveSnapshot;
 
 namespace tgraph::server {
 
-/// \brief Shared, read-only graph catalog: each (.tcol directory, time
+/// \brief Shared, read-only graph catalog: each (graph directory, time
 /// range) pair is loaded from disk at most once and then shared by every
 /// session — the resident-server counterpart of Khurana & Deshpande's
 /// observation that reuse of loaded/derived graphs dominates repeated
@@ -39,10 +39,13 @@ namespace tgraph::server {
 /// Failed loads are not negatively cached — a dataset that appears on
 /// disk later loads on the next request.
 ///
-/// Directories with a tgraph-store v2 container (`graph.tgs`) are served
-/// off a single memory-mapped StoreReader shared by every ranged load of
-/// that directory: N concurrent time slices fault in (and share) one set
-/// of page-cache pages instead of parsing N heap copies of the files.
+/// Every stored directory is served off a single memory-mapped
+/// StoreReader (`graph.tgs`) shared by every ranged load of that
+/// directory: N concurrent time slices fault in (and share) one set of
+/// page-cache pages instead of parsing N heap copies of the file. A
+/// rewrite of the store (TQL STORE) renames a new file into place, so
+/// the shared mapping keeps the old bytes intact; the catalog goes on
+/// serving the old graph for that directory until the process restarts.
 class GraphCatalog {
  public:
   explicit GraphCatalog(dataflow::ExecutionContext* ctx) : ctx_(ctx) {}

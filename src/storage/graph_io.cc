@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "storage/predicate.h"
 #include "storage/serde.h"
 #include "storage/store_reader.h"
 #include "storage/store_writer.h"
-#include "storage/table.h"
 #include "tgraph/coalesce.h"
 #include "tgraph/convert.h"
 
@@ -32,9 +32,6 @@ void RecordLoadScan(bool new_load, size_t groups_total, size_t groups_scanned) {
 }
 
 }  // namespace
-}  // namespace tgraph::storage
-
-namespace tgraph::storage {
 
 using dataflow::Dataset;
 
@@ -44,33 +41,12 @@ const char* SortOrderName(SortOrder order) {
 
 namespace {
 
-constexpr char kLifetimeStartKey[] = "lifetime_start";
-constexpr char kLifetimeEndKey[] = "lifetime_end";
-constexpr char kSortOrderKey[] = "sort_order";
-
-std::vector<std::pair<std::string, std::string>> FileMetadata(
-    Interval lifetime, SortOrder order) {
-  return {{kLifetimeStartKey, std::to_string(lifetime.start)},
-          {kLifetimeEndKey, std::to_string(lifetime.end)},
-          {kSortOrderKey, SortOrderName(order)}};
-}
-
-Result<Interval> LifetimeFromMetadata(const TableReader& reader) {
-  TimePoint start = 0, end = 0;
-  bool have_start = false, have_end = false;
-  for (const auto& [key, value] : reader.metadata()) {
-    if (key == kLifetimeStartKey) {
-      start = std::stoll(value);
-      have_start = true;
-    } else if (key == kLifetimeEndKey) {
-      end = std::stoll(value);
-      have_end = true;
-    }
-  }
-  if (!have_start || !have_end) {
-    return Status::IoError("file lacks lifetime metadata");
-  }
-  return Interval(start, end);
+std::vector<std::pair<std::string, std::string>> StoreMetadata(
+    Interval lifetime, SortOrder order, const char* representation) {
+  return {{kStoreMetaLifetimeStart, std::to_string(lifetime.start)},
+          {kStoreMetaLifetimeEnd, std::to_string(lifetime.end)},
+          {kStoreMetaSortOrder, SortOrderName(order)},
+          {kStoreMetaRepresentation, representation}};
 }
 
 Status EnsureDir(const std::string& dir) {
@@ -161,114 +137,6 @@ RecordBatch MakeVeEdgeBatch(const std::vector<VeEdge>& edges) {
 }
 
 }  // namespace
-
-Status WriteVeGraph(const VeGraph& graph, const std::string& dir,
-                    const GraphWriteOptions& options) {
-  TG_RETURN_IF_ERROR(EnsureDir(dir));
-  std::vector<VeVertex> vertices = graph.vertices().Collect();
-  std::vector<VeEdge> edges = graph.edges().Collect();
-  SortVeRecords(&vertices, &edges, options.sort_order);
-
-  WriterOptions writer_options;
-  writer_options.row_group_size = options.row_group_size;
-  writer_options.metadata = FileMetadata(graph.lifetime(), options.sort_order);
-
-  {
-    TG_ASSIGN_OR_RETURN(
-        std::unique_ptr<TableWriter> writer,
-        TableWriter::Open(dir + "/vertices.tcol", VeVertexSchema(),
-                          writer_options));
-    TG_RETURN_IF_ERROR(writer->Append(MakeVeVertexBatch(vertices)));
-    TG_RETURN_IF_ERROR(writer->Close());
-  }
-  {
-    TG_ASSIGN_OR_RETURN(
-        std::unique_ptr<TableWriter> writer,
-        TableWriter::Open(dir + "/edges.tcol", VeEdgeSchema(), writer_options));
-    TG_RETURN_IF_ERROR(writer->Append(MakeVeEdgeBatch(edges)));
-    TG_RETURN_IF_ERROR(writer->Close());
-  }
-  return Status::OK();
-}
-
-Result<VeGraph> LoadVeGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir, const LoadOptions& options,
-                            LoadMetrics* metrics) {
-  if (HasStore(dir)) {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
-                        StoreReader::Open(StorePath(dir)));
-    if (store->FindTable("vertices") >= 0) {
-      return LoadVeGraphFromStore(ctx, *store, options, metrics);
-    }
-  }
-  TG_ASSIGN_OR_RETURN(std::unique_ptr<TableReader> vertex_reader,
-                      TableReader::Open(dir + "/vertices.tcol"));
-  TG_ASSIGN_OR_RETURN(std::unique_ptr<TableReader> edge_reader,
-                      TableReader::Open(dir + "/edges.tcol"));
-  TG_ASSIGN_OR_RETURN(Interval lifetime, LifetimeFromMetadata(*vertex_reader));
-
-  Predicate predicate;
-  const Predicate* predicate_ptr = nullptr;
-  Interval clip = lifetime;
-  if (options.time_range.has_value()) {
-    clip = options.time_range->Intersect(lifetime);
-    predicate = Predicate::IntervalOverlaps("start", "end", clip);
-    if (options.pushdown) predicate_ptr = &predicate;
-  }
-
-  size_t scanned = 0;
-  TG_ASSIGN_OR_RETURN(RecordBatch vbatch,
-                      vertex_reader->Read(predicate_ptr, &scanned));
-  RecordLoadScan(/*new_load=*/true, vertex_reader->num_row_groups(), scanned);
-  if (metrics != nullptr) {
-    metrics->vertex_groups_total = vertex_reader->num_row_groups();
-    metrics->vertex_groups_scanned = scanned;
-  }
-  std::vector<VeVertex> vertices;
-  vertices.reserve(static_cast<size_t>(vbatch.num_rows));
-  for (int64_t row = 0; row < vbatch.num_rows; ++row) {
-    size_t pos = 0;
-    TG_ASSIGN_OR_RETURN(
-        Properties props,
-        DeserializeProperties(vbatch.columns[3].binaries[row], &pos));
-    Interval interval(vbatch.columns[1].ints[row], vbatch.columns[2].ints[row]);
-    interval = interval.Intersect(clip);
-    if (interval.empty()) continue;
-    vertices.push_back(
-        VeVertex{vbatch.columns[0].ints[row], interval, std::move(props)});
-  }
-
-  TG_ASSIGN_OR_RETURN(RecordBatch ebatch,
-                      edge_reader->Read(predicate_ptr, &scanned));
-  RecordLoadScan(/*new_load=*/false, edge_reader->num_row_groups(), scanned);
-  if (metrics != nullptr) {
-    metrics->edge_groups_total = edge_reader->num_row_groups();
-    metrics->edge_groups_scanned = scanned;
-  }
-  std::vector<VeEdge> edges;
-  edges.reserve(static_cast<size_t>(ebatch.num_rows));
-  for (int64_t row = 0; row < ebatch.num_rows; ++row) {
-    size_t pos = 0;
-    TG_ASSIGN_OR_RETURN(
-        Properties props,
-        DeserializeProperties(ebatch.columns[5].binaries[row], &pos));
-    Interval interval(ebatch.columns[3].ints[row], ebatch.columns[4].ints[row]);
-    interval = interval.Intersect(clip);
-    if (interval.empty()) continue;
-    edges.push_back(VeEdge{ebatch.columns[0].ints[row],
-                           ebatch.columns[1].ints[row],
-                           ebatch.columns[2].ints[row], interval,
-                           std::move(props)});
-  }
-  return VeGraph::Create(ctx, std::move(vertices), std::move(edges), clip);
-}
-
-Result<RgGraph> LoadRgGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir, const LoadOptions& options,
-                            LoadMetrics* metrics) {
-  TG_ASSIGN_OR_RETURN(VeGraph ve, LoadVeGraph(ctx, dir, options, metrics));
-  return VeToRg(ve);
-}
 
 // --- Nested OG format ------------------------------------------------------
 
@@ -366,110 +234,6 @@ RecordBatch MakeOgEdgeBatch(const std::vector<OgEdge>& edges) {
 }
 
 }  // namespace
-
-Status WriteOgGraph(const OgGraph& graph, const std::string& dir,
-                    const GraphWriteOptions& options) {
-  TG_RETURN_IF_ERROR(EnsureDir(dir));
-  std::vector<OgVertex> vertices = graph.vertices().Collect();
-  std::vector<OgEdge> edges = graph.edges().Collect();
-  SortOgRecords(&vertices, &edges, options.sort_order);
-
-  WriterOptions writer_options;
-  writer_options.row_group_size = options.row_group_size;
-  writer_options.metadata = FileMetadata(graph.lifetime(), options.sort_order);
-
-  {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<TableWriter> writer,
-                        TableWriter::Open(dir + "/og_vertices.tcol",
-                                          OgVertexSchema(), writer_options));
-    TG_RETURN_IF_ERROR(writer->Append(MakeOgVertexBatch(vertices)));
-    TG_RETURN_IF_ERROR(writer->Close());
-  }
-  {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<TableWriter> writer,
-                        TableWriter::Open(dir + "/og_edges.tcol",
-                                          OgEdgeSchema(), writer_options));
-    TG_RETURN_IF_ERROR(writer->Append(MakeOgEdgeBatch(edges)));
-    TG_RETURN_IF_ERROR(writer->Close());
-  }
-  return Status::OK();
-}
-
-Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir, const LoadOptions& options,
-                            LoadMetrics* metrics) {
-  if (HasStore(dir)) {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
-                        StoreReader::Open(StorePath(dir)));
-    if (store->FindTable("og_vertices") >= 0) {
-      return LoadOgGraphFromStore(ctx, *store, options, metrics);
-    }
-  }
-  TG_ASSIGN_OR_RETURN(std::unique_ptr<TableReader> vertex_reader,
-                      TableReader::Open(dir + "/og_vertices.tcol"));
-  TG_ASSIGN_OR_RETURN(std::unique_ptr<TableReader> edge_reader,
-                      TableReader::Open(dir + "/og_edges.tcol"));
-  TG_ASSIGN_OR_RETURN(Interval lifetime, LifetimeFromMetadata(*vertex_reader));
-
-  Predicate predicate;
-  const Predicate* predicate_ptr = nullptr;
-  Interval clip = lifetime;
-  if (options.time_range.has_value()) {
-    clip = options.time_range->Intersect(lifetime);
-    // Pushdown on the flattened first/last columns (the nested history
-    // column cannot be filtered, Section 4).
-    predicate = Predicate::IntervalOverlaps("first", "last", clip);
-    if (options.pushdown) predicate_ptr = &predicate;
-  }
-
-  size_t scanned = 0;
-  TG_ASSIGN_OR_RETURN(RecordBatch vbatch,
-                      vertex_reader->Read(predicate_ptr, &scanned));
-  RecordLoadScan(/*new_load=*/true, vertex_reader->num_row_groups(), scanned);
-  if (metrics != nullptr) {
-    metrics->vertex_groups_total = vertex_reader->num_row_groups();
-    metrics->vertex_groups_scanned = scanned;
-  }
-  std::vector<OgVertex> vertices;
-  vertices.reserve(static_cast<size_t>(vbatch.num_rows));
-  for (int64_t row = 0; row < vbatch.num_rows; ++row) {
-    size_t pos = 0;
-    TG_ASSIGN_OR_RETURN(History history,
-                        DeserializeHistory(vbatch.columns[3].binaries[row], &pos));
-    history = ClipHistory(history, clip);
-    if (history.empty()) continue;
-    vertices.push_back(OgVertex{vbatch.columns[0].ints[row], std::move(history)});
-  }
-
-  TG_ASSIGN_OR_RETURN(RecordBatch ebatch,
-                      edge_reader->Read(predicate_ptr, &scanned));
-  RecordLoadScan(/*new_load=*/false, edge_reader->num_row_groups(), scanned);
-  if (metrics != nullptr) {
-    metrics->edge_groups_total = edge_reader->num_row_groups();
-    metrics->edge_groups_scanned = scanned;
-  }
-  std::vector<OgEdge> edges;
-  edges.reserve(static_cast<size_t>(ebatch.num_rows));
-  for (int64_t row = 0; row < ebatch.num_rows; ++row) {
-    size_t pos = 0;
-    TG_ASSIGN_OR_RETURN(OgVertex v1,
-                        DeserializeOgVertex(ebatch.columns[3].binaries[row], &pos));
-    pos = 0;
-    TG_ASSIGN_OR_RETURN(OgVertex v2,
-                        DeserializeOgVertex(ebatch.columns[4].binaries[row], &pos));
-    pos = 0;
-    TG_ASSIGN_OR_RETURN(History history,
-                        DeserializeHistory(ebatch.columns[5].binaries[row], &pos));
-    history = ClipHistory(history, clip);
-    if (history.empty()) continue;
-    v1.history = ClipHistory(v1.history, clip);
-    v2.history = ClipHistory(v2.history, clip);
-    edges.push_back(OgEdge{ebatch.columns[0].ints[row], std::move(v1),
-                           std::move(v2), std::move(history)});
-  }
-  return OgGraph(Dataset<OgVertex>::FromVector(ctx, std::move(vertices)),
-                 Dataset<OgEdge>::FromVector(ctx, std::move(edges)), clip);
-}
 
 // --- Nested OGC format -----------------------------------------------------
 
@@ -576,152 +340,13 @@ RecordBatch MakeOgcEdgeBatch(const std::vector<OgcEdge>& edges,
 
 }  // namespace
 
-Status WriteOgcGraph(const OgcGraph& graph, const std::string& dir,
-                     const GraphWriteOptions& options) {
-  TG_RETURN_IF_ERROR(EnsureDir(dir));
-  WriterOptions writer_options;
-  writer_options.row_group_size = options.row_group_size;
-  writer_options.metadata = FileMetadata(graph.lifetime(), options.sort_order);
-
-  const std::vector<Interval>& index = graph.intervals();
-  {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<TableWriter> writer,
-                        TableWriter::Open(dir + "/ogc_index.tcol",
-                                          OgcIndexSchema(), writer_options));
-    TG_RETURN_IF_ERROR(writer->Append(MakeOgcIndexBatch(index)));
-    TG_RETURN_IF_ERROR(writer->Close());
-  }
-  {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<TableWriter> writer,
-                        TableWriter::Open(dir + "/ogc_vertices.tcol",
-                                          OgcVertexSchema(), writer_options));
-    TG_RETURN_IF_ERROR(
-        writer->Append(MakeOgcVertexBatch(graph.vertices().Collect(), index)));
-    TG_RETURN_IF_ERROR(writer->Close());
-  }
-  {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<TableWriter> writer,
-                        TableWriter::Open(dir + "/ogc_edges.tcol",
-                                          OgcEdgeSchema(), writer_options));
-    TG_RETURN_IF_ERROR(
-        writer->Append(MakeOgcEdgeBatch(graph.edges().Collect(), index)));
-    TG_RETURN_IF_ERROR(writer->Close());
-  }
-  return Status::OK();
-}
-
-Result<OgcGraph> LoadOgcGraph(dataflow::ExecutionContext* ctx,
-                              const std::string& dir,
-                              const LoadOptions& options,
-                              LoadMetrics* metrics) {
-  if (HasStore(dir)) {
-    TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
-                        StoreReader::Open(StorePath(dir)));
-    if (store->FindTable("ogc_vertices") >= 0) {
-      return LoadOgcGraphFromStore(ctx, *store, options, metrics);
-    }
-  }
-  TG_ASSIGN_OR_RETURN(std::unique_ptr<TableReader> index_reader,
-                      TableReader::Open(dir + "/ogc_index.tcol"));
-  TG_ASSIGN_OR_RETURN(RecordBatch index_batch, index_reader->Read());
-  std::vector<Interval> full_index;
-  for (int64_t row = 0; row < index_batch.num_rows; ++row) {
-    full_index.push_back(Interval(index_batch.columns[0].ints[row],
-                                  index_batch.columns[1].ints[row]));
-  }
-  TG_ASSIGN_OR_RETURN(Interval lifetime, LifetimeFromMetadata(*index_reader));
-
-  Interval clip = lifetime;
-  Predicate predicate;
-  const Predicate* predicate_ptr = nullptr;
-  // Index entries kept after the range filter, with their original slots.
-  std::vector<size_t> kept;
-  std::vector<Interval> index;
-  for (size_t i = 0; i < full_index.size(); ++i) {
-    if (!options.time_range.has_value() ||
-        full_index[i].Overlaps(*options.time_range)) {
-      kept.push_back(i);
-      index.push_back(options.time_range.has_value()
-                          ? full_index[i].Intersect(*options.time_range)
-                          : full_index[i]);
-    }
-  }
-  if (options.time_range.has_value()) {
-    clip = options.time_range->Intersect(lifetime);
-    predicate = Predicate::IntervalOverlaps("first", "last", clip);
-    if (options.pushdown) predicate_ptr = &predicate;
-  }
-
-  auto slice_bits = [&kept](const Bitset& bits) {
-    Bitset sliced(kept.size());
-    for (size_t i = 0; i < kept.size(); ++i) {
-      if (kept[i] < bits.size() && bits.Test(kept[i])) sliced.Set(i);
-    }
-    return sliced;
-  };
-
-  size_t scanned = 0;
-  TG_ASSIGN_OR_RETURN(std::unique_ptr<TableReader> vertex_reader,
-                      TableReader::Open(dir + "/ogc_vertices.tcol"));
-  TG_ASSIGN_OR_RETURN(RecordBatch vbatch,
-                      vertex_reader->Read(predicate_ptr, &scanned));
-  RecordLoadScan(/*new_load=*/true, vertex_reader->num_row_groups(), scanned);
-  if (metrics != nullptr) {
-    metrics->vertex_groups_total = vertex_reader->num_row_groups();
-    metrics->vertex_groups_scanned = scanned;
-  }
-  std::vector<OgcVertex> vertices;
-  for (int64_t row = 0; row < vbatch.num_rows; ++row) {
-    size_t pos = 0;
-    TG_ASSIGN_OR_RETURN(Bitset bits,
-                        DeserializeBitset(vbatch.columns[4].binaries[row], &pos));
-    Bitset sliced = slice_bits(bits);
-    if (sliced.None()) continue;
-    vertices.push_back(OgcVertex{vbatch.columns[0].ints[row],
-                                 vbatch.columns[3].binaries[row],
-                                 std::move(sliced)});
-  }
-
-  TG_ASSIGN_OR_RETURN(std::unique_ptr<TableReader> edge_reader,
-                      TableReader::Open(dir + "/ogc_edges.tcol"));
-  TG_ASSIGN_OR_RETURN(RecordBatch ebatch,
-                      edge_reader->Read(predicate_ptr, &scanned));
-  RecordLoadScan(/*new_load=*/false, edge_reader->num_row_groups(), scanned);
-  if (metrics != nullptr) {
-    metrics->edge_groups_total = edge_reader->num_row_groups();
-    metrics->edge_groups_scanned = scanned;
-  }
-  std::vector<OgcEdge> edges;
-  for (int64_t row = 0; row < ebatch.num_rows; ++row) {
-    size_t pos = 0;
-    TG_ASSIGN_OR_RETURN(OgcVertex v1,
-                        DeserializeOgcVertex(ebatch.columns[4].binaries[row], &pos));
-    pos = 0;
-    TG_ASSIGN_OR_RETURN(OgcVertex v2,
-                        DeserializeOgcVertex(ebatch.columns[5].binaries[row], &pos));
-    pos = 0;
-    TG_ASSIGN_OR_RETURN(Bitset bits,
-                        DeserializeBitset(ebatch.columns[6].binaries[row], &pos));
-    Bitset sliced = slice_bits(bits);
-    if (sliced.None()) continue;
-    v1.presence = slice_bits(v1.presence);
-    v2.presence = slice_bits(v2.presence);
-    edges.push_back(OgcEdge{ebatch.columns[0].ints[row],
-                            ebatch.columns[3].binaries[row], std::move(v1),
-                            std::move(v2), std::move(sliced)});
-  }
-  return OgcGraph(std::move(index),
-                  Dataset<OgcVertex>::FromVector(ctx, std::move(vertices)),
-                  Dataset<OgcEdge>::FromVector(ctx, std::move(edges)), clip);
-}
-
-// --- tgraph-store v2/v3 -------------------------------------------------------
+// --- Store scans -----------------------------------------------------------
 
 namespace {
 
 Result<Interval> StoreLifetime(const StoreReader& store) {
-  const std::string* start = store.FindMetadata(kLifetimeStartKey);
-  const std::string* end = store.FindMetadata(kLifetimeEndKey);
+  const std::string* start = store.FindMetadata(kStoreMetaLifetimeStart);
+  const std::string* end = store.FindMetadata(kStoreMetaLifetimeEnd);
   if (start == nullptr || end == nullptr) {
     return Status::IoError(store.path() + " lacks lifetime metadata");
   }
@@ -732,7 +357,11 @@ Result<int> RequireStoreTable(const StoreReader& store,
                               const std::string& name) {
   int t = store.FindTable(name);
   if (t < 0) {
-    return Status::IoError(store.path() + " has no '" + name + "' table");
+    const std::string* rep = store.FindMetadata(kStoreMetaRepresentation);
+    return Status::IoError(store.path() + " has no '" + name + "' table" +
+                           (rep == nullptr ? std::string()
+                                           : " (it stores the " + *rep +
+                                                 " representation)"));
   }
   return t;
 }
@@ -782,13 +411,6 @@ Dataset<T> DatasetFromStoreParts(dataflow::ExecutionContext* ctx,
   return Dataset<T>::FromPartitions(ctx, std::move(parts));
 }
 
-std::vector<std::pair<std::string, std::string>> StoreMetadata(
-    Interval lifetime, SortOrder order, const char* representation) {
-  auto metadata = FileMetadata(lifetime, order);
-  metadata.emplace_back(kStoreMetaRepresentation, representation);
-  return metadata;
-}
-
 /// Memoizes the previously decoded property cell. Columnar neighbors very
 /// often carry byte-identical attribute blobs (a constant type tag, a
 /// stable schema of per-type attributes), and the store's segments are
@@ -817,11 +439,6 @@ class PropsRunCache {
 }  // namespace
 
 std::string StorePath(const std::string& dir) { return dir + "/graph.tgs"; }
-
-bool HasStore(const std::string& dir) {
-  std::error_code ec;
-  return std::filesystem::is_regular_file(StorePath(dir), ec);
-}
 
 Status WriteVeStore(const VeGraph& graph, const std::string& dir,
                     const GraphWriteOptions& options) {
@@ -1181,6 +798,40 @@ Result<OgcGraph> LoadOgcGraphFromStore(dataflow::ExecutionContext* ctx,
   return OgcGraph(std::move(index),
                   DatasetFromStoreParts(ctx, std::move(vertex_parts)),
                   DatasetFromStoreParts(ctx, std::move(edge_parts)), clip);
+}
+
+// --- Directory loaders ---------------------------------------------------
+
+Result<VeGraph> LoadVeGraph(dataflow::ExecutionContext* ctx,
+                            const std::string& dir, const LoadOptions& options,
+                            LoadMetrics* metrics) {
+  TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
+                      StoreReader::Open(StorePath(dir)));
+  return LoadVeGraphFromStore(ctx, *store, options, metrics);
+}
+
+Result<RgGraph> LoadRgGraph(dataflow::ExecutionContext* ctx,
+                            const std::string& dir, const LoadOptions& options,
+                            LoadMetrics* metrics) {
+  TG_ASSIGN_OR_RETURN(VeGraph ve, LoadVeGraph(ctx, dir, options, metrics));
+  return VeToRg(ve);
+}
+
+Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
+                            const std::string& dir, const LoadOptions& options,
+                            LoadMetrics* metrics) {
+  TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
+                      StoreReader::Open(StorePath(dir)));
+  return LoadOgGraphFromStore(ctx, *store, options, metrics);
+}
+
+Result<OgcGraph> LoadOgcGraph(dataflow::ExecutionContext* ctx,
+                              const std::string& dir,
+                              const LoadOptions& options,
+                              LoadMetrics* metrics) {
+  TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
+                      StoreReader::Open(StorePath(dir)));
+  return LoadOgcGraphFromStore(ctx, *store, options, metrics);
 }
 
 }  // namespace tgraph::storage

@@ -14,7 +14,7 @@
 
 namespace tgraph::storage {
 
-/// \brief On-disk sort order, which decides what kind of locality the file
+/// \brief On-disk sort order, which decides what kind of locality the store
 /// preserves (Section 4, "Data loading"):
 ///  - temporal locality: sort by (entity id, start) — an entity's history
 ///    of changes is stored together (the VE default);
@@ -27,11 +27,13 @@ const char* SortOrderName(SortOrder order);
 
 struct GraphWriteOptions {
   SortOrder sort_order = SortOrder::kTemporalLocality;
+  /// Rows per store partition: the unit of parallel loading and of
+  /// zone-map skipping.
   int64_t row_group_size = 16 * 1024;
-  /// Container version for the Write*Store functions: 3 (default) picks a
-  /// per-segment encoding with raw fallback, 2 writes the raw v2 layout
-  /// byte-identically to older releases (docs/FORMAT.md §5.4). Ignored by
-  /// the v1 .tcol writers.
+  /// Container version: 3 (the default) picks a per-segment encoding with
+  /// raw fallback. 2 writes the raw v2 layout byte-identically to older
+  /// releases; it is a library-only reference for compatibility tests and
+  /// the compression ablation's raw baseline (docs/FORMAT.md §5.4).
   uint32_t store_version = 3;
 };
 
@@ -39,14 +41,14 @@ struct LoadOptions {
   /// When set, only states overlapping this range are loaded (clipped to
   /// it), using filter pushdown on the start/end (or first/last) columns.
   std::optional<Interval> time_range;
-  /// Evaluate min/max statistics (v1 row groups, v2 zone maps) to skip
-  /// chunks before touching them. Disabling only removes the skipping —
-  /// every chunk is scanned and the loaded graph is identical.
+  /// Evaluate the partitions' zone maps to skip partitions before touching
+  /// them. Disabling only removes the skipping — every partition is
+  /// scanned and the loaded graph is identical.
   bool pushdown = true;
 };
 
-/// \brief Pushdown effectiveness counters filled by the loaders. "Groups"
-/// are v1 row groups or v2 partitions — both are the skip unit.
+/// \brief Pushdown effectiveness counters filled by the loaders. A
+/// "group" is a store partition, the skip unit.
 struct LoadMetrics {
   size_t vertex_groups_total = 0;
   size_t vertex_groups_scanned = 0;
@@ -54,63 +56,34 @@ struct LoadMetrics {
   size_t edge_groups_scanned = 0;
 };
 
-// --- VE flat format (the default on-disk schema, Section 4) ---------------
-
-/// Writes `<dir>/vertices.tcol` and `<dir>/edges.tcol` with columns
-/// (vid, start, end, props) and (eid, src, dst, start, end, props).
-Status WriteVeGraph(const VeGraph& graph, const std::string& dir,
-                    const GraphWriteOptions& options = {});
-
-Result<VeGraph> LoadVeGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir,
-                            const LoadOptions& options = {},
-                            LoadMetrics* metrics = nullptr);
-
-/// Loads the flat VE files and materializes the snapshot sequence. Fastest
-/// from structurally sorted files.
-Result<RgGraph> LoadRgGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir,
-                            const LoadOptions& options = {},
-                            LoadMetrics* metrics = nullptr);
-
-// --- Nested OG/OGC formats (Section 4: "significantly faster to
-// pre-compute nested versions of the graphs ... storing the first and last
-// time a vertex/edge existed as a separate column" for pushdown) ----------
-
-Status WriteOgGraph(const OgGraph& graph, const std::string& dir,
-                    const GraphWriteOptions& options = {});
-
-Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir,
-                            const LoadOptions& options = {},
-                            LoadMetrics* metrics = nullptr);
-
-Status WriteOgcGraph(const OgcGraph& graph, const std::string& dir,
-                     const GraphWriteOptions& options = {});
-
-Result<OgcGraph> LoadOgcGraph(dataflow::ExecutionContext* ctx,
-                              const std::string& dir,
-                              const LoadOptions& options = {},
-                              LoadMetrics* metrics = nullptr);
-
-// --- tgraph-store v2/v3 (mmap'd binary container, docs/FORMAT.md) ---------
+// --- Graph directories (tgraph-store v3, docs/FORMAT.md) -------------------
 //
-// One `<dir>/graph.tgs` file holds every table of one representation.
-// The Load*Graph functions above auto-detect it: when the store file
-// exists and contains the representation's tables it is used (mmap,
-// partition-parallel, zero-copy; v3 segments decode lazily and only for
-// partitions surviving zone-map pushdown); otherwise they fall back to
-// the v1 .tcol files. Loaded graphs are canonically identical either way.
+// A graph directory holds one `<dir>/graph.tgs` store container with
+// every table of one representation:
+//  - VE, the flat default schema (Section 4): `vertices` (vid, start, end,
+//    props) and `edges` (eid, src, dst, start, end, props);
+//  - OG/OGC, the nested formats (Section 4: "significantly faster to
+//    pre-compute nested versions of the graphs ... storing the first and
+//    last time a vertex/edge existed as a separate column" for pushdown).
+// Loads mmap the container, prune partitions by zone map, and decode the
+// survivors partition-parallel (v3 segments lazily, v2 segments
+// zero-copy). Loading a representation the store does not hold fails
+// with an IoError naming the missing table.
 
 class StoreReader;
 
-/// `<dir>/graph.tgs`, the v2 container path inside a graph directory.
+/// `<dir>/graph.tgs`, the store container path inside a graph directory.
 std::string StorePath(const std::string& dir);
-/// Whether `dir` has a v2 store container.
-bool HasStore(const std::string& dir);
 
+/// Writes `graph` as `<dir>/graph.tgs` (creating `dir`) through
+/// WriteFileAtomic, so a reader that mapped the previous file keeps
+/// reading it intact.
 Status WriteVeStore(const VeGraph& graph, const std::string& dir,
                     const GraphWriteOptions& options = {});
+Status WriteOgStore(const OgGraph& graph, const std::string& dir,
+                    const GraphWriteOptions& options = {});
+Status WriteOgcStore(const OgcGraph& graph, const std::string& dir,
+                     const GraphWriteOptions& options = {});
 /// Writes a VE store container to an explicit file `path` instead of the
 /// directory's canonical `graph.tgs`, appending `extra_metadata` to the
 /// footer. The streaming-ingest compactor uses this to emit partition
@@ -120,10 +93,26 @@ Status WriteVeStoreFile(
     const VeGraph& graph, const std::string& path,
     const GraphWriteOptions& options,
     const std::vector<std::pair<std::string, std::string>>& extra_metadata);
-Status WriteOgStore(const OgGraph& graph, const std::string& dir,
-                    const GraphWriteOptions& options = {});
-Status WriteOgcStore(const OgcGraph& graph, const std::string& dir,
-                     const GraphWriteOptions& options = {});
+
+/// Open `StorePath(dir)` and load it with the matching *FromStore loader.
+Result<VeGraph> LoadVeGraph(dataflow::ExecutionContext* ctx,
+                            const std::string& dir,
+                            const LoadOptions& options = {},
+                            LoadMetrics* metrics = nullptr);
+/// Loads the VE tables and materializes the snapshot sequence. Fastest
+/// from structurally sorted stores.
+Result<RgGraph> LoadRgGraph(dataflow::ExecutionContext* ctx,
+                            const std::string& dir,
+                            const LoadOptions& options = {},
+                            LoadMetrics* metrics = nullptr);
+Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
+                            const std::string& dir,
+                            const LoadOptions& options = {},
+                            LoadMetrics* metrics = nullptr);
+Result<OgcGraph> LoadOgcGraph(dataflow::ExecutionContext* ctx,
+                              const std::string& dir,
+                              const LoadOptions& options = {},
+                              LoadMetrics* metrics = nullptr);
 
 /// Store-backed loaders taking an already-open (possibly shared) reader:
 /// tgraphd's catalog opens one StoreReader per directory and serves every

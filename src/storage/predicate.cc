@@ -40,26 +40,4 @@ bool Predicate::MaybeMatches(const Schema& schema,
   return true;
 }
 
-bool Predicate::Matches(const RecordBatch& batch, int64_t row) const {
-  for (const ColumnRange& range : ranges_) {
-    int column = batch.schema.FindColumn(range.column);
-    if (column < 0) continue;
-    if (batch.schema.columns[column].type != ColumnType::kInt64) continue;
-    int64_t value = batch.columns[column].ints[static_cast<size_t>(row)];
-    if (range.lower.has_value()) {
-      if (range.lower_inclusive ? value < *range.lower
-                                : value <= *range.lower) {
-        return false;
-      }
-    }
-    if (range.upper.has_value()) {
-      if (range.upper_inclusive ? value > *range.upper
-                                : value >= *range.upper) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace tgraph::storage

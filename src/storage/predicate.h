@@ -46,9 +46,6 @@ class Predicate {
   bool MaybeMatches(const Schema& schema,
                     const std::vector<ColumnStats>& stats) const;
 
-  /// Exact evaluation against one row of a decoded batch.
-  bool Matches(const RecordBatch& batch, int64_t row) const;
-
  private:
   std::vector<ColumnRange> ranges_;
 };

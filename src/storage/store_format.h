@@ -87,7 +87,7 @@ bool SegmentEncodingApplies(SegmentEncoding encoding, ColumnType type);
 /// decoder's byte-exact size check rejects the segment.
 inline constexpr uint64_t kStoreMaxPlainSegmentSize = 1ull << 30;
 
-/// Well-known footer metadata keys shared with the v1 (.tcol) loaders.
+/// Well-known footer metadata keys written by the graph_io writers.
 inline constexpr char kStoreMetaLifetimeStart[] = "lifetime_start";
 inline constexpr char kStoreMetaLifetimeEnd[] = "lifetime_end";
 inline constexpr char kStoreMetaSortOrder[] = "sort_order";
@@ -117,7 +117,7 @@ struct SegmentMeta {
 
 /// \brief One horizontal slice of a table: `num_rows` rows, one segment
 /// per schema column. The unit of parallel loading and of pushdown
-/// skipping (the v2 analogue of a v1 row group).
+/// skipping.
 struct PartitionMeta {
   int64_t num_rows = 0;
   std::vector<SegmentMeta> segments;  ///< Aligned with the table schema.

@@ -1,9 +1,8 @@
 #include "storage/store_writer.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "storage/encodings.h"
 #include "storage/serde.h"
@@ -11,19 +10,6 @@
 namespace tgraph::storage {
 
 namespace {
-
-Status WriteFile(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  size_t written = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != data.size() || close_rc != 0) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
-}
 
 void PadToAlignment(std::string* out) {
   while (out->size() % kStoreSegmentAlignment != 0) out->push_back('\0');
@@ -246,7 +232,7 @@ Status StoreWriter::Close() {
       options_.version >= kStoreVersionV3 ? kStoreMagicV3 : kStoreMagic,
       sizeof(kStoreMagic));
   closed_ = true;
-  return WriteFile(path_, file_data_);
+  return WriteFileAtomic(path_, file_data_);
 }
 
 }  // namespace tgraph::storage

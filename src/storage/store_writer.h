@@ -53,7 +53,9 @@ class StoreWriter {
   Status Append(int table, const RecordBatch& batch);
 
   /// Flushes tail partitions, writes the footer + trailer, and persists
-  /// the file. Must be called; the destructor does not finalize.
+  /// the file through WriteFileAtomic: a reader that already mapped an
+  /// older file at the same path keeps its bytes. Must be called; the
+  /// destructor does not finalize.
   Status Close();
 
  private:

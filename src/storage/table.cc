@@ -1,264 +1,6 @@
 #include "storage/table.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <unordered_map>
-
-#include "storage/predicate.h"
-#include "common/hash.h"
-#include "storage/serde.h"
-
 namespace tgraph::storage {
-
-namespace {
-
-constexpr char kMagic[8] = {'T', 'C', 'O', 'L', 'v', '1', 0, 0};
-
-uint64_t ZigZag(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^
-         static_cast<uint64_t>(value >> 63);
-}
-
-int64_t UnZigZag(uint64_t value) {
-  return static_cast<int64_t>((value >> 1) ^ (~(value & 1) + 1));
-}
-
-// --- chunk encodings -------------------------------------------------------
-
-void EncodeInt64Chunk(const std::vector<int64_t>& values, std::string* out) {
-  PutVarint(out, values.size());
-  if (values.empty()) return;
-  PutFixed64(out, static_cast<uint64_t>(values[0]));
-  // Delta + zigzag varint: compact for sorted time/id columns.
-  for (size_t i = 1; i < values.size(); ++i) {
-    PutVarint(out, ZigZag(values[i] - values[i - 1]));
-  }
-}
-
-Status DecodeInt64Chunk(std::string_view data, size_t* pos,
-                        std::vector<int64_t>* values) {
-  TG_ASSIGN_OR_RETURN(uint64_t count, GetVarint(data, pos));
-  values->clear();
-  values->reserve(count);
-  if (count == 0) return Status::OK();
-  TG_ASSIGN_OR_RETURN(uint64_t first, GetFixed64(data, pos));
-  int64_t current = static_cast<int64_t>(first);
-  values->push_back(current);
-  for (uint64_t i = 1; i < count; ++i) {
-    TG_ASSIGN_OR_RETURN(uint64_t delta, GetVarint(data, pos));
-    current += UnZigZag(delta);
-    values->push_back(current);
-  }
-  return Status::OK();
-}
-
-void EncodeDoubleChunk(const std::vector<double>& values, std::string* out) {
-  PutVarint(out, values.size());
-  for (double v : values) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutFixed64(out, bits);
-  }
-}
-
-Status DecodeDoubleChunk(std::string_view data, size_t* pos,
-                         std::vector<double>* values) {
-  TG_ASSIGN_OR_RETURN(uint64_t count, GetVarint(data, pos));
-  values->clear();
-  values->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    TG_ASSIGN_OR_RETURN(uint64_t bits, GetFixed64(data, pos));
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    values->push_back(v);
-  }
-  return Status::OK();
-}
-
-void EncodeBoolChunk(const std::vector<uint8_t>& values, std::string* out) {
-  PutVarint(out, values.size());
-  uint8_t packed = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i]) packed |= static_cast<uint8_t>(1 << (i % 8));
-    if (i % 8 == 7) {
-      out->push_back(static_cast<char>(packed));
-      packed = 0;
-    }
-  }
-  if (values.size() % 8 != 0) out->push_back(static_cast<char>(packed));
-}
-
-Status DecodeBoolChunk(std::string_view data, size_t* pos,
-                       std::vector<uint8_t>* values) {
-  TG_ASSIGN_OR_RETURN(uint64_t count, GetVarint(data, pos));
-  values->clear();
-  values->reserve(count);
-  size_t num_bytes = (count + 7) / 8;
-  if (*pos + num_bytes > data.size()) {
-    return Status::IoError("truncated bool chunk");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    uint8_t byte = static_cast<uint8_t>(data[*pos + i / 8]);
-    values->push_back((byte >> (i % 8)) & 1);
-  }
-  *pos += num_bytes;
-  return Status::OK();
-}
-
-void EncodeBinaryChunk(const std::vector<std::string>& values,
-                       std::string* out) {
-  PutVarint(out, values.size());
-  if (values.empty()) return;
-  // Dictionary-encode when repetitive (type labels, names).
-  std::unordered_map<std::string_view, uint64_t> dictionary;
-  for (const std::string& v : values) {
-    dictionary.emplace(v, dictionary.size());
-  }
-  if (dictionary.size() * 2 <= values.size()) {
-    out->push_back(1);  // dictionary encoding
-    std::vector<std::string_view> entries(dictionary.size());
-    for (const auto& [value, index] : dictionary) entries[index] = value;
-    PutVarint(out, entries.size());
-    for (std::string_view entry : entries) PutBytes(out, entry);
-    for (const std::string& v : values) PutVarint(out, dictionary[v]);
-  } else {
-    out->push_back(0);  // plain
-    for (const std::string& v : values) PutBytes(out, v);
-  }
-}
-
-Status DecodeBinaryChunk(std::string_view data, size_t* pos,
-                         std::vector<std::string>* values) {
-  TG_ASSIGN_OR_RETURN(uint64_t count, GetVarint(data, pos));
-  values->clear();
-  values->reserve(count);
-  if (count == 0) return Status::OK();
-  if (*pos >= data.size()) return Status::IoError("truncated binary chunk");
-  uint8_t encoding = static_cast<uint8_t>(data[*pos]);
-  ++*pos;
-  if (encoding == 1) {
-    TG_ASSIGN_OR_RETURN(uint64_t dict_size, GetVarint(data, pos));
-    std::vector<std::string> dictionary;
-    dictionary.reserve(dict_size);
-    for (uint64_t i = 0; i < dict_size; ++i) {
-      TG_ASSIGN_OR_RETURN(std::string_view entry, GetBytes(data, pos));
-      dictionary.emplace_back(entry);
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      TG_ASSIGN_OR_RETURN(uint64_t index, GetVarint(data, pos));
-      if (index >= dictionary.size()) {
-        return Status::IoError("dictionary index out of range");
-      }
-      values->push_back(dictionary[index]);
-    }
-  } else {
-    for (uint64_t i = 0; i < count; ++i) {
-      TG_ASSIGN_OR_RETURN(std::string_view bytes, GetBytes(data, pos));
-      values->emplace_back(bytes);
-    }
-  }
-  return Status::OK();
-}
-
-// --- footer ----------------------------------------------------------------
-
-void EncodeFooter(const Schema& schema,
-                  const std::vector<std::pair<std::string, std::string>>& meta,
-                  const std::vector<RowGroupMeta>& groups, std::string* out) {
-  PutVarint(out, schema.columns.size());
-  for (const ColumnSpec& column : schema.columns) {
-    PutBytes(out, column.name);
-    out->push_back(static_cast<char>(column.type));
-  }
-  PutVarint(out, meta.size());
-  for (const auto& [key, value] : meta) {
-    PutBytes(out, key);
-    PutBytes(out, value);
-  }
-  PutVarint(out, groups.size());
-  for (const RowGroupMeta& group : groups) {
-    PutFixed64(out, group.offset);
-    PutFixed64(out, group.byte_size);
-    PutFixed64(out, static_cast<uint64_t>(group.num_rows));
-    PutFixed64(out, group.checksum);
-    for (const ColumnStats& stats : group.stats) {
-      out->push_back(stats.has_int_stats ? 1 : 0);
-      PutFixed64(out, static_cast<uint64_t>(stats.min_int));
-      PutFixed64(out, static_cast<uint64_t>(stats.max_int));
-    }
-  }
-}
-
-Status DecodeFooter(std::string_view footer, Schema* schema,
-                    std::vector<std::pair<std::string, std::string>>* meta,
-                    std::vector<RowGroupMeta>* groups) {
-  size_t pos = 0;
-  TG_ASSIGN_OR_RETURN(uint64_t num_columns, GetVarint(footer, &pos));
-  for (uint64_t i = 0; i < num_columns; ++i) {
-    TG_ASSIGN_OR_RETURN(std::string_view name, GetBytes(footer, &pos));
-    if (pos >= footer.size()) return Status::IoError("truncated footer");
-    ColumnType type = static_cast<ColumnType>(footer[pos]);
-    ++pos;
-    schema->columns.push_back(ColumnSpec{std::string(name), type});
-  }
-  TG_ASSIGN_OR_RETURN(uint64_t num_meta, GetVarint(footer, &pos));
-  for (uint64_t i = 0; i < num_meta; ++i) {
-    TG_ASSIGN_OR_RETURN(std::string_view key, GetBytes(footer, &pos));
-    TG_ASSIGN_OR_RETURN(std::string_view value, GetBytes(footer, &pos));
-    meta->emplace_back(std::string(key), std::string(value));
-  }
-  TG_ASSIGN_OR_RETURN(uint64_t num_groups, GetVarint(footer, &pos));
-  for (uint64_t g = 0; g < num_groups; ++g) {
-    RowGroupMeta group;
-    TG_ASSIGN_OR_RETURN(group.offset, GetFixed64(footer, &pos));
-    TG_ASSIGN_OR_RETURN(group.byte_size, GetFixed64(footer, &pos));
-    TG_ASSIGN_OR_RETURN(uint64_t rows, GetFixed64(footer, &pos));
-    group.num_rows = static_cast<int64_t>(rows);
-    TG_ASSIGN_OR_RETURN(group.checksum, GetFixed64(footer, &pos));
-    group.stats.resize(num_columns);
-    for (uint64_t c = 0; c < num_columns; ++c) {
-      if (pos >= footer.size()) return Status::IoError("truncated stats");
-      group.stats[c].has_int_stats = footer[pos] != 0;
-      ++pos;
-      TG_ASSIGN_OR_RETURN(uint64_t min, GetFixed64(footer, &pos));
-      TG_ASSIGN_OR_RETURN(uint64_t max, GetFixed64(footer, &pos));
-      group.stats[c].min_int = static_cast<int64_t>(min);
-      group.stats[c].max_int = static_cast<int64_t>(max);
-    }
-    groups->push_back(std::move(group));
-  }
-  return Status::OK();
-}
-
-Status WriteFile(const std::string& path, const std::string& data) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return Status::IoError("cannot open " + path);
-  size_t written = std::fwrite(data.data(), 1, data.size(), file);
-  int rc = std::fclose(file);
-  if (written != data.size() || rc != 0) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return Status::IoError("cannot open " + path);
-  std::fseek(file, 0, SEEK_END);
-  long size = std::ftell(file);
-  std::fseek(file, 0, SEEK_SET);
-  std::string data(static_cast<size_t>(size), '\0');
-  size_t read = std::fread(data.data(), 1, data.size(), file);
-  std::fclose(file);
-  if (read != data.size()) return Status::IoError("short read from " + path);
-  return data;
-}
-
-}  // namespace
-
-// --- Schema / Column -------------------------------------------------------
 
 int Schema::FindColumn(const std::string& name) const {
   for (size_t i = 0; i < columns.size(); ++i) {
@@ -290,256 +32,6 @@ size_t Column::Size(ColumnType type) const {
       return binaries.size();
   }
   return 0;
-}
-
-// --- TableWriter -----------------------------------------------------------
-
-TableWriter::TableWriter(Schema schema, WriterOptions options)
-    : schema_(std::move(schema)), options_(std::move(options)) {
-  buffer_.schema = schema_;
-  buffer_.columns.resize(schema_.columns.size());
-  file_data_.append(kMagic, sizeof(kMagic));
-}
-
-TableWriter::~TableWriter() = default;
-
-Result<std::unique_ptr<TableWriter>> TableWriter::Open(const std::string& path,
-                                                       Schema schema,
-                                                       WriterOptions options) {
-  if (schema.columns.empty()) {
-    return Status::InvalidArgument("schema must have at least one column");
-  }
-  std::unique_ptr<TableWriter> writer(
-      new TableWriter(std::move(schema), std::move(options)));
-  writer->path_ = path;
-  return writer;
-}
-
-Status TableWriter::Append(const RecordBatch& batch) {
-  if (closed_) return Status::InvalidArgument("writer is closed");
-  if (!(batch.schema == schema_)) {
-    return Status::InvalidArgument("batch schema does not match file schema");
-  }
-  for (size_t c = 0; c < schema_.columns.size(); ++c) {
-    if (batch.columns[c].Size(schema_.columns[c].type) !=
-        static_cast<size_t>(batch.num_rows)) {
-      return Status::InvalidArgument("column " + schema_.columns[c].name +
-                                     " has the wrong row count");
-    }
-  }
-  for (size_t c = 0; c < schema_.columns.size(); ++c) {
-    Column& dst = buffer_.columns[c];
-    const Column& src = batch.columns[c];
-    switch (schema_.columns[c].type) {
-      case ColumnType::kInt64:
-        dst.ints.insert(dst.ints.end(), src.ints.begin(), src.ints.end());
-        break;
-      case ColumnType::kDouble:
-        dst.doubles.insert(dst.doubles.end(), src.doubles.begin(),
-                           src.doubles.end());
-        break;
-      case ColumnType::kBool:
-        dst.bools.insert(dst.bools.end(), src.bools.begin(), src.bools.end());
-        break;
-      case ColumnType::kBinary:
-        dst.binaries.insert(dst.binaries.end(), src.binaries.begin(),
-                            src.binaries.end());
-        break;
-    }
-  }
-  buffer_.num_rows += batch.num_rows;
-  while (buffer_.num_rows >= options_.row_group_size) {
-    TG_RETURN_IF_ERROR(FlushRowGroup());
-  }
-  return Status::OK();
-}
-
-Status TableWriter::FlushRowGroup() {
-  int64_t rows = std::min(buffer_.num_rows, options_.row_group_size);
-  if (rows == 0) return Status::OK();
-  RowGroupMeta meta;
-  meta.offset = file_data_.size();
-  meta.num_rows = rows;
-  meta.stats.resize(schema_.columns.size());
-  size_t n = static_cast<size_t>(rows);
-  for (size_t c = 0; c < schema_.columns.size(); ++c) {
-    Column& column = buffer_.columns[c];
-    switch (schema_.columns[c].type) {
-      case ColumnType::kInt64: {
-        std::vector<int64_t> chunk(column.ints.begin(),
-                                   column.ints.begin() + n);
-        column.ints.erase(column.ints.begin(), column.ints.begin() + n);
-        if (!chunk.empty()) {
-          auto [min_it, max_it] = std::minmax_element(chunk.begin(), chunk.end());
-          meta.stats[c] = ColumnStats{true, *min_it, *max_it};
-        }
-        EncodeInt64Chunk(chunk, &file_data_);
-        break;
-      }
-      case ColumnType::kDouble: {
-        std::vector<double> chunk(column.doubles.begin(),
-                                  column.doubles.begin() + n);
-        column.doubles.erase(column.doubles.begin(),
-                             column.doubles.begin() + n);
-        EncodeDoubleChunk(chunk, &file_data_);
-        break;
-      }
-      case ColumnType::kBool: {
-        std::vector<uint8_t> chunk(column.bools.begin(),
-                                   column.bools.begin() + n);
-        column.bools.erase(column.bools.begin(), column.bools.begin() + n);
-        EncodeBoolChunk(chunk, &file_data_);
-        break;
-      }
-      case ColumnType::kBinary: {
-        std::vector<std::string> chunk(
-            std::make_move_iterator(column.binaries.begin()),
-            std::make_move_iterator(column.binaries.begin() + n));
-        column.binaries.erase(column.binaries.begin(),
-                              column.binaries.begin() + n);
-        EncodeBinaryChunk(chunk, &file_data_);
-        break;
-      }
-    }
-  }
-  buffer_.num_rows -= rows;
-  meta.byte_size = file_data_.size() - meta.offset;
-  meta.checksum = HashBytes(std::string_view(file_data_).substr(
-      meta.offset, meta.byte_size));
-  row_groups_.push_back(std::move(meta));
-  return Status::OK();
-}
-
-Status TableWriter::Close() {
-  if (closed_) return Status::OK();
-  while (buffer_.num_rows > 0) {
-    TG_RETURN_IF_ERROR(FlushRowGroup());
-  }
-  std::string footer;
-  EncodeFooter(schema_, options_.metadata, row_groups_, &footer);
-  uint64_t footer_size = footer.size();
-  file_data_ += footer;
-  PutFixed64(&file_data_, footer_size);
-  file_data_.append(kMagic, sizeof(kMagic));
-  closed_ = true;
-  return WriteFile(path_, file_data_);
-}
-
-// --- TableReader -----------------------------------------------------------
-
-Result<std::unique_ptr<TableReader>> TableReader::Open(const std::string& path) {
-  TG_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
-  if (data.size() < 2 * sizeof(kMagic) + 8 ||
-      data.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0 ||
-      data.compare(data.size() - sizeof(kMagic), sizeof(kMagic), kMagic,
-                   sizeof(kMagic)) != 0) {
-    return Status::IoError(path + " is not a TCOL file");
-  }
-  size_t tail = data.size() - sizeof(kMagic) - 8;
-  size_t pos = tail;
-  TG_ASSIGN_OR_RETURN(uint64_t footer_size, GetFixed64(data, &pos));
-  if (footer_size > tail - sizeof(kMagic)) {
-    return Status::IoError("corrupt footer length");
-  }
-  std::unique_ptr<TableReader> reader(new TableReader());
-  std::string_view footer(data.data() + tail - footer_size, footer_size);
-  TG_RETURN_IF_ERROR(DecodeFooter(footer, &reader->schema_, &reader->metadata_,
-                                  &reader->row_groups_));
-  reader->data_ = std::move(data);
-  return reader;
-}
-
-int64_t TableReader::num_rows() const {
-  int64_t total = 0;
-  for (const RowGroupMeta& group : row_groups_) total += group.num_rows;
-  return total;
-}
-
-Result<RecordBatch> TableReader::ReadRowGroup(size_t index) const {
-  if (index >= row_groups_.size()) {
-    return Status::OutOfRange("row group " + std::to_string(index));
-  }
-  const RowGroupMeta& group = row_groups_[index];
-  if (group.offset + group.byte_size > data_.size()) {
-    return Status::IoError("row group extends past end of file");
-  }
-  uint64_t checksum = HashBytes(
-      std::string_view(data_).substr(group.offset, group.byte_size));
-  if (checksum != group.checksum) {
-    return Status::IoError("row group " + std::to_string(index) +
-                           " failed checksum verification (corrupt file)");
-  }
-  RecordBatch batch;
-  batch.schema = schema_;
-  batch.columns.resize(schema_.columns.size());
-  batch.num_rows = group.num_rows;
-  size_t pos = group.offset;
-  for (size_t c = 0; c < schema_.columns.size(); ++c) {
-    switch (schema_.columns[c].type) {
-      case ColumnType::kInt64:
-        TG_RETURN_IF_ERROR(DecodeInt64Chunk(data_, &pos, &batch.columns[c].ints));
-        break;
-      case ColumnType::kDouble:
-        TG_RETURN_IF_ERROR(
-            DecodeDoubleChunk(data_, &pos, &batch.columns[c].doubles));
-        break;
-      case ColumnType::kBool:
-        TG_RETURN_IF_ERROR(DecodeBoolChunk(data_, &pos, &batch.columns[c].bools));
-        break;
-      case ColumnType::kBinary:
-        TG_RETURN_IF_ERROR(
-            DecodeBinaryChunk(data_, &pos, &batch.columns[c].binaries));
-        break;
-    }
-  }
-  return batch;
-}
-
-namespace {
-
-void AppendRow(const RecordBatch& src, int64_t row, RecordBatch* dst) {
-  for (size_t c = 0; c < src.schema.columns.size(); ++c) {
-    switch (src.schema.columns[c].type) {
-      case ColumnType::kInt64:
-        dst->columns[c].ints.push_back(src.columns[c].ints[row]);
-        break;
-      case ColumnType::kDouble:
-        dst->columns[c].doubles.push_back(src.columns[c].doubles[row]);
-        break;
-      case ColumnType::kBool:
-        dst->columns[c].bools.push_back(src.columns[c].bools[row]);
-        break;
-      case ColumnType::kBinary:
-        dst->columns[c].binaries.push_back(src.columns[c].binaries[row]);
-        break;
-    }
-  }
-  ++dst->num_rows;
-}
-
-}  // namespace
-
-Result<RecordBatch> TableReader::Read(const Predicate* predicate,
-                                      size_t* groups_scanned) const {
-  RecordBatch result;
-  result.schema = schema_;
-  result.columns.resize(schema_.columns.size());
-  size_t scanned = 0;
-  for (size_t g = 0; g < row_groups_.size(); ++g) {
-    if (predicate != nullptr &&
-        !predicate->MaybeMatches(schema_, row_groups_[g].stats)) {
-      continue;  // pushdown: skip the whole row group
-    }
-    ++scanned;
-    TG_ASSIGN_OR_RETURN(RecordBatch batch, ReadRowGroup(g));
-    for (int64_t row = 0; row < batch.num_rows; ++row) {
-      if (predicate == nullptr || predicate->Matches(batch, row)) {
-        AppendRow(batch, row, &result);
-      }
-    }
-  }
-  if (groups_scanned != nullptr) *groups_scanned = scanned;
-  return result;
 }
 
 }  // namespace tgraph::storage

@@ -2,16 +2,14 @@
 #define TGRAPH_STORAGE_TABLE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
-
 namespace tgraph::storage {
 
-/// Column types of the columnar file format (the Parquet substitute).
+/// Column types of the tgraph-store columnar container (the Parquet
+/// substitute, docs/FORMAT.md). These in-memory types are what the store
+/// writer, its encodings and pushdown predicates share.
 /// Time is stored as kInt64, matching the paper's workaround ("Parquet does
 /// not support filter pushdown for datetime formats, hence we store time as
 /// UNIX timestamps (long)").
@@ -49,100 +47,12 @@ struct RecordBatch {
   int64_t num_rows = 0;
 };
 
-/// \brief Per-chunk min/max statistics powering filter pushdown. Only
-/// int64 columns participate (the format's time and id columns).
+/// \brief Per-partition min/max statistics (zone maps) powering filter
+/// pushdown. Only int64 columns participate (the time and id columns).
 struct ColumnStats {
   bool has_int_stats = false;
   int64_t min_int = 0;
   int64_t max_int = 0;
-};
-
-/// \brief Location and statistics of one row group.
-struct RowGroupMeta {
-  uint64_t offset = 0;
-  uint64_t byte_size = 0;
-  int64_t num_rows = 0;
-  /// FNV-1a over the group's encoded bytes; verified on every read so
-  /// silent on-disk corruption surfaces as an IoError, not wrong data.
-  uint64_t checksum = 0;
-  std::vector<ColumnStats> stats;  // one per column
-};
-
-/// \brief Options controlling file layout.
-struct WriterOptions {
-  /// Rows per row group: the pushdown skipping granularity.
-  int64_t row_group_size = 16 * 1024;
-  /// Free-form metadata recorded in the footer (e.g. the sort order used,
-  /// so loaders can verify locality assumptions).
-  std::vector<std::pair<std::string, std::string>> metadata;
-};
-
-/// \brief Writes a columnar table file: magic, row groups (one encoded
-/// chunk per column — delta-varint int64, bit-packed bool, dictionary
-/// binary), and a footer with schema, row-group metadata, and min/max
-/// statistics.
-class TableWriter {
- public:
-  static Result<std::unique_ptr<TableWriter>> Open(const std::string& path,
-                                                   Schema schema,
-                                                   WriterOptions options = {});
-  ~TableWriter();
-  TableWriter(const TableWriter&) = delete;
-  TableWriter& operator=(const TableWriter&) = delete;
-
-  /// Appends rows; flushes full row groups as they accumulate.
-  Status Append(const RecordBatch& batch);
-
-  /// Flushes the tail row group and writes the footer. Must be called; the
-  /// destructor does not finalize the file.
-  Status Close();
-
- private:
-  TableWriter(Schema schema, WriterOptions options);
-
-  Status FlushRowGroup();
-
-  Schema schema_;
-  WriterOptions options_;
-  RecordBatch buffer_;
-  std::string file_data_;
-  std::string path_;
-  std::vector<RowGroupMeta> row_groups_;
-  bool closed_ = false;
-};
-
-class Predicate;
-
-/// \brief Reads a columnar table file with optional predicate pushdown:
-/// row groups whose statistics cannot satisfy the predicate are skipped
-/// entirely; surviving rows are filtered exactly.
-class TableReader {
- public:
-  static Result<std::unique_ptr<TableReader>> Open(const std::string& path);
-
-  const Schema& schema() const { return schema_; }
-  size_t num_row_groups() const { return row_groups_.size(); }
-  const std::vector<RowGroupMeta>& row_groups() const { return row_groups_; }
-  const std::vector<std::pair<std::string, std::string>>& metadata() const {
-    return metadata_;
-  }
-  int64_t num_rows() const;
-
-  Result<RecordBatch> ReadRowGroup(size_t index) const;
-
-  /// Reads the whole file; with a predicate, applies row-group skipping
-  /// followed by exact row filtering. `groups_scanned` (optional) reports
-  /// how many row groups were actually decoded — the pushdown win.
-  Result<RecordBatch> Read(const Predicate* predicate = nullptr,
-                           size_t* groups_scanned = nullptr) const;
-
- private:
-  TableReader() = default;
-
-  Schema schema_;
-  std::vector<RowGroupMeta> row_groups_;
-  std::vector<std::pair<std::string, std::string>> metadata_;
-  std::string data_;
 };
 
 }  // namespace tgraph::storage

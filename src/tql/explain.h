@@ -29,7 +29,7 @@ struct StageStats {
   int64_t shuffles_rebalanced = 0;
   int64_t shuffle_hot_keys = 0;
 
-  // Storage pushdown (v1 row groups and v2 store partitions).
+  // Storage pushdown over store partitions.
   int64_t row_groups_total = 0;
   int64_t row_groups_scanned = 0;
   int64_t store_partitions_pruned = 0;

@@ -263,7 +263,7 @@ Result<std::string> Interpreter::Execute(const Statement& statement) {
     storage::GraphWriteOptions options;
     options.sort_order = store->sort;
     TG_RETURN_IF_ERROR(
-        storage::WriteVeGraph(as_ve.Coalesce().ve(), store->path, options));
+        storage::WriteVeStore(as_ve.Coalesce().ve(), store->path, options));
     return "stored " + store->name + " to '" + store->path + "'\n";
   }
   if (const auto* info = std::get_if<InfoStatement>(&statement)) {

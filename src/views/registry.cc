@@ -1,6 +1,5 @@
 #include "views/registry.h"
 
-#include <cstdio>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -8,8 +7,8 @@
 #include <variant>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/logging.h"
-#include "ingest/wal.h"
 #include "obs/metrics.h"
 #include "tql/canonical.h"
 #include "tql/parser.h"
@@ -224,22 +223,8 @@ Status ViewRegistry::SaveLocked() {
     text += view->definition().canonical;
     text += ";\n";
   }
-  const std::string tmp = options_.views_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.is_open()) return Status::IoError("open " + tmp);
-    out << text;
-    out.flush();
-    if (!out.good()) return Status::IoError("write " + tmp);
-  }
-  // The temp file's bytes must be durable before the rename publishes
-  // them, and the rename itself before the DDL is acknowledged.
-  TG_RETURN_IF_ERROR(ingest::FsyncPath(tmp));
-  if (std::rename(tmp.c_str(), options_.views_path.c_str()) != 0) {
-    return Status::IoError("rename " + tmp + " -> " + options_.views_path);
-  }
-  ingest::FsyncParentDir(options_.views_path);
-  return Status::OK();
+  // Durable before the DDL is acknowledged.
+  return WriteFileAtomic(options_.views_path, text);
 }
 
 }  // namespace tgraph::views

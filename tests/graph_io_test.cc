@@ -4,7 +4,8 @@
 
 #include <filesystem>
 
-#include "storage/table.h"
+#include "server/catalog.h"
+#include "storage/store_reader.h"
 #include "tests/test_util.h"
 #include "tgraph/convert.h"
 #include "tgraph/validate.h"
@@ -27,7 +28,7 @@ std::string TempDir(const std::string& name) {
 TEST(GraphIoTest, VeRoundTrip) {
   std::string dir = TempDir("ve_roundtrip");
   VeGraph g = Figure1();
-  TG_CHECK_OK(WriteVeGraph(g, dir));
+  TG_CHECK_OK(WriteVeStore(g, dir));
   Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(Canonical(*loaded), Canonical(g));
@@ -41,7 +42,7 @@ TEST(GraphIoTest, VeRoundTripBothSortOrders) {
     std::string dir = TempDir(std::string("ve_order_") + SortOrderName(order));
     GraphWriteOptions options;
     options.sort_order = order;
-    TG_CHECK_OK(WriteVeGraph(g, dir, options));
+    TG_CHECK_OK(WriteVeStore(g, dir, options));
     Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir);
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(Canonical(*loaded), Canonical(g)) << SortOrderName(order);
@@ -50,7 +51,7 @@ TEST(GraphIoTest, VeRoundTripBothSortOrders) {
 
 TEST(GraphIoTest, VeTimeRangeFilterClips) {
   std::string dir = TempDir("ve_range");
-  TG_CHECK_OK(WriteVeGraph(Figure1(), dir));
+  TG_CHECK_OK(WriteVeStore(Figure1(), dir));
   LoadOptions options;
   options.time_range = Interval(3, 6);
   Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir, options);
@@ -66,26 +67,10 @@ TEST(GraphIoTest, VeTimeRangeFilterClips) {
   TG_CHECK_OK(ValidateVe(*loaded));
 }
 
-TEST(GraphIoTest, PushdownSkipsGroupsOnStructurallySortedFile) {
-  VeGraph g = RandomTGraph(42, 200, 400, 100);
-  std::string dir = TempDir("ve_pushdown");
-  GraphWriteOptions options;
-  options.sort_order = SortOrder::kStructuralLocality;
-  options.row_group_size = 64;
-  TG_CHECK_OK(WriteVeGraph(g, dir, options));
-  LoadOptions load;
-  load.time_range = Interval(0, 10);
-  LoadMetrics metrics;
-  Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir, load, &metrics);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_GT(metrics.vertex_groups_total, 1u);
-  EXPECT_LT(metrics.vertex_groups_scanned, metrics.vertex_groups_total);
-}
-
 TEST(GraphIoTest, OgRoundTrip) {
   std::string dir = TempDir("og_roundtrip");
   OgGraph g = VeToOg(Figure1());
-  TG_CHECK_OK(WriteOgGraph(g, dir));
+  TG_CHECK_OK(WriteOgStore(g, dir));
   Result<OgGraph> loaded = LoadOgGraph(Ctx(), dir);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(Canonical(OgToVe(*loaded).Coalesce()),
@@ -95,7 +80,7 @@ TEST(GraphIoTest, OgRoundTrip) {
 
 TEST(GraphIoTest, OgTimeRangeClipsHistoriesAndEmbeddedCopies) {
   std::string dir = TempDir("og_range");
-  TG_CHECK_OK(WriteOgGraph(VeToOg(Figure1()), dir));
+  TG_CHECK_OK(WriteOgStore(VeToOg(Figure1()), dir));
   LoadOptions options;
   options.time_range = Interval(1, 6);
   Result<OgGraph> loaded = LoadOgGraph(Ctx(), dir, options);
@@ -112,7 +97,7 @@ TEST(GraphIoTest, OgTimeRangeClipsHistoriesAndEmbeddedCopies) {
 TEST(GraphIoTest, OgcRoundTrip) {
   std::string dir = TempDir("ogc_roundtrip");
   OgcGraph g = VeToOgc(Figure1());
-  TG_CHECK_OK(WriteOgcGraph(g, dir));
+  TG_CHECK_OK(WriteOgcStore(g, dir));
   Result<OgcGraph> loaded = LoadOgcGraph(Ctx(), dir);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->intervals(), g.intervals());
@@ -122,7 +107,7 @@ TEST(GraphIoTest, OgcRoundTrip) {
 
 TEST(GraphIoTest, OgcTimeRangeSlicesIndexAndBitsets) {
   std::string dir = TempDir("ogc_range");
-  TG_CHECK_OK(WriteOgcGraph(VeToOgc(Figure1()), dir));
+  TG_CHECK_OK(WriteOgcStore(VeToOgc(Figure1()), dir));
   LoadOptions options;
   options.time_range = Interval(2, 7);
   Result<OgcGraph> loaded = LoadOgcGraph(Ctx(), dir, options);
@@ -135,10 +120,11 @@ TEST(GraphIoTest, OgcTimeRangeSlicesIndexAndBitsets) {
   }
 }
 
-TEST(GraphIoTest, RgLoadsFromVeFiles) {
+TEST(GraphIoTest, RgLoadsFromVeStore) {
   std::string dir = TempDir("rg_load");
-  TG_CHECK_OK(WriteVeGraph(Figure1(), dir,
-                           {SortOrder::kStructuralLocality, 16 * 1024}));
+  GraphWriteOptions options;
+  options.sort_order = SortOrder::kStructuralLocality;
+  TG_CHECK_OK(WriteVeStore(Figure1(), dir, options));
   Result<RgGraph> loaded = LoadRgGraph(Ctx(), dir);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->NumSnapshots(), 4u);
@@ -149,7 +135,7 @@ TEST(GraphIoTest, RandomGraphRoundTripsExactly) {
   for (uint64_t seed : {51u, 52u}) {
     VeGraph g = RandomTGraph(seed);
     std::string dir = TempDir("ve_random_" + std::to_string(seed));
-    TG_CHECK_OK(WriteVeGraph(g, dir));
+    TG_CHECK_OK(WriteVeStore(g, dir));
     Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir);
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(Canonical(*loaded), Canonical(g)) << seed;
@@ -162,20 +148,77 @@ TEST(GraphIoTest, MissingDirectoryIsIoError) {
 }
 
 TEST(GraphIoTest, SortOrderRecordedInMetadata) {
-  std::string dir = TempDir("ve_meta");
-  GraphWriteOptions options;
-  options.sort_order = SortOrder::kStructuralLocality;
-  TG_CHECK_OK(WriteVeGraph(Figure1(), dir, options));
-  auto reader = TableReader::Open(dir + "/vertices.tcol");
-  ASSERT_TRUE(reader.ok());
-  bool found = false;
-  for (const auto& [key, value] : (*reader)->metadata()) {
-    if (key == "sort_order") {
-      EXPECT_EQ(value, "structural");
-      found = true;
-    }
+  for (SortOrder order :
+       {SortOrder::kTemporalLocality, SortOrder::kStructuralLocality}) {
+    std::string dir = TempDir(std::string("ve_meta_") + SortOrderName(order));
+    GraphWriteOptions options;
+    options.sort_order = order;
+    TG_CHECK_OK(WriteVeStore(Figure1(), dir, options));
+    auto reader = StoreReader::Open(StorePath(dir));
+    ASSERT_TRUE(reader.ok());
+    const std::string* value = (*reader)->FindMetadata("sort_order");
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, SortOrderName(order));
+    EXPECT_EQ(*(*reader)->FindMetadata("representation"), "ve");
   }
-  EXPECT_TRUE(found);
+}
+
+TEST(GraphIoTest, WritersLeaveOnlyTheStore) {
+  std::string dir = TempDir("only_store");
+  TG_CHECK_OK(WriteVeStore(Figure1(), dir));
+  TG_CHECK_OK(WriteVeStore(RandomTGraph(43), dir));
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"graph.tgs"});
+}
+
+/// A reader that mapped a directory's store before a rewrite keeps
+/// loading the graph it opened, with every segment checksum verifying:
+/// the writer renames a new file into place instead of truncating the
+/// mapped one.
+TEST(GraphIoTest, RewriteDoesNotTearAnOpenReader) {
+  std::string dir = TempDir("rewrite_under_reader");
+  const VeGraph old_graph = RandomTGraph(61, 120, 240, 40);
+  const VeGraph new_graph = Figure1();
+  GraphWriteOptions options;
+  options.row_group_size = 32;
+  TG_CHECK_OK(WriteVeStore(old_graph, dir, options));
+  Result<std::unique_ptr<StoreReader>> reader =
+      StoreReader::Open(StorePath(dir));
+  ASSERT_TRUE(reader.ok());
+
+  TG_CHECK_OK(WriteVeStore(new_graph, dir, options));
+
+  // No segment was touched before the rewrite, so this load verifies and
+  // decodes every segment of the old mapping now.
+  Result<VeGraph> old_loaded = LoadVeGraphFromStore(Ctx(), **reader);
+  ASSERT_TRUE(old_loaded.ok()) << old_loaded.status().ToString();
+  EXPECT_EQ(Canonical(*old_loaded), Canonical(old_graph));
+  Result<VeGraph> new_loaded = LoadVeGraph(Ctx(), dir);
+  ASSERT_TRUE(new_loaded.ok());
+  EXPECT_EQ(Canonical(*new_loaded), Canonical(new_graph));
+}
+
+/// `tgz save-store --rep og` followed by `tgz info`: a VE load of a store
+/// holding another representation fails with a Status naming the missing
+/// table, through the plain loader and through the server's catalog.
+TEST(GraphIoTest, VeLoadOfOgStoreNamesTheMissingTable) {
+  std::string dir = TempDir("og_only");
+  TG_CHECK_OK(WriteOgStore(VeToOg(Figure1()), dir));
+  Status plain = LoadVeGraph(Ctx(), dir).status();
+  EXPECT_TRUE(plain.IsIoError());
+  EXPECT_NE(plain.ToString().find("no 'vertices' table"), std::string::npos)
+      << plain.ToString();
+  EXPECT_NE(plain.ToString().find("og representation"), std::string::npos)
+      << plain.ToString();
+
+  server::GraphCatalog catalog(Ctx());
+  Status served = catalog.GetOrLoad(dir, std::nullopt).status();
+  EXPECT_TRUE(served.IsIoError());
+  EXPECT_NE(served.ToString().find("no 'vertices' table"), std::string::npos)
+      << served.ToString();
 }
 
 }  // namespace

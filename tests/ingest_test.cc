@@ -534,6 +534,45 @@ TEST_F(LiveGraphTest, ReopenAfterCompactionSkipsDuplicateReplay) {
   ASSERT_TRUE((*reopened)->Close().ok());
 }
 
+/// A crash inside WriteFileAtomic leaves a `*.tmp` beside the file it was
+/// replacing (a generation, CURRENT or the WAL). Nothing names it, so
+/// reopening removes it and keeps everything else.
+TEST_F(LiveGraphTest, ReopenRemovesLeftoverTempFiles) {
+  std::string dir = Dir("tmp_gc");
+  const std::vector<std::vector<Event>> batches = Workload();
+  {
+    Result<std::unique_ptr<LiveGraph>> live =
+        LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+    ASSERT_TRUE(live.ok()) << live.status();
+    ASSERT_TRUE((*live)->Append(batches[0]).ok());
+    ASSERT_TRUE((*live)->Compact().ok());
+    ASSERT_TRUE((*live)->Append(batches[1]).ok());
+    ASSERT_TRUE((*live)->Close().ok());
+  }
+  std::set<std::string> kept;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    kept.insert(entry.path().filename().string());
+  }
+  for (const char* leftover :
+       {"gen-000002.tgs.4242.0.tmp", "CURRENT.4242.1.tmp", "wal.4242.2.tmp"}) {
+    std::ofstream(dir + "/" + leftover) << "torn";
+  }
+  Result<std::unique_ptr<LiveGraph>> reopened =
+      LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  std::set<std::string> after;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    after.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(after, kept);
+  Result<const VeGraph*> merged = (*reopened)->snapshot()->Graph();
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ(testing::Canonical(**merged),
+            testing::Canonical(
+                OfflineBuild(batches, (*reopened)->horizon(), 2)));
+  ASSERT_TRUE((*reopened)->Close().ok());
+}
+
 TEST_F(LiveGraphTest, SnapshotIsolationAcrossAppendAndCompaction) {
   std::string dir = Dir("isolation");
   Result<std::unique_ptr<LiveGraph>> live =

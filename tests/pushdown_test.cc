@@ -3,11 +3,17 @@
 #include <filesystem>
 
 #include "common/logging.h"
+#include "storage/graph_io.h"
 #include "storage/predicate.h"
+#include "storage/store_reader.h"
+#include "storage/store_writer.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 
 namespace tgraph::storage {
 namespace {
+
+using ::tgraph::testing::Ctx;
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -19,25 +25,62 @@ Schema TimeSchema() {
                  {"end", ColumnType::kInt64}}};
 }
 
-// 1000 rows sorted by start; row i valid over [i, i+5).
-std::string WriteSortedFile(const std::string& name, int64_t group_size) {
+/// 1000 rows, row i valid over [s, s+5) with s = order(i), in 100-row v3
+/// partitions.
+template <typename Order>
+std::string WriteStoreFile(const std::string& name, const Order& order) {
   std::string path = TempPath(name);
-  WriterOptions options;
-  options.row_group_size = group_size;
-  auto writer = TableWriter::Open(path, TimeSchema(), options);
+  StoreWriterOptions options;
+  options.partition_rows = 100;
+  auto writer = StoreWriter::Open(path, options);
   TG_CHECK(writer.ok());
+  int t = (*writer)->AddTable("rows", TimeSchema());
   RecordBatch batch;
   batch.schema = TimeSchema();
   batch.columns.resize(3);
   for (int64_t i = 0; i < 1000; ++i) {
-    batch.columns[0].ints.push_back(i);
-    batch.columns[1].ints.push_back(i);
-    batch.columns[2].ints.push_back(i + 5);
+    const int64_t s = order(i);
+    batch.columns[0].ints.push_back(s);
+    batch.columns[1].ints.push_back(s);
+    batch.columns[2].ints.push_back(s + 5);
   }
   batch.num_rows = 1000;
-  TG_CHECK_OK((*writer)->Append(batch));
+  TG_CHECK_OK((*writer)->Append(t, batch));
   TG_CHECK_OK((*writer)->Close());
   return path;
+}
+
+std::string WriteSortedFile(const std::string& name) {
+  return WriteStoreFile(name, [](int64_t i) { return i; });
+}
+
+/// What a loader does with one table: prune partitions by zone map
+/// (`predicate` may be null), decode the survivors, and count the rows
+/// overlapping `query`.
+struct Scan {
+  size_t partitions_decoded = 0;
+  int64_t rows = 0;
+};
+
+Scan ScanOverlapping(const StoreReader& reader, const Predicate* predicate,
+                     Interval query) {
+  Scan scan;
+  const int t = reader.FindTable("rows");
+  for (size_t p = 0; p < reader.table(t).partitions.size(); ++p) {
+    if (predicate != nullptr &&
+        !reader.PartitionMaybeMatches(t, p, *predicate)) {
+      continue;
+    }
+    ++scan.partitions_decoded;
+    auto starts = reader.Int64Column(t, p, 1);
+    auto ends = reader.Int64Column(t, p, 2);
+    TG_CHECK_OK(starts.status());
+    TG_CHECK_OK(ends.status());
+    for (size_t i = 0; i < starts->size(); ++i) {
+      if (Interval((*starts)[i], (*ends)[i]).Overlaps(query)) ++scan.rows;
+    }
+  }
+  return scan;
 }
 
 TEST(PredicateTest, MaybeMatchesUsesStats) {
@@ -68,88 +111,96 @@ TEST(PredicateTest, UnknownColumnsAreConservative) {
   EXPECT_TRUE(odd.MaybeMatches(schema, stats));
 }
 
-TEST(PredicateTest, RowLevelEvaluation) {
-  RecordBatch batch;
-  batch.schema = TimeSchema();
-  batch.columns.resize(3);
-  batch.columns[0].ints = {1, 2};
-  batch.columns[1].ints = {10, 50};
-  batch.columns[2].ints = {20, 60};
-  batch.num_rows = 2;
-  Predicate p = Predicate::IntervalOverlaps("start", "end", Interval(15, 30));
-  EXPECT_TRUE(p.Matches(batch, 0));   // [10,20) overlaps [15,30)
-  EXPECT_FALSE(p.Matches(batch, 1));  // [50,60) does not
-}
-
-TEST(PushdownTest, SkipsRowGroupsOutsideRange) {
-  std::string path = WriteSortedFile("pushdown_sorted.tcol", 100);
-  auto reader = TableReader::Open(path);
+TEST(PushdownTest, PrunesPartitionsOutsideRange) {
+  auto reader = StoreReader::Open(WriteSortedFile("pushdown_sorted.tgs"));
   ASSERT_TRUE(reader.ok());
-  ASSERT_EQ((*reader)->num_row_groups(), 10u);
+  ASSERT_EQ((*reader)->table(0).partitions.size(), 10u);
 
-  Predicate p = Predicate::IntervalOverlaps("start", "end", Interval(250, 260));
-  size_t scanned = 0;
-  Result<RecordBatch> result = (*reader)->Read(&p, &scanned);
-  ASSERT_TRUE(result.ok());
+  const Interval query(250, 260);
+  Predicate p = Predicate::IntervalOverlaps("start", "end", query);
+  Scan scan = ScanOverlapping(**reader, &p, query);
   // Rows overlapping [250,260): starts 246..259 -> 14 rows.
-  EXPECT_EQ(result->num_rows, 14);
-  // Sorted file: only 1-2 of 10 groups may be touched.
-  EXPECT_LE(scanned, 2u);
+  EXPECT_EQ(scan.rows, 14);
+  // Sorted file: only 1-2 of 10 partitions may be decoded.
+  EXPECT_LE(scan.partitions_decoded, 2u);
 }
 
-TEST(PushdownTest, UnsortedFileScansMoreGroups) {
-  // Same data, shuffled: stats ranges widen and skipping degrades — this is
-  // exactly why the loaders sort (Section 4).
-  std::string path = TempPath("pushdown_shuffled.tcol");
-  WriterOptions options;
-  options.row_group_size = 100;
-  auto writer = TableWriter::Open(path, TimeSchema(), options);
-  ASSERT_TRUE(writer.ok());
-  RecordBatch batch;
-  batch.schema = TimeSchema();
-  batch.columns.resize(3);
+TEST(PushdownTest, UnsortedFileDecodesMorePartitions) {
+  // Same data, shuffled: zone maps widen and pruning degrades — this is
+  // exactly why the writers sort (Section 4).
+  auto reader = StoreReader::Open(WriteStoreFile(
+      "pushdown_shuffled.tgs", [](int64_t i) { return (i * 617) % 1000; }));
+  ASSERT_TRUE(reader.ok());
+  const Interval query(250, 260);
+  Predicate p = Predicate::IntervalOverlaps("start", "end", query);
+  Scan scan = ScanOverlapping(**reader, &p, query);
+  EXPECT_EQ(scan.rows, 14);                  // same rows either way
+  EXPECT_EQ(scan.partitions_decoded, 10u);   // but every partition decoded
+}
+
+TEST(PushdownTest, NoPredicateDecodesEverything) {
+  auto reader = StoreReader::Open(WriteSortedFile("pushdown_all.tgs"));
+  ASSERT_TRUE(reader.ok());
+  Scan scan = ScanOverlapping(**reader, nullptr, Interval(0, 2000));
+  EXPECT_EQ(scan.rows, 1000);
+  EXPECT_EQ(scan.partitions_decoded, 10u);
+}
+
+TEST(PushdownTest, NothingDecodedWhenRangeBeyondData) {
+  auto reader = StoreReader::Open(WriteSortedFile("pushdown_empty.tgs"));
+  ASSERT_TRUE(reader.ok());
+  const Interval query(5000, 6000);
+  Predicate p = Predicate::IntervalOverlaps("start", "end", query);
+  Scan scan = ScanOverlapping(**reader, &p, query);
+  EXPECT_EQ(scan.rows, 0);
+  EXPECT_EQ(scan.partitions_decoded, 0u);
+}
+
+/// 1000 vertices; vertex (i * 617) % 1000 lives over [i, i + 5), so an id
+/// order and a time order disagree.
+VeGraph ScatteredGraph() {
+  std::vector<VeVertex> vertices;
   for (int64_t i = 0; i < 1000; ++i) {
-    int64_t j = (i * 617) % 1000;  // deterministic shuffle
-    batch.columns[0].ints.push_back(j);
-    batch.columns[1].ints.push_back(j);
-    batch.columns[2].ints.push_back(j + 5);
+    vertices.push_back(VeVertex{(i * 617) % 1000, Interval(i, i + 5), {}});
   }
-  batch.num_rows = 1000;
-  TG_CHECK_OK((*writer)->Append(batch));
-  TG_CHECK_OK((*writer)->Close());
-
-  auto reader = TableReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  Predicate p = Predicate::IntervalOverlaps("start", "end", Interval(250, 260));
-  size_t scanned = 0;
-  Result<RecordBatch> result = (*reader)->Read(&p, &scanned);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_rows, 14);  // same rows either way
-  EXPECT_EQ(scanned, 10u);          // but every group decoded
+  return VeGraph::Create(Ctx(), std::move(vertices), {}, Interval(0, 1005));
 }
 
-TEST(PushdownTest, NoPredicateReadsEverything) {
-  std::string path = WriteSortedFile("pushdown_all.tcol", 100);
-  auto reader = TableReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  size_t scanned = 0;
-  Result<RecordBatch> result = (*reader)->Read(nullptr, &scanned);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_rows, 1000);
-  EXPECT_EQ(scanned, 10u);
-}
-
-TEST(PushdownTest, EmptyResultWhenRangeBeyondData) {
-  std::string path = WriteSortedFile("pushdown_empty.tcol", 100);
-  auto reader = TableReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  Predicate p =
-      Predicate::IntervalOverlaps("start", "end", Interval(5000, 6000));
-  size_t scanned = 0;
-  Result<RecordBatch> result = (*reader)->Read(&p, &scanned);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_rows, 0);
-  EXPECT_EQ(scanned, 0u);
+/// The graph loaders prune by the same zone maps. Which sort order
+/// prunes well depends on what the query slices: a time range only prunes
+/// the structurally sorted (start, id) store. Both orders load the same
+/// rows, with pushdown on and off.
+TEST(PushdownTest, GraphLoadPrunesUnderStructuralSortOnly) {
+  const VeGraph graph = ScatteredGraph();
+  LoadOptions load;
+  load.time_range = Interval(250, 260);
+  int64_t expected_rows = -1;
+  for (SortOrder order :
+       {SortOrder::kStructuralLocality, SortOrder::kTemporalLocality}) {
+    SCOPED_TRACE(SortOrderName(order));
+    const std::string dir =
+        TempPath(std::string("pushdown_graph_") + SortOrderName(order));
+    GraphWriteOptions write;
+    write.sort_order = order;
+    write.row_group_size = 100;
+    ASSERT_TRUE(WriteVeStore(graph, dir, write).ok());
+    for (bool pushdown : {true, false}) {
+      load.pushdown = pushdown;
+      LoadMetrics metrics;
+      Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir, load, &metrics);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      const int64_t rows = loaded->vertices().Count();
+      if (expected_rows < 0) expected_rows = rows;
+      EXPECT_EQ(rows, expected_rows);
+      EXPECT_EQ(metrics.vertex_groups_total, 10u);
+      const size_t expected_scanned =
+          !pushdown ? 10u
+                    : (order == SortOrder::kStructuralLocality ? 1u : 10u);
+      EXPECT_LE(metrics.vertex_groups_scanned, expected_scanned + 1);
+      EXPECT_GE(metrics.vertex_groups_scanned, expected_scanned);
+    }
+  }
+  EXPECT_EQ(expected_rows, 14);
 }
 
 }  // namespace

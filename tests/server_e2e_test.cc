@@ -73,7 +73,7 @@ class ServerE2eTest : public ::testing::Test {
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     dir_ = tmpl;
     graph_dir_ = dir_ + "/fig1";
-    ASSERT_TRUE(storage::WriteVeGraph(testing::Figure1(), graph_dir_,
+    ASSERT_TRUE(storage::WriteVeStore(testing::Figure1(), graph_dir_,
                                       storage::GraphWriteOptions())
                     .ok());
   }

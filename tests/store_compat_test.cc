@@ -1,9 +1,10 @@
 // Backward-compatibility regression for tgraph-store v2: kFixtureV2Hex
 // is the byte-exact graph.tgs a pre-v3 release wrote for the paper's
 // Figure 1 graph (row_group_size = 2, temporal sort). The current reader
-// must load it bit-for-bit correctly forever, and the current writer in
-// --store-version 2 mode must still produce these exact bytes — byte-level
-// compat in both directions, pinned without needing old binaries around.
+// must load it bit-for-bit correctly forever, and the current writer with
+// GraphWriteOptions::store_version = 2 (a library-only reference mode) must
+// still produce these exact bytes — byte-level compat in both directions,
+// pinned without needing old binaries around.
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,8 @@
-// Differential tests for tgraph-store v2: for every physical
-// representation, a graph written as a v2 container and loaded through the
-// memory-mapped reader must be canonically identical to the same graph
-// written as v1 text columns and loaded through the streaming reader —
-// with and without a temporal slice, with predicate pushdown on and off.
+// Differential tests for tgraph-store v3: for every physical
+// representation, a graph written as a store container and loaded through
+// the memory-mapped reader must be canonically identical to the same
+// graph held in memory (sliced in memory when the load is ranged) — with
+// and without a temporal slice, with predicate pushdown on and off.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "storage/store_reader.h"
 #include "tests/test_util.h"
 #include "tgraph/convert.h"
+#include "tgraph/slice.h"
 
 namespace tgraph::storage {
 namespace {
@@ -31,9 +32,8 @@ std::string TempDir(const std::string& name) {
   return dir;
 }
 
-// The cross product the acceptance criterion names: each case loads the
-// text dir and the store dir with the same options and compares canonical
-// forms.
+// Each case loads the store dir with these options and compares the
+// result with the in-memory graph, sliced by the same range.
 struct SliceCase {
   std::optional<Interval> range;
   bool pushdown;
@@ -46,96 +46,75 @@ std::vector<SliceCase> AllSliceCases() {
           {Interval(2, 7), false}};
 }
 
-TEST(StoreDifferentialTest, VeMatchesTextLoad) {
+std::string CaseName(const SliceCase& c) {
+  return "range=" + (c.range ? c.range->ToString() : std::string("none")) +
+         " pushdown=" + (c.pushdown ? "on" : "off");
+}
+
+LoadOptions CaseOptions(const SliceCase& c) {
+  LoadOptions options;
+  options.time_range = c.range;
+  options.pushdown = c.pushdown;
+  return options;
+}
+
+TEST(StoreDifferentialTest, VeMatchesInMemory) {
   VeGraph g = RandomTGraph(7, 40, 80, 25);
-  std::string text_dir = TempDir("store_diff_ve_text");
-  std::string store_dir = TempDir("store_diff_ve_store");
-  TG_CHECK_OK(WriteVeGraph(g, text_dir));
+  std::string store_dir = TempDir("store_diff_ve");
   TG_CHECK_OK(WriteVeStore(g, store_dir));
-  ASSERT_TRUE(HasStore(store_dir));
-  ASSERT_FALSE(HasStore(text_dir));
   for (const SliceCase& c : AllSliceCases()) {
-    LoadOptions options;
-    options.time_range = c.range;
-    options.pushdown = c.pushdown;
-    Result<VeGraph> from_text = LoadVeGraph(Ctx(), text_dir, options);
-    Result<VeGraph> from_store = LoadVeGraph(Ctx(), store_dir, options);
-    TG_CHECK_OK(from_text.status());
-    TG_CHECK_OK(from_store.status());
-    EXPECT_EQ(Canonical(*from_store), Canonical(*from_text))
-        << "range=" << (c.range ? c.range->ToString() : "none")
-        << " pushdown=" << c.pushdown;
+    Result<VeGraph> loaded = LoadVeGraph(Ctx(), store_dir, CaseOptions(c));
+    TG_CHECK_OK(loaded.status());
+    VeGraph expected = c.range ? SliceVe(g, *c.range) : g;
+    EXPECT_EQ(Canonical(*loaded), Canonical(expected)) << CaseName(c);
   }
-  std::filesystem::remove_all(text_dir);
   std::filesystem::remove_all(store_dir);
 }
 
-TEST(StoreDifferentialTest, RgMatchesTextLoad) {
+TEST(StoreDifferentialTest, RgMatchesInMemory) {
   VeGraph g = RandomTGraph(11, 30, 60, 20);
-  std::string text_dir = TempDir("store_diff_rg_text");
-  std::string store_dir = TempDir("store_diff_rg_store");
-  TG_CHECK_OK(WriteVeGraph(g, text_dir));
+  std::string store_dir = TempDir("store_diff_rg");
   TG_CHECK_OK(WriteVeStore(g, store_dir));
+  RgGraph rg = VeToRg(g);
   for (const SliceCase& c : AllSliceCases()) {
-    LoadOptions options;
-    options.time_range = c.range;
-    options.pushdown = c.pushdown;
-    Result<RgGraph> from_text = LoadRgGraph(Ctx(), text_dir, options);
-    Result<RgGraph> from_store = LoadRgGraph(Ctx(), store_dir, options);
-    TG_CHECK_OK(from_text.status());
-    TG_CHECK_OK(from_store.status());
-    EXPECT_EQ(Canonical(RgToVe(*from_store).Coalesce()),
-              Canonical(RgToVe(*from_text).Coalesce()))
-        << "range=" << (c.range ? c.range->ToString() : "none")
-        << " pushdown=" << c.pushdown;
+    Result<RgGraph> loaded = LoadRgGraph(Ctx(), store_dir, CaseOptions(c));
+    TG_CHECK_OK(loaded.status());
+    RgGraph expected = c.range ? SliceRg(rg, *c.range) : rg;
+    EXPECT_EQ(Canonical(RgToVe(*loaded).Coalesce()),
+              Canonical(RgToVe(expected).Coalesce()))
+        << CaseName(c);
   }
-  std::filesystem::remove_all(text_dir);
   std::filesystem::remove_all(store_dir);
 }
 
-TEST(StoreDifferentialTest, OgMatchesTextLoad) {
+TEST(StoreDifferentialTest, OgMatchesInMemory) {
   OgGraph og = VeToOg(RandomTGraph(13, 35, 70, 22));
-  std::string text_dir = TempDir("store_diff_og_text");
-  std::string store_dir = TempDir("store_diff_og_store");
-  TG_CHECK_OK(WriteOgGraph(og, text_dir));
+  std::string store_dir = TempDir("store_diff_og");
   TG_CHECK_OK(WriteOgStore(og, store_dir));
   for (const SliceCase& c : AllSliceCases()) {
-    LoadOptions options;
-    options.time_range = c.range;
-    options.pushdown = c.pushdown;
-    Result<OgGraph> from_text = LoadOgGraph(Ctx(), text_dir, options);
-    Result<OgGraph> from_store = LoadOgGraph(Ctx(), store_dir, options);
-    TG_CHECK_OK(from_text.status());
-    TG_CHECK_OK(from_store.status());
-    EXPECT_EQ(Canonical(OgToVe(*from_store).Coalesce()),
-              Canonical(OgToVe(*from_text).Coalesce()))
-        << "range=" << (c.range ? c.range->ToString() : "none")
-        << " pushdown=" << c.pushdown;
+    Result<OgGraph> loaded = LoadOgGraph(Ctx(), store_dir, CaseOptions(c));
+    TG_CHECK_OK(loaded.status());
+    OgGraph expected = c.range ? SliceOg(og, *c.range) : og;
+    EXPECT_EQ(Canonical(OgToVe(*loaded).Coalesce()),
+              Canonical(OgToVe(expected).Coalesce()))
+        << CaseName(c);
   }
-  std::filesystem::remove_all(text_dir);
   std::filesystem::remove_all(store_dir);
 }
 
-TEST(StoreDifferentialTest, OgcMatchesTextLoad) {
+TEST(StoreDifferentialTest, OgcMatchesInMemory) {
   OgcGraph ogc = VeToOgc(RandomTGraph(17, 30, 60, 20));
-  std::string text_dir = TempDir("store_diff_ogc_text");
-  std::string store_dir = TempDir("store_diff_ogc_store");
-  TG_CHECK_OK(WriteOgcGraph(ogc, text_dir));
+  std::string store_dir = TempDir("store_diff_ogc");
   TG_CHECK_OK(WriteOgcStore(ogc, store_dir));
   for (const SliceCase& c : AllSliceCases()) {
-    LoadOptions options;
-    options.time_range = c.range;
-    options.pushdown = c.pushdown;
-    Result<OgcGraph> from_text = LoadOgcGraph(Ctx(), text_dir, options);
-    Result<OgcGraph> from_store = LoadOgcGraph(Ctx(), store_dir, options);
-    TG_CHECK_OK(from_text.status());
-    TG_CHECK_OK(from_store.status());
-    EXPECT_EQ(CanonicalTopology(OgcToVe(*from_store)),
-              CanonicalTopology(OgcToVe(*from_text)))
-        << "range=" << (c.range ? c.range->ToString() : "none")
-        << " pushdown=" << c.pushdown;
+    Result<OgcGraph> loaded = LoadOgcGraph(Ctx(), store_dir, CaseOptions(c));
+    TG_CHECK_OK(loaded.status());
+    OgcGraph expected = c.range ? SliceOgc(ogc, *c.range) : ogc;
+    EXPECT_EQ(loaded->intervals(), expected.intervals()) << CaseName(c);
+    EXPECT_EQ(CanonicalTopology(OgcToVe(*loaded)),
+              CanonicalTopology(OgcToVe(expected)))
+        << CaseName(c);
   }
-  std::filesystem::remove_all(text_dir);
   std::filesystem::remove_all(store_dir);
 }
 

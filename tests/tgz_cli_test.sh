@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end smoke test of the tgz command-line tool: every subcommand,
-# composed through the on-disk columnar format — plus a tgzd
+# composed through the tgraph-store v3 container — plus a tgzd
 # start-serve-query-shutdown cycle when the server binary is given.
 set -e
 TGZ="$1"
@@ -14,6 +14,10 @@ cleanup() {
 trap cleanup EXIT
 
 "$TGZ" generate --dataset snb --out "$DIR/base" --scale 0.1 --seed 7
+# Every writer emits one v3 store and nothing else.
+test -f "$DIR/base/graph.tgs"
+test "$(ls "$DIR/base")" = "graph.tgs"
+head -c 8 "$DIR/base/graph.tgs" | grep -q "TGSTORE3"
 "$TGZ" info --in "$DIR/base" | grep -q "vertices       500"
 "$TGZ" slice --in "$DIR/base" --out "$DIR/slice" --from 6 --to 30
 "$TGZ" info --in "$DIR/slice" | grep -q "lifetime       \[6, 30)"
@@ -47,8 +51,8 @@ if "$TGZ" info --in "$DIR/nonexistent" 2>/dev/null; then
   exit 1
 fi
 
-# --- tgraph-store v2: save-store writes a container, every reader
-# auto-detects it ---------------------------------------------------------
+# --- save-store rewrites the store with other partitioning or another
+# representation -----------------------------------------------------------
 "$TGZ" save-store --in "$DIR/base" --out "$DIR/store" --partition-rows 256
 test -f "$DIR/store/graph.tgs"
 "$TGZ" info --in "$DIR/store" | grep -q "vertices       500"
@@ -57,6 +61,12 @@ test -f "$DIR/store/graph.tgs"
 "$TGZ" info --in "$DIR/store_slice" | grep -q "lifetime       \[6, 30)"
 "$TGZ" save-store --in "$DIR/base" --out "$DIR/store_og" --rep og
 test -f "$DIR/store_og/graph.tgs"
+# A VE load of an og-only store names the table it lacks.
+if "$TGZ" info --in "$DIR/store_og" 2> "$DIR/og.err" > /dev/null; then
+  echo "expected nonzero exit for info on an og store" >&2
+  exit 1
+fi
+grep -q "no 'vertices' table" "$DIR/og.err"
 if "$TGZ" save-store --in "$DIR/base" 2>/dev/null; then
   echo "expected nonzero exit for save-store without --out" >&2
   exit 1

@@ -23,7 +23,7 @@ class ExplainTest : public ::testing::Test {
     dir_ = (std::filesystem::temp_directory_path() / "tql_explain_fixture")
                .string();
     std::filesystem::remove_all(dir_);
-    TG_CHECK_OK(storage::WriteVeGraph(Figure1(), dir_));
+    TG_CHECK_OK(storage::WriteVeStore(Figure1(), dir_));
   }
 
   std::string MustRun(const std::string& script) {

@@ -22,7 +22,7 @@ class InterpreterTest : public ::testing::Test {
     // Bind the running example under the name g1 via a stored file.
     dir_ = (std::filesystem::temp_directory_path() / "tql_fixture").string();
     std::filesystem::remove_all(dir_);
-    TG_CHECK_OK(storage::WriteVeGraph(Figure1(), dir_));
+    TG_CHECK_OK(storage::WriteVeStore(Figure1(), dir_));
   }
 
   std::string MustRun(const std::string& script) {

@@ -22,13 +22,12 @@
 //                                (fetch server metrics / cache stats)
 //   tgz metrics --connect host:port (Prometheus text exposition)
 //   tgz save-store --in DIR --out DIR [--rep ve|og|ogc]
-//                                (convert to the mmap'd tgraph-store v2)
+//                                (rewrite as another representation)
 //   tgz repl                     (interactive TQL, statements end with ;)
 //
-// Graph directories hold either the v1 columnar files (vertices.tcol +
-// edges.tcol) or a tgraph-store v2 container (graph.tgs, docs/FORMAT.md);
-// loads auto-detect which one is present, so every command composes with
-// every other.
+// A graph directory holds one tgraph-store v3 container (graph.tgs,
+// docs/FORMAT.md); every command reads and writes it, so every command
+// composes with every other.
 
 #include <cstdio>
 #include <cstdlib>
@@ -128,7 +127,7 @@ void StoreOutput(const VeGraph& graph, const Flags& flags) {
   if (flags.GetOr("sort", "temporal") == "structural") {
     options.sort_order = storage::SortOrder::kStructuralLocality;
   }
-  DieOnError(storage::WriteVeGraph(graph, flags.Get("out"), options));
+  DieOnError(storage::WriteVeStore(graph, flags.Get("out"), options));
   gen::DatasetStats stats = gen::ComputeStats(graph);
   std::printf("wrote %s: %s\n", flags.Get("out").c_str(),
               stats.ToString().c_str());
@@ -466,12 +465,6 @@ int SaveStore(const Flags& flags) {
   }
   options.row_group_size =
       flags.GetIntOr("partition-rows", options.row_group_size);
-  int64_t store_version = flags.GetIntOr("store-version", 3);
-  if (store_version != 2 && store_version != 3) {
-    Flags::Die("unknown --store-version " + std::to_string(store_version) +
-               " (use 2 for raw segments, 3 for encoded)");
-  }
-  options.store_version = static_cast<uint32_t>(store_version);
   std::string rep = flags.GetOr("rep", "ve");
   std::string out = flags.Get("out");
   if (rep == "ve") {
@@ -483,9 +476,8 @@ int SaveStore(const Flags& flags) {
   } else {
     Flags::Die("unknown representation '" + rep + "' (use ve|og|ogc)");
   }
-  std::printf("wrote %s (tgraph-store v%lld, %s)\n",
-              storage::StorePath(out).c_str(),
-              static_cast<long long>(store_version), rep.c_str());
+  std::printf("wrote %s (tgraph-store v3, %s)\n",
+              storage::StorePath(out).c_str(), rep.c_str());
   return 0;
 }
 
@@ -549,13 +541,11 @@ int Help(std::FILE* out) {
       "  metrics     --connect host:port  (Prometheus text exposition)\n"
       "  save-store  --in DIR --out DIR [--rep ve|og|ogc]\n"
       "              [--partition-rows N] [--sort temporal|structural]\n"
-      "              [--store-version 2|3]  (3 = per-segment encodings\n"
-      "              with raw fallback; 2 = raw v2 layout)\n"
+      "              (rewrite the store as another representation)\n"
       "  repl        (interactive TQL; statements end with ';')\n"
       "\n"
-      "Graph dirs hold v1 columnar files (vertices.tcol) or a tgraph-store\n"
-      "v2/v3 container (graph.tgs); loads auto-detect by magic. See\n"
-      "docs/FORMAT.md for the on-disk formats and README.md for the full\n"
+      "A graph dir holds one tgraph-store v3 container (graph.tgs). See\n"
+      "docs/FORMAT.md for the on-disk format and README.md for the full\n"
       "flag and environment-variable reference.\n");
   return out == stdout ? 0 : 2;
 }

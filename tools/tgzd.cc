@@ -108,10 +108,10 @@ int Help(std::FILE* out) {
       "                      it counts overflows instead of evicting\n"
       "                      (default 1024; env TGRAPH_DECODE_CACHE_MB)\n"
       "  --help              print this help and exit\n"
-      "Graph dirs named in TQL LOAD statements hold v1 columnar files or a\n"
-      "tgraph-store v2/v3 container (graph.tgs, docs/FORMAT.md); the catalog\n"
-      "auto-detects and serves store dirs off one shared mmap — and one\n"
-      "shared decoded-segment cache — per directory.\n");
+      "Graph dirs named in TQL LOAD statements hold a tgraph-store\n"
+      "container (graph.tgs, docs/FORMAT.md); the catalog serves each off\n"
+      "one shared mmap — and one shared decoded-segment cache — per\n"
+      "directory.\n");
   return out == stdout ? 0 : 2;
 }
 
