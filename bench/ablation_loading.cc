@@ -19,6 +19,7 @@
 // trajectory to BENCH_loading.json (override the path with argv[1]).
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -26,7 +27,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "obs/trace.h"
 #include "storage/graph_io.h"
+#include "storage/predicate.h"
 #include "storage/store_reader.h"
 
 namespace {
@@ -43,9 +46,36 @@ std::string Dir(const std::string& dataset, SortOrder order) {
       .string();
 }
 
+/// Partitions of one table a load decodes, out of the table's total.
+struct TablePartitions {
+  int64_t decoded = 0;
+  int64_t total = 0;
+};
+
+/// What a load of `store` over `range` decodes per table, read off the
+/// zone maps the loader prunes by (the range lies inside the lifetime, so
+/// the loader's clip is the range itself).
+TablePartitions CountPartitions(const StoreReader& store,
+                                const std::string& table,
+                                const std::optional<Interval>& range) {
+  const int t = store.FindTable(table);
+  TG_CHECK(t >= 0) << "no table " << table;
+  TablePartitions out;
+  out.total = static_cast<int64_t>(store.table(t).partitions.size());
+  for (size_t p = 0; p < store.table(t).partitions.size(); ++p) {
+    if (!range.has_value() ||
+        store.PartitionMaybeMatches(
+            t, p, Predicate::IntervalOverlaps("start", "end", *range))) {
+      ++out.decoded;
+    }
+  }
+  return out;
+}
+
 struct Cell {
   Samples time;
-  LoadMetrics metrics;  // of the last repetition (identical every time)
+  TablePartitions vertices;
+  TablePartitions edges;
 };
 
 /// Times kRepeats loads of `dir`; `warm` shares one primed reader.
@@ -62,16 +92,26 @@ Cell Measure(const std::string& dir, bool warm,
     TG_CHECK_OK(LoadVeGraphFromStore(Ctx(), *shared, options).status());
   }
   Cell cell;
+  {
+    Result<std::unique_ptr<StoreReader>> reader =
+        StoreReader::Open(StorePath(dir));
+    TG_CHECK_OK(reader.status());
+    cell.vertices = CountPartitions(**reader, "vertices", range);
+    cell.edges = CountPartitions(**reader, "edges", range);
+  }
   for (int r = 0; r < kRepeats; ++r) {
+    obs::QueryCounterScope work;
     const auto start = std::chrono::steady_clock::now();
-    Result<VeGraph> g =
-        warm ? LoadVeGraphFromStore(Ctx(), *shared, options, &cell.metrics)
-             : LoadVeGraph(Ctx(), dir, options, &cell.metrics);
+    Result<VeGraph> g = warm ? LoadVeGraphFromStore(Ctx(), *shared, options)
+                             : LoadVeGraph(Ctx(), dir, options);
     TG_CHECK_OK(g.status());
     benchmark::DoNotOptimize(g->NumEdgeRecords());
     const auto end = std::chrono::steady_clock::now();
     cell.time.ms.push_back(
         std::chrono::duration<double, std::milli>(end - start).count());
+    // The zone-map counts must be what the load actually decoded.
+    TG_CHECK(work.Delta()[obs::QueryCounter::kStorePartitionsDecoded] ==
+             cell.vertices.decoded + cell.edges.decoded);
   }
   return cell;
 }
@@ -113,32 +153,27 @@ int main(int argc, char** argv) {
           const Cell cell =
               Measure(Dir(c.name, order), warm,
                       ranged ? std::optional<Interval>(narrow) : std::nullopt);
-          const LoadMetrics& m = cell.metrics;
           if (ranged) {
             ranged_median[warm][order == SortOrder::kStructuralLocality] =
                 cell.time.Median();
           }
           std::printf(
               "load/%s/%s/%s/%s  min %7.2f  median %7.2f ms  spread %.3f  "
-              "partitions v %zu/%zu e %zu/%zu\n",
+              "partitions v %" PRId64 "/%" PRId64 " e %" PRId64 "/%" PRId64
+              "\n",
               c.name, SortOrderName(order), warm ? "warm" : "cold",
               ranged ? "range" : "full", cell.time.Min(), cell.time.Median(),
-              cell.time.Spread(), m.vertex_groups_scanned,
-              m.vertex_groups_total, m.edge_groups_scanned,
-              m.edge_groups_total);
+              cell.time.Spread(), cell.vertices.decoded, cell.vertices.total,
+              cell.edges.decoded, cell.edges.total);
           JsonObject json;
           json.Str("sort", SortOrderName(order))
               .Str("reader", warm ? "warm" : "cold")
               .Str("range", ranged ? "range" : "full")
               .Timing("load", cell.time)
-              .Int("vertex_partitions_decoded",
-                   static_cast<int64_t>(m.vertex_groups_scanned))
-              .Int("vertex_partitions_total",
-                   static_cast<int64_t>(m.vertex_groups_total))
-              .Int("edge_partitions_decoded",
-                   static_cast<int64_t>(m.edge_groups_scanned))
-              .Int("edge_partitions_total",
-                   static_cast<int64_t>(m.edge_groups_total));
+              .Int("vertex_partitions_decoded", cell.vertices.decoded)
+              .Int("vertex_partitions_total", cell.vertices.total)
+              .Int("edge_partitions_decoded", cell.edges.decoded)
+              .Int("edge_partitions_total", cell.edges.total);
           cells.push_back(std::move(json));
         }
       }

@@ -9,6 +9,7 @@
 
 #include "gen/generators.h"
 #include "gen/stats.h"
+#include "obs/trace.h"
 #include "sg/algorithms.h"
 #include "storage/graph_io.h"
 #include "tgraph/tgraph.h"
@@ -51,12 +52,15 @@ int main() {
   TG_CHECK_OK(storage::WriteVeStore(wiki, dir, write_options));
   storage::LoadOptions load_options;
   load_options.time_range = Interval(24, 36);  // one year of history
-  storage::LoadMetrics metrics;
-  Result<VeGraph> year = storage::LoadVeGraph(&ctx, dir, load_options, &metrics);
+  obs::QueryCounterScope load_work;  // what this load decoded and pruned
+  Result<VeGraph> year = storage::LoadVeGraph(&ctx, dir, load_options);
   TG_CHECK_OK(year.status());
+  const obs::QueryCounterValues work = load_work.Delta();
+  const int64_t decoded = work[obs::QueryCounter::kStorePartitionsDecoded];
   std::cout << "loaded year [24,36): " << year->NumEdgeRecords()
-            << " edge states; pushdown scanned " << metrics.edge_groups_scanned
-            << "/" << metrics.edge_groups_total << " edge partitions\n\n";
+            << " edge states; pushdown decoded " << decoded << "/"
+            << decoded + work[obs::QueryCounter::kStorePartitionsPruned]
+            << " partitions\n\n";
 
   // Pregel-style analytics on the communication graph of that year
   // (Section 7 names this as the system's next extension).

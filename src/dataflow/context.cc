@@ -11,13 +11,6 @@
 
 namespace tgraph::dataflow {
 
-std::string Metrics::ToString() const {
-  Snapshot snap = Snap();
-  return "stages=" + std::to_string(snap.stages_executed) +
-         " tasks=" + std::to_string(snap.tasks_executed) +
-         " shuffled_records=" + std::to_string(snap.records_shuffled);
-}
-
 ExecutionContext::ExecutionContext(ContextOptions options) {
   int workers = options.num_workers;
   if (workers <= 0) {
@@ -42,9 +35,6 @@ ExecutionContext::ExecutionContext(ContextOptions options) {
 void ExecutionContext::ParallelFor(size_t n,
                                    const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  metrics_.stages_executed.fetch_add(1, std::memory_order_relaxed);
-  metrics_.tasks_executed.fetch_add(static_cast<int64_t>(n),
-                                    std::memory_order_relaxed);
   static obs::Counter* stages =
       obs::MetricsRegistry::Global().GetCounter(obs::metric_names::kStages);
   static obs::Counter* tasks =

@@ -11,40 +11,6 @@
 
 namespace tgraph::dataflow {
 
-/// \brief Per-context counters accumulated while executing a dataflow
-/// plan. Mirrors the stage/shuffle metrics a Spark UI would report.
-///
-/// Legacy interface: the richer, process-wide accounting (byte counts,
-/// partition-size skew histograms, per-run snapshots) lives in
-/// obs::MetricsRegistry::Global(); these three counters are kept because
-/// they are per-context and cheap. All accesses use relaxed ordering —
-/// they are statistics, not synchronization.
-struct Metrics {
-  std::atomic<int64_t> stages_executed{0};
-  std::atomic<int64_t> tasks_executed{0};
-  std::atomic<int64_t> records_shuffled{0};
-
-  /// A plain-integer copy, for before/after deltas around a run.
-  struct Snapshot {
-    int64_t stages_executed = 0;
-    int64_t tasks_executed = 0;
-    int64_t records_shuffled = 0;
-  };
-
-  Snapshot Snap() const {
-    return Snapshot{stages_executed.load(std::memory_order_relaxed),
-                    tasks_executed.load(std::memory_order_relaxed),
-                    records_shuffled.load(std::memory_order_relaxed)};
-  }
-
-  void Reset() {
-    stages_executed.store(0, std::memory_order_relaxed);
-    tasks_executed.store(0, std::memory_order_relaxed);
-    records_shuffled.store(0, std::memory_order_relaxed);
-  }
-  std::string ToString() const;
-};
-
 /// \brief Configuration of the skew-aware shuffle rebalancer (see
 /// dataflow/shuffle.h). On by default: wide operators sketch key
 /// frequencies on the map side and split hot keys across dedicated
@@ -76,8 +42,9 @@ struct ContextOptions {
   ShuffleOptions shuffle;
 };
 
-/// \brief The driver for dataflow execution: owns the worker pool, the
-/// default parallelism, and run metrics. The substitute for a SparkContext.
+/// \brief The driver for dataflow execution: owns the worker pool and the
+/// default parallelism. The substitute for a SparkContext. Stage, task and
+/// shuffle counts go to obs::MetricsRegistry (dataflow.*).
 ///
 /// One context is shared by every Dataset derived from it; contexts must
 /// outlive their datasets.
@@ -90,7 +57,6 @@ class ExecutionContext {
 
   int default_parallelism() const { return default_parallelism_; }
   int num_workers() const { return pool_->num_threads(); }
-  Metrics& metrics() { return metrics_; }
 
   /// Shuffle rebalancing knobs, read by every wide operator at execution
   /// time. The setter is not synchronized against running plans — change
@@ -109,7 +75,6 @@ class ExecutionContext {
   std::unique_ptr<ThreadPool> pool_;
   int default_parallelism_;
   ShuffleOptions shuffle_options_;
-  Metrics metrics_;
 };
 
 }  // namespace tgraph::dataflow

@@ -339,8 +339,8 @@ class Dataset {
         [input, parts](ExecutionContext* ctx) {
           const Partitions<T>& in = input->Materialize(ctx);
           std::vector<T> all = Flatten(in);
-          internal_shuffle::NoteShuffle(
-              ctx, static_cast<int64_t>(all.size()), sizeof(T));
+          internal_shuffle::NoteShuffle(static_cast<int64_t>(all.size()),
+                                        sizeof(T));
           return internal_dataset::Chunk(std::move(all), parts);
         });
     return Dataset<T>(ctx_, std::move(node));

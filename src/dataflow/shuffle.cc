@@ -3,6 +3,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "obs/trace.h"
+
 namespace tgraph::dataflow::internal_shuffle {
 
 namespace {
@@ -73,20 +75,11 @@ ShufflePlan BuildShufflePlan(size_t num_base, int64_t total_records,
   return plan;
 }
 
-void NoteShuffle(ExecutionContext* ctx, int64_t records, size_t record_size) {
-  ctx->metrics().records_shuffled.fetch_add(records,
-                                            std::memory_order_relaxed);
-  static obs::Counter* shuffles = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kShuffles);
-  static obs::Counter* shuffled_records =
-      obs::MetricsRegistry::Global().GetCounter(
-          obs::metric_names::kShuffleRecords);
-  static obs::Counter* shuffled_bytes =
-      obs::MetricsRegistry::Global().GetCounter(
-          obs::metric_names::kShuffleBytes);
-  shuffles->Increment();
-  shuffled_records->Add(records);
-  shuffled_bytes->Add(records * static_cast<int64_t>(record_size));
+void NoteShuffle(int64_t records, size_t record_size) {
+  obs::AddQueryCounter(obs::QueryCounter::kShuffles, 1);
+  obs::AddQueryCounter(obs::QueryCounter::kShuffleRecords, records);
+  obs::AddQueryCounter(obs::QueryCounter::kShuffleBytes,
+                       records * static_cast<int64_t>(record_size));
 }
 
 void NoteShufflePartitions(const ShufflePlan& plan,
@@ -114,14 +107,11 @@ void NoteShufflePartitions(const ShufflePlan& plan,
   static obs::Histogram* post = obs::MetricsRegistry::Global().GetHistogram(
       obs::metric_names::kShufflePartitionSizeRebalanced);
   for (int64_t size : sizes) post->Record(size);
-  static obs::Counter* rebalanced = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kShuffleRebalanced);
-  static obs::Counter* hot_keys = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kShuffleHotKeys);
   static obs::Counter* splits = obs::MetricsRegistry::Global().GetCounter(
       obs::metric_names::kShuffleSplits);
-  rebalanced->Increment();
-  hot_keys->Add(static_cast<int64_t>(plan.hot.size()));
+  obs::AddQueryCounter(obs::QueryCounter::kShufflesRebalanced, 1);
+  obs::AddQueryCounter(obs::QueryCounter::kShuffleHotKeys,
+                       static_cast<int64_t>(plan.hot.size()));
   int64_t total_splits = 0;
   for (const HotKey& hk : plan.hot) total_splits += hk.splits;
   splits->Add(total_splits);

@@ -165,10 +165,11 @@ ShufflePlan BuildShufflePlan(size_t num_base, int64_t total_records,
                              std::vector<FrequentSketch::Candidate> candidates,
                              const ShuffleOptions& options, bool allow_spread);
 
-/// Shared shuffle accounting: per-context legacy counter plus the global
-/// registry (record and approximate byte volume — record count times the
-/// record's static size, so payloads behind pointers are not included).
-void NoteShuffle(ExecutionContext* ctx, int64_t records, size_t record_size);
+/// Shared shuffle accounting, attributed to the running query
+/// (obs::AddQueryCounter): record and approximate byte volume — record
+/// count times the record's static size, so payloads behind pointers are
+/// not included.
+void NoteShuffle(int64_t records, size_t record_size);
 
 /// Records pre-rebalance (plain hash) partition sizes into the skew
 /// histogram, and — when the plan fired — post-rebalance sizes plus the
@@ -309,7 +310,7 @@ Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, const Partitions<T>& input,
   });
   int64_t moved = 0;
   for (int64_t r : routed) moved += r;
-  NoteShuffle(ctx, moved, sizeof(T));
+  NoteShuffle(moved, sizeof(T));
 
   Partitions<T> out(num_out);
   ctx->ParallelFor(num_out, [&](size_t b) {

@@ -24,6 +24,23 @@ void AtomicMax(std::atomic<int64_t>* target, int64_t value) {
 
 }  // namespace
 
+QueryCounterValues QueryCounterValues::operator-(
+    const QueryCounterValues& base) const {
+  QueryCounterValues out;
+  for (size_t i = 0; i < kNumQueryCounters; ++i) {
+    out.values[i] = values[i] - base.values[i];
+  }
+  return out;
+}
+
+QueryCounterValues QueryCounters::Snapshot() const {
+  QueryCounterValues out;
+  for (size_t i = 0; i < kNumQueryCounters; ++i) {
+    out.values[i] = values_[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
 int Histogram::BucketIndex(int64_t value) {
   if (value <= 0) return 0;
   int index = std::bit_width(static_cast<uint64_t>(value));

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -94,7 +95,9 @@ class Histogram {
 /// \brief Point-in-time copy of a whole registry, with per-run delta
 /// support: `after.DeltaSince(before)` attributes metric movement to the
 /// work executed in between, which is how benchmarks and the CLI report
-/// per-run (not per-process) numbers.
+/// per-phase (not per-process) numbers. A query's own work is read from
+/// its QueryCounters block instead, which concurrent queries cannot
+/// disturb.
 struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
   std::map<std::string, int64_t> gauges;  ///< Kept as-is by DeltaSince.
@@ -108,8 +111,7 @@ struct MetricsSnapshot {
 };
 
 /// \brief Process-global registry of named counters, gauges, and
-/// histograms — the replacement for the hard-coded dataflow::Metrics
-/// struct. Lookup takes a mutex; instrumentation sites cache the returned
+/// histograms. Lookup takes a mutex; instrumentation sites cache the returned
 /// pointer (which is stable for the process lifetime) in a function-local
 /// static so the hot path is a single relaxed atomic add.
 class MetricsRegistry {
@@ -174,12 +176,6 @@ inline constexpr char kOptimizerCostPlans[] = "pipeline.optimizer.cost.plans";
 /// observed statistics to price with).
 inline constexpr char kOptimizerCostFallbacks[] =
     "pipeline.optimizer.cost.fallbacks";
-
-// Storage loads (row-group pushdown effectiveness; mirrors LoadMetrics).
-inline constexpr char kLoads[] = "storage.load.count";
-inline constexpr char kLoadRowGroupsTotal[] = "storage.load.row_groups_total";
-inline constexpr char kLoadRowGroupsScanned[] =
-    "storage.load.row_groups_scanned";
 
 // tgraph-store v2/v3 mmap readers: lazy-verification, selective decode,
 // and pushdown surface. Exposed to Prometheus as tgraph_store_* (dots
@@ -291,6 +287,70 @@ inline constexpr char kViewQueries[] = "view.queries";
 /// Per-verb request latency for the kView protocol verb (tgraphd).
 inline constexpr char kVerbViewMicros[] = "server.verb.view_micros";
 }  // namespace metric_names
+
+/// \brief The counters attributed to the query that caused them — the
+/// work EXPLAIN ANALYZE reports per stage. Each has a process-global twin
+/// in the registry (QueryCounterName); AddQueryCounter (obs/trace.h)
+/// bumps both with one call.
+enum class QueryCounter {  // indexes kQueryCounterNames
+  kShuffles,
+  kShuffleRecords,
+  kShuffleBytes,
+  kShufflesRebalanced,
+  kShuffleHotKeys,
+  kStorePartitionsPruned,
+  kStorePartitionsDecoded,
+  kStoreSegmentVerifies,
+  kStoreVerifiedBytes,
+  kCatalogHits,
+  kCatalogLoads,
+};
+
+/// Registry names of the process-global twins, in enum order.
+inline constexpr const char* kQueryCounterNames[] = {
+    metric_names::kShuffles,
+    metric_names::kShuffleRecords,
+    metric_names::kShuffleBytes,
+    metric_names::kShuffleRebalanced,
+    metric_names::kShuffleHotKeys,
+    metric_names::kStorePartitionsPruned,
+    metric_names::kStorePartitionsDecoded,
+    metric_names::kStoreSegmentVerifies,
+    metric_names::kStoreVerifiedBytes,
+    metric_names::kCatalogHits,
+    metric_names::kCatalogLoads,
+};
+inline constexpr size_t kNumQueryCounters = std::size(kQueryCounterNames);
+
+inline const char* QueryCounterName(QueryCounter counter) {
+  return kQueryCounterNames[static_cast<size_t>(counter)];
+}
+
+/// \brief Plain values of a query counter block: a snapshot, or the
+/// difference of two.
+struct QueryCounterValues {
+  std::array<int64_t, kNumQueryCounters> values{};
+
+  int64_t operator[](QueryCounter counter) const {
+    return values[static_cast<size_t>(counter)];
+  }
+  QueryCounterValues operator-(const QueryCounterValues& base) const;
+};
+
+/// \brief One query's counter block. Installed through the thread's
+/// QueryContext (obs/trace.h), which ParallelFor carries into pool
+/// threads, so every task of a query adds to the same block. Thread-safe.
+class QueryCounters {
+ public:
+  void Add(QueryCounter counter, int64_t delta) {
+    values_[static_cast<size_t>(counter)].fetch_add(delta,
+                                                    std::memory_order_relaxed);
+  }
+  QueryCounterValues Snapshot() const;
+
+ private:
+  std::array<std::atomic<int64_t>, kNumQueryCounters> values_{};
+};
 
 }  // namespace tgraph::obs
 

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,13 +63,13 @@ void AppendJsonEscaped(std::string* out, const std::string& s) {
 
 QueryContext CurrentQueryContext() {
   const internal::QueryContextTls& t = internal::t_query_context;
-  return QueryContext{t.query_id, t.trace, t.parent_span};
+  return QueryContext{t.query_id, t.trace, t.parent_span, t.counters};
 }
 
 QueryContext CaptureQueryContext() {
   const internal::QueryContextTls& t = internal::t_query_context;
   return QueryContext{t.query_id, t.trace,
-                      Tracer::Global().OpenSpanOnThisThread()};
+                      Tracer::Global().OpenSpanOnThisThread(), t.counters};
 }
 
 ScopedQueryContext::ScopedQueryContext(const QueryContext& context) {
@@ -77,10 +78,40 @@ ScopedQueryContext::ScopedQueryContext(const QueryContext& context) {
   t.query_id = context.query_id;
   t.trace = context.trace;
   t.parent_span = context.parent_span;
+  t.counters = context.counters;
 }
 
 ScopedQueryContext::~ScopedQueryContext() {
   internal::t_query_context = saved_;
+}
+
+void AddQueryCounter(QueryCounter counter, int64_t delta) {
+  // Registry pointers are stable for the process lifetime.
+  static const std::array<Counter*, kNumQueryCounters> globals = [] {
+    std::array<Counter*, kNumQueryCounters> out{};
+    for (size_t i = 0; i < kNumQueryCounters; ++i) {
+      out[i] = MetricsRegistry::Global().GetCounter(
+          QueryCounterName(static_cast<QueryCounter>(i)));
+    }
+    return out;
+  }();
+  globals[static_cast<size_t>(counter)]->Add(delta);
+  if (QueryCounters* block = internal::t_query_context.counters) {
+    block->Add(counter, delta);
+  }
+}
+
+QueryCounterScope::QueryCounterScope()
+    : block_(internal::t_query_context.counters) {
+  if (block_ == nullptr) {
+    block_ = &own_;
+    internal::t_query_context.counters = &own_;
+  }
+  start_ = block_->Snapshot();
+}
+
+QueryCounterScope::~QueryCounterScope() {
+  if (block_ == &own_) internal::t_query_context.counters = nullptr;
 }
 
 uint64_t NextQueryId() {

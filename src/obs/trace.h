@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace tgraph::obs {
 
 class QueryTrace;
@@ -42,6 +44,12 @@ struct SpanEvent {
 // context is active and the query was not sampled, spans are suppressed
 // even if the process-wide tracer is enabled, which is what keeps
 // always-on tracing affordable at traffic (TGRAPH_TRACE_SAMPLE).
+//
+// The context also carries the query's counter block (QueryCounters), the
+// one mechanism that attributes work to a query: every attributed
+// increment (AddQueryCounter) lands in the process-global counter and in
+// the block of the query whose context is installed, on whichever thread
+// the work ran. The block pointer does not affect span recording.
 
 /// Copyable snapshot of a query's identity, shipped across threads.
 struct QueryContext {
@@ -50,6 +58,8 @@ struct QueryContext {
   /// Span to nest under when this context is installed on another thread
   /// (the innermost open span of the capturing thread).
   uint64_t parent_span = 0;
+  /// The query's counter block (not owned); null = none installed.
+  QueryCounters* counters = nullptr;
 };
 
 namespace internal {
@@ -59,6 +69,7 @@ struct QueryContextTls {
   uint64_t query_id = 0;
   QueryTrace* trace = nullptr;
   uint64_t parent_span = 0;
+  QueryCounters* counters = nullptr;
 };
 extern thread_local QueryContextTls t_query_context;
 }  // namespace internal
@@ -85,6 +96,34 @@ class ScopedQueryContext {
 
  private:
   internal::QueryContextTls saved_;
+};
+
+/// Adds `delta` to `counter`'s process-global twin and, when this thread
+/// has a query counter block installed, to the query's field: the single
+/// increment every attributed site makes, so /metrics and the query's own
+/// report count the same work.
+void AddQueryCounter(QueryCounter counter, int64_t delta);
+
+/// \brief Measures the attributed work of one scope: how far this
+/// thread's query counter block moved between construction and Delta().
+/// When no block is installed (a library caller, `tgz query` in local
+/// mode), installs a private one for the scope's lifetime. Only the block
+/// pointer changes, so the query id, sampling and span recording stay as
+/// they were.
+class QueryCounterScope {
+ public:
+  QueryCounterScope();
+  ~QueryCounterScope();
+
+  QueryCounterScope(const QueryCounterScope&) = delete;
+  QueryCounterScope& operator=(const QueryCounterScope&) = delete;
+
+  QueryCounterValues Delta() const { return block_->Snapshot() - start_; }
+
+ private:
+  QueryCounters own_;
+  QueryCounters* block_;
+  QueryCounterValues start_;
 };
 
 /// Process-unique, never-zero query id.

@@ -13,15 +13,20 @@ Result<std::shared_ptr<storage::StoreReader>> GraphCatalog::GetOrOpenStore(
     const std::string& dir) {
   static obs::Gauge* mmap_stores = obs::MetricsRegistry::Global().GetGauge(
       obs::metric_names::kCatalogMmapStores);
+  uint64_t evictions_seen = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = stores_.find(dir);
     if (it != stores_.end()) return it->second;
+    evictions_seen = evictions_;
   }
   TG_ASSIGN_OR_RETURN(std::unique_ptr<storage::StoreReader> opened,
                       storage::StoreReader::Open(storage::StorePath(dir)));
   std::shared_ptr<storage::StoreReader> store = std::move(opened);
   std::lock_guard<std::mutex> lock(mu_);
+  // An Evict during the open may have replaced the file under us: serve
+  // this load from what it opened, but do not share the reader.
+  if (evictions_ != evictions_seen) return store;
   auto [it, inserted] = stores_.emplace(dir, store);
   mmap_stores->Set(static_cast<int64_t>(stores_.size()));
   return it->second;  // a racing opener's reader wins; ours is dropped
@@ -30,10 +35,6 @@ Result<std::shared_ptr<storage::StoreReader>> GraphCatalog::GetOrOpenStore(
 Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
                                        const std::optional<Interval>& range,
                                        uint64_t* live_epoch) {
-  static obs::Counter* loads = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kCatalogLoads);
-  static obs::Counter* hits = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kCatalogHits);
   static obs::Gauge* graphs = obs::MetricsRegistry::Global().GetGauge(
       obs::metric_names::kCatalogGraphs);
 
@@ -69,13 +70,13 @@ Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
     std::shared_ptr<Slot> existing = it->second;
     loaded_cv_.wait(lock, [&] { return !existing->loading; });
     if (existing->graph.has_value()) {
-      hits->Increment();
+      obs::AddQueryCounter(obs::QueryCounter::kCatalogHits, 1);
       return *existing->graph;
     }
   }
 
   obs::Span span("tgraphd.catalog.load", "server");
-  loads->Increment();
+  obs::AddQueryCounter(obs::QueryCounter::kCatalogLoads, 1);
   storage::LoadOptions options;
   options.time_range = range;
   // Serve off the directory's shared mmap reader. Sharing the reader
@@ -149,6 +150,31 @@ void GraphCatalog::PruneLiveEpochs(const std::string& dir,
     }
   }
   graphs->Set(static_cast<int64_t>(slots_.size()));
+}
+
+void GraphCatalog::Evict(const std::string& dir) {
+  static obs::Gauge* graphs = obs::MetricsRegistry::Global().GetGauge(
+      obs::metric_names::kCatalogGraphs);
+  static obs::Gauge* mmap_stores = obs::MetricsRegistry::Global().GetGauge(
+      obs::metric_names::kCatalogMmapStores);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++evictions_;
+  stores_.erase(dir);
+  // Slot keys are "<dir>" or "<dir>|<suffix>"; in-flight loaders keep
+  // their shared_ptr<Slot>, so erasing never strands a waiter.
+  for (auto it = slots_.begin(); it != slots_.end();) {
+    const std::string& key = it->first;
+    const bool of_dir = key.compare(0, dir.size(), dir) == 0 &&
+                        (key.size() == dir.size() || key[dir.size()] == '|');
+    it = of_dir ? slots_.erase(it) : std::next(it);
+  }
+  graphs->Set(static_cast<int64_t>(slots_.size()));
+  mmap_stores->Set(static_cast<int64_t>(stores_.size()));
+}
+
+uint64_t GraphCatalog::evictions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return evictions_;
 }
 
 void GraphCatalog::Clear() {

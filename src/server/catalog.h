@@ -43,8 +43,10 @@ namespace tgraph::server {
 /// StoreReader (`graph.tgs`) shared by every ranged load of that
 /// directory: N concurrent time slices fault in (and share) one set of
 /// page-cache pages instead of parsing N heap copies of the file. A
-/// rewrite of the store (TQL STORE) renames a new file into place, so
-/// the shared mapping keeps the old bytes intact; the catalog goes on
+/// rewrite of the store renames a new file into place, so the shared
+/// mapping keeps the old bytes intact. A TQL STORE run by this server
+/// calls Evict(dir) afterwards, so later loads open the new file. A
+/// rewrite from outside the process is not seen: the catalog goes on
 /// serving the old graph for that directory until the process restarts.
 class GraphCatalog {
  public:
@@ -83,6 +85,16 @@ class GraphCatalog {
   /// soon as in-flight readers finish.
   void PruneLiveEpochs(const std::string& dir, uint64_t current_epoch);
 
+  /// Forgets `dir`: its shared reader and every cached graph loaded from
+  /// it. In-flight loads finish on what they opened but are not cached.
+  /// The server calls this after a STORE into `dir`.
+  void Evict(const std::string& dir);
+
+  /// Number of Evict calls so far. The server compares it before and
+  /// after a query to avoid caching a result computed from an evicted
+  /// graph.
+  uint64_t evictions() const;
+
   /// Drops every cached graph (tests; not exposed over the protocol).
   void Clear();
 
@@ -114,6 +126,7 @@ class GraphCatalog {
   std::condition_variable loaded_cv_;
   std::map<std::string, std::shared_ptr<Slot>> slots_;
   std::map<std::string, std::shared_ptr<storage::StoreReader>> stores_;
+  uint64_t evictions_ = 0;
 };
 
 }  // namespace tgraph::server

@@ -423,6 +423,10 @@ void Server::HandleRequest(Session* session, const std::string& payload,
   const bool is_query = request->verb == Verb::kQuery;
   const bool want_trace = is_query && (request->flags & kFlagTrace) != 0;
   std::unique_ptr<obs::QueryTrace> query_trace;
+  // The query's counter block: every attributed increment the query
+  // causes, on this thread or a pool thread, lands here as well as in the
+  // process registry; EXPLAIN ANALYZE and the slow-query log read it.
+  obs::QueryCounters query_counters;
   std::optional<obs::ScopedQueryContext> query_scope;
   SlowQueryEntry slow;
   if (is_query) {
@@ -430,8 +434,9 @@ void Server::HandleRequest(Session* session, const std::string& payload,
     const bool sampled =
         want_trace || obs::SampleQuery(query_id, obs::TraceSampleRate());
     if (sampled) query_trace = std::make_unique<obs::QueryTrace>(query_id);
-    query_scope.emplace(
-        obs::QueryContext{query_id, query_trace.get(), /*parent_span=*/0});
+    query_scope.emplace(obs::QueryContext{query_id, query_trace.get(),
+                                          /*parent_span=*/0,
+                                          &query_counters});
     query_count->Increment();
     if (sampled) query_sampled->Increment();
     slow.query_id = query_id;
@@ -524,10 +529,20 @@ void Server::HandleQuery(Session* session, const Request& request,
   std::vector<std::string> cache_tags;
   std::vector<std::string> live_paths;  // live LOAD paths, statement order
   std::vector<std::string> view_names;  // VIEW statements, statement order
+  std::vector<std::string> store_paths;  // STORE targets, statement order
   {
     // Re-derive cacheability from the parsed script (STORE has disk side
     // effects, EXPLAIN ANALYZE must re-execute to measure).
     Result<std::vector<tql::Statement>> statements = tql::Parse(request.body);
+    for (size_t i = 0; statements.ok() && i < statements->size(); ++i) {
+      const tql::Statement* statement = &(*statements)[i];
+      if (const auto* explain = std::get_if<tql::ExplainStatement>(statement)) {
+        statement = explain->inner.get();  // EXPLAIN ANALYZE STORE also writes
+      }
+      if (const auto* store = std::get_if<tql::StoreStatement>(statement)) {
+        store_paths.push_back(store->path);
+      }
+    }
     bool script_cacheable =
         statements.ok() && tql::IsCacheableScript(*statements);
     cacheable = script_cacheable && options_.cache_bytes > 0 && !no_cache;
@@ -626,7 +641,15 @@ void Server::HandleQuery(Session* session, const Request& request,
     }
     return Status::OK();
   });
+  const uint64_t evictions_before = catalog_.evictions();
   Result<std::string> output = interpreter.ExecuteScript(request.body);
+  // A STORE replaced its directory's file (even if a later statement
+  // failed): drop the catalog's reader and graphs for it and every cached
+  // result that LOADed it, so the next LOAD reads the new graph.
+  for (const std::string& path : store_paths) {
+    catalog_.Evict(path);
+    cache_.EvictTag(path);
+  }
   if (!stages.empty()) slow->stages_json = stages.StagesJson();
   if (!output.ok()) {
     errors->Increment();
@@ -645,7 +668,10 @@ void Server::HandleQuery(Session* session, const Request& request,
     // single snapshot.
     std::set<std::string> unique_live(live_paths.begin(), live_paths.end());
     std::set<std::string> unique_views(view_names.begin(), view_names.end());
-    bool storable = !mixed_epochs && !mixed_view_versions &&
+    // A STORE from another session evicted a graph while this query ran:
+    // the result may come from the replaced graph, so do not cache it.
+    bool storable = catalog_.evictions() == evictions_before &&
+                    !mixed_epochs && !mixed_view_versions &&
                     served_epochs.size() == unique_live.size() &&
                     served_view_versions.size() == unique_views.size();
     std::string store_key = *canonical;

@@ -53,10 +53,11 @@ struct ServerOptions {
   int64_t idle_timeout_ms = 60'000;
 
   /// Path of the per-operator statistics profile. When non-empty, Start()
-  /// warm-starts the stats store from it (a missing file is a cold start,
-  /// not an error) and Drain() writes the accumulated store back, so the
-  /// cost model learns across server restarts. Empty disables
-  /// persistence; observations still accumulate in memory.
+  /// loads the stats store from it (a missing file is a cold start, not
+  /// an error) and Drain() writes the accumulated store back, so the
+  /// profile `tgz stats` reports spans restarts. No query plan reads it.
+  /// Empty disables persistence; observations still accumulate in
+  /// memory.
   std::string stats_path;
 
   /// Plain-HTTP Prometheus exposition port (loopback only): GET /metrics

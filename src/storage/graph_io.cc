@@ -4,7 +4,7 @@
 #include <filesystem>
 #include <memory>
 
-#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/predicate.h"
 #include "storage/serde.h"
 #include "storage/store_reader.h"
@@ -13,25 +13,6 @@
 #include "tgraph/convert.h"
 
 namespace tgraph::storage {
-namespace {
-
-/// Mirrors the per-call LoadMetrics out-params into the process-wide
-/// registry, so catalog loads and CLI loads surface in --metrics / STATS
-/// output the same way shuffles already do. `new_load` is set by the
-/// (once-per-load) vertex-file scan and counts whole graph loads.
-void RecordLoadScan(bool new_load, size_t groups_total, size_t groups_scanned) {
-  static obs::Counter* loads =
-      obs::MetricsRegistry::Global().GetCounter(obs::metric_names::kLoads);
-  static obs::Counter* total = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kLoadRowGroupsTotal);
-  static obs::Counter* scanned = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kLoadRowGroupsScanned);
-  if (new_load) loads->Increment();
-  total->Add(static_cast<int64_t>(groups_total));
-  scanned->Add(static_cast<int64_t>(groups_scanned));
-}
-
-}  // namespace
 
 using dataflow::Dataset;
 
@@ -376,7 +357,6 @@ Result<dataflow::Partitions<T>> ScanStoreTable(dataflow::ExecutionContext* ctx,
                                                const StoreReader& store,
                                                int table,
                                                const Predicate* predicate,
-                                               size_t* total, size_t* scanned,
                                                const Decode& decode) {
   const TableMeta& meta = store.table(table);
   std::vector<size_t> kept;
@@ -387,14 +367,11 @@ Result<dataflow::Partitions<T>> ScanStoreTable(dataflow::ExecutionContext* ctx,
       kept.push_back(p);
     }
   }
-  *total = meta.partitions.size();
-  *scanned = kept.size();
-  static obs::Counter* pruned = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kStorePartitionsPruned);
-  static obs::Counter* decoded = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kStorePartitionsDecoded);
-  pruned->Add(static_cast<int64_t>(meta.partitions.size() - kept.size()));
-  decoded->Add(static_cast<int64_t>(kept.size()));
+  obs::AddQueryCounter(
+      obs::QueryCounter::kStorePartitionsPruned,
+      static_cast<int64_t>(meta.partitions.size() - kept.size()));
+  obs::AddQueryCounter(obs::QueryCounter::kStorePartitionsDecoded,
+                       static_cast<int64_t>(kept.size()));
   dataflow::Partitions<T> parts(kept.size());
   std::vector<Status> statuses(kept.size());
   ctx->ParallelFor(kept.size(), [&](size_t i) {
@@ -515,8 +492,7 @@ Status WriteOgcStore(const OgcGraph& graph, const std::string& dir,
 
 Result<VeGraph> LoadVeGraphFromStore(dataflow::ExecutionContext* ctx,
                                      const StoreReader& store,
-                                     const LoadOptions& options,
-                                     LoadMetrics* metrics) {
+                                     const LoadOptions& options) {
   TG_ASSIGN_OR_RETURN(int vt, RequireStoreTable(store, "vertices"));
   TG_ASSIGN_OR_RETURN(int et, RequireStoreTable(store, "edges"));
   TG_ASSIGN_OR_RETURN(Interval lifetime, StoreLifetime(store));
@@ -530,11 +506,10 @@ Result<VeGraph> LoadVeGraphFromStore(dataflow::ExecutionContext* ctx,
     if (options.pushdown) predicate_ptr = &predicate;
   }
 
-  size_t total = 0, scanned = 0;
   TG_ASSIGN_OR_RETURN(
       dataflow::Partitions<VeVertex> vertex_parts,
       (ScanStoreTable<VeVertex>(
-          ctx, store, vt, predicate_ptr, &total, &scanned,
+          ctx, store, vt, predicate_ptr,
           [&](size_t p, std::vector<VeVertex>* out) -> Status {
             TG_ASSIGN_OR_RETURN(auto vids, store.Int64Column(vt, p, 0));
             TG_ASSIGN_OR_RETURN(auto starts, store.Int64Column(vt, p, 1));
@@ -553,16 +528,11 @@ Result<VeGraph> LoadVeGraphFromStore(dataflow::ExecutionContext* ctx,
             }
             return Status::OK();
           })));
-  RecordLoadScan(/*new_load=*/true, total, scanned);
-  if (metrics != nullptr) {
-    metrics->vertex_groups_total = total;
-    metrics->vertex_groups_scanned = scanned;
-  }
 
   TG_ASSIGN_OR_RETURN(
       dataflow::Partitions<VeEdge> edge_parts,
       (ScanStoreTable<VeEdge>(
-          ctx, store, et, predicate_ptr, &total, &scanned,
+          ctx, store, et, predicate_ptr,
           [&](size_t p, std::vector<VeEdge>* out) -> Status {
             TG_ASSIGN_OR_RETURN(auto eids, store.Int64Column(et, p, 0));
             TG_ASSIGN_OR_RETURN(auto srcs, store.Int64Column(et, p, 1));
@@ -583,28 +553,21 @@ Result<VeGraph> LoadVeGraphFromStore(dataflow::ExecutionContext* ctx,
             }
             return Status::OK();
           })));
-  RecordLoadScan(/*new_load=*/false, total, scanned);
-  if (metrics != nullptr) {
-    metrics->edge_groups_total = total;
-    metrics->edge_groups_scanned = scanned;
-  }
   return VeGraph(DatasetFromStoreParts(ctx, std::move(vertex_parts)),
                  DatasetFromStoreParts(ctx, std::move(edge_parts)), clip);
 }
 
 Result<RgGraph> LoadRgGraphFromStore(dataflow::ExecutionContext* ctx,
                                      const StoreReader& store,
-                                     const LoadOptions& options,
-                                     LoadMetrics* metrics) {
+                                     const LoadOptions& options) {
   TG_ASSIGN_OR_RETURN(VeGraph ve,
-                      LoadVeGraphFromStore(ctx, store, options, metrics));
+                      LoadVeGraphFromStore(ctx, store, options));
   return VeToRg(ve);
 }
 
 Result<OgGraph> LoadOgGraphFromStore(dataflow::ExecutionContext* ctx,
                                      const StoreReader& store,
-                                     const LoadOptions& options,
-                                     LoadMetrics* metrics) {
+                                     const LoadOptions& options) {
   TG_ASSIGN_OR_RETURN(int vt, RequireStoreTable(store, "og_vertices"));
   TG_ASSIGN_OR_RETURN(int et, RequireStoreTable(store, "og_edges"));
   TG_ASSIGN_OR_RETURN(Interval lifetime, StoreLifetime(store));
@@ -618,11 +581,10 @@ Result<OgGraph> LoadOgGraphFromStore(dataflow::ExecutionContext* ctx,
     if (options.pushdown) predicate_ptr = &predicate;
   }
 
-  size_t total = 0, scanned = 0;
   TG_ASSIGN_OR_RETURN(
       dataflow::Partitions<OgVertex> vertex_parts,
       (ScanStoreTable<OgVertex>(
-          ctx, store, vt, predicate_ptr, &total, &scanned,
+          ctx, store, vt, predicate_ptr,
           [&](size_t p, std::vector<OgVertex>* out) -> Status {
             TG_ASSIGN_OR_RETURN(auto vids, store.Int64Column(vt, p, 0));
             TG_ASSIGN_OR_RETURN(auto histories, store.BinaryColumn(vt, p, 3));
@@ -638,16 +600,11 @@ Result<OgGraph> LoadOgGraphFromStore(dataflow::ExecutionContext* ctx,
             }
             return Status::OK();
           })));
-  RecordLoadScan(/*new_load=*/true, total, scanned);
-  if (metrics != nullptr) {
-    metrics->vertex_groups_total = total;
-    metrics->vertex_groups_scanned = scanned;
-  }
 
   TG_ASSIGN_OR_RETURN(
       dataflow::Partitions<OgEdge> edge_parts,
       (ScanStoreTable<OgEdge>(
-          ctx, store, et, predicate_ptr, &total, &scanned,
+          ctx, store, et, predicate_ptr,
           [&](size_t p, std::vector<OgEdge>* out) -> Status {
             TG_ASSIGN_OR_RETURN(auto eids, store.Int64Column(et, p, 0));
             TG_ASSIGN_OR_RETURN(auto v1s, store.BinaryColumn(et, p, 3));
@@ -674,19 +631,13 @@ Result<OgGraph> LoadOgGraphFromStore(dataflow::ExecutionContext* ctx,
             }
             return Status::OK();
           })));
-  RecordLoadScan(/*new_load=*/false, total, scanned);
-  if (metrics != nullptr) {
-    metrics->edge_groups_total = total;
-    metrics->edge_groups_scanned = scanned;
-  }
   return OgGraph(DatasetFromStoreParts(ctx, std::move(vertex_parts)),
                  DatasetFromStoreParts(ctx, std::move(edge_parts)), clip);
 }
 
 Result<OgcGraph> LoadOgcGraphFromStore(dataflow::ExecutionContext* ctx,
                                        const StoreReader& store,
-                                       const LoadOptions& options,
-                                       LoadMetrics* metrics) {
+                                       const LoadOptions& options) {
   TG_ASSIGN_OR_RETURN(int it, RequireStoreTable(store, "ogc_index"));
   TG_ASSIGN_OR_RETURN(int vt, RequireStoreTable(store, "ogc_vertices"));
   TG_ASSIGN_OR_RETURN(int et, RequireStoreTable(store, "ogc_edges"));
@@ -731,11 +682,10 @@ Result<OgcGraph> LoadOgcGraphFromStore(dataflow::ExecutionContext* ctx,
     return sliced;
   };
 
-  size_t total = 0, scanned = 0;
   TG_ASSIGN_OR_RETURN(
       dataflow::Partitions<OgcVertex> vertex_parts,
       (ScanStoreTable<OgcVertex>(
-          ctx, store, vt, predicate_ptr, &total, &scanned,
+          ctx, store, vt, predicate_ptr,
           [&](size_t p, std::vector<OgcVertex>* out) -> Status {
             TG_ASSIGN_OR_RETURN(auto vids, store.Int64Column(vt, p, 0));
             TG_ASSIGN_OR_RETURN(auto types, store.BinaryColumn(vt, p, 3));
@@ -753,16 +703,11 @@ Result<OgcGraph> LoadOgcGraphFromStore(dataflow::ExecutionContext* ctx,
             }
             return Status::OK();
           })));
-  RecordLoadScan(/*new_load=*/true, total, scanned);
-  if (metrics != nullptr) {
-    metrics->vertex_groups_total = total;
-    metrics->vertex_groups_scanned = scanned;
-  }
 
   TG_ASSIGN_OR_RETURN(
       dataflow::Partitions<OgcEdge> edge_parts,
       (ScanStoreTable<OgcEdge>(
-          ctx, store, et, predicate_ptr, &total, &scanned,
+          ctx, store, et, predicate_ptr,
           [&](size_t p, std::vector<OgcEdge>* out) -> Status {
             TG_ASSIGN_OR_RETURN(auto eids, store.Int64Column(et, p, 0));
             TG_ASSIGN_OR_RETURN(auto types, store.BinaryColumn(et, p, 3));
@@ -790,11 +735,6 @@ Result<OgcGraph> LoadOgcGraphFromStore(dataflow::ExecutionContext* ctx,
             }
             return Status::OK();
           })));
-  RecordLoadScan(/*new_load=*/false, total, scanned);
-  if (metrics != nullptr) {
-    metrics->edge_groups_total = total;
-    metrics->edge_groups_scanned = scanned;
-  }
   return OgcGraph(std::move(index),
                   DatasetFromStoreParts(ctx, std::move(vertex_parts)),
                   DatasetFromStoreParts(ctx, std::move(edge_parts)), clip);
@@ -803,35 +743,31 @@ Result<OgcGraph> LoadOgcGraphFromStore(dataflow::ExecutionContext* ctx,
 // --- Directory loaders ---------------------------------------------------
 
 Result<VeGraph> LoadVeGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir, const LoadOptions& options,
-                            LoadMetrics* metrics) {
+                            const std::string& dir, const LoadOptions& options) {
   TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
                       StoreReader::Open(StorePath(dir)));
-  return LoadVeGraphFromStore(ctx, *store, options, metrics);
+  return LoadVeGraphFromStore(ctx, *store, options);
 }
 
 Result<RgGraph> LoadRgGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir, const LoadOptions& options,
-                            LoadMetrics* metrics) {
-  TG_ASSIGN_OR_RETURN(VeGraph ve, LoadVeGraph(ctx, dir, options, metrics));
+                            const std::string& dir, const LoadOptions& options) {
+  TG_ASSIGN_OR_RETURN(VeGraph ve, LoadVeGraph(ctx, dir, options));
   return VeToRg(ve);
 }
 
 Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
-                            const std::string& dir, const LoadOptions& options,
-                            LoadMetrics* metrics) {
+                            const std::string& dir, const LoadOptions& options) {
   TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
                       StoreReader::Open(StorePath(dir)));
-  return LoadOgGraphFromStore(ctx, *store, options, metrics);
+  return LoadOgGraphFromStore(ctx, *store, options);
 }
 
 Result<OgcGraph> LoadOgcGraph(dataflow::ExecutionContext* ctx,
                               const std::string& dir,
-                              const LoadOptions& options,
-                              LoadMetrics* metrics) {
+                              const LoadOptions& options) {
   TG_ASSIGN_OR_RETURN(std::unique_ptr<StoreReader> store,
                       StoreReader::Open(StorePath(dir)));
-  return LoadOgcGraphFromStore(ctx, *store, options, metrics);
+  return LoadOgcGraphFromStore(ctx, *store, options);
 }
 
 }  // namespace tgraph::storage

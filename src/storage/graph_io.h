@@ -47,15 +47,6 @@ struct LoadOptions {
   bool pushdown = true;
 };
 
-/// \brief Pushdown effectiveness counters filled by the loaders. A
-/// "group" is a store partition, the skip unit.
-struct LoadMetrics {
-  size_t vertex_groups_total = 0;
-  size_t vertex_groups_scanned = 0;
-  size_t edge_groups_total = 0;
-  size_t edge_groups_scanned = 0;
-};
-
 // --- Graph directories (tgraph-store v3, docs/FORMAT.md) -------------------
 //
 // A graph directory holds one `<dir>/graph.tgs` store container with
@@ -67,8 +58,11 @@ struct LoadMetrics {
 //    last time a vertex/edge existed as a separate column" for pushdown).
 // Loads mmap the container, prune partitions by zone map, and decode the
 // survivors partition-parallel (v3 segments lazily, v2 segments
-// zero-copy). Loading a representation the store does not hold fails
-// with an IoError naming the missing table.
+// zero-copy). Every table scan counts its pruned and decoded partitions
+// as store.partitions_{pruned,decoded}, in the process registry and in
+// the running query's counter block (obs::AddQueryCounter). Loading a
+// representation the store does not hold fails with an IoError naming
+// the missing table.
 
 class StoreReader;
 
@@ -97,42 +91,34 @@ Status WriteVeStoreFile(
 /// Open `StorePath(dir)` and load it with the matching *FromStore loader.
 Result<VeGraph> LoadVeGraph(dataflow::ExecutionContext* ctx,
                             const std::string& dir,
-                            const LoadOptions& options = {},
-                            LoadMetrics* metrics = nullptr);
+                            const LoadOptions& options = {});
 /// Loads the VE tables and materializes the snapshot sequence. Fastest
 /// from structurally sorted stores.
 Result<RgGraph> LoadRgGraph(dataflow::ExecutionContext* ctx,
                             const std::string& dir,
-                            const LoadOptions& options = {},
-                            LoadMetrics* metrics = nullptr);
+                            const LoadOptions& options = {});
 Result<OgGraph> LoadOgGraph(dataflow::ExecutionContext* ctx,
                             const std::string& dir,
-                            const LoadOptions& options = {},
-                            LoadMetrics* metrics = nullptr);
+                            const LoadOptions& options = {});
 Result<OgcGraph> LoadOgcGraph(dataflow::ExecutionContext* ctx,
                               const std::string& dir,
-                              const LoadOptions& options = {},
-                              LoadMetrics* metrics = nullptr);
+                              const LoadOptions& options = {});
 
 /// Store-backed loaders taking an already-open (possibly shared) reader:
 /// tgraphd's catalog opens one StoreReader per directory and serves every
 /// ranged load off the same mapping.
 Result<VeGraph> LoadVeGraphFromStore(dataflow::ExecutionContext* ctx,
                                      const StoreReader& store,
-                                     const LoadOptions& options = {},
-                                     LoadMetrics* metrics = nullptr);
+                                     const LoadOptions& options = {});
 Result<RgGraph> LoadRgGraphFromStore(dataflow::ExecutionContext* ctx,
                                      const StoreReader& store,
-                                     const LoadOptions& options = {},
-                                     LoadMetrics* metrics = nullptr);
+                                     const LoadOptions& options = {});
 Result<OgGraph> LoadOgGraphFromStore(dataflow::ExecutionContext* ctx,
                                      const StoreReader& store,
-                                     const LoadOptions& options = {},
-                                     LoadMetrics* metrics = nullptr);
+                                     const LoadOptions& options = {});
 Result<OgcGraph> LoadOgcGraphFromStore(dataflow::ExecutionContext* ctx,
                                        const StoreReader& store,
-                                       const LoadOptions& options = {},
-                                       LoadMetrics* metrics = nullptr);
+                                       const LoadOptions& options = {});
 
 }  // namespace tgraph::storage
 

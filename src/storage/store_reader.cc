@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/encodings.h"
 #include "storage/predicate.h"
 #include "storage/serde.h"
@@ -295,13 +296,9 @@ Status StoreReader::VerifySegment(int t, size_t partition, int column) const {
     // A racing first touch already published its buffer; ours is dropped.
   }
   flag.store(1, std::memory_order_release);
-  static obs::Counter* verifies = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kStoreSegmentVerifies);
-  static obs::Counter* verified_bytes =
-      obs::MetricsRegistry::Global().GetCounter(
-          obs::metric_names::kStoreVerifiedBytes);
-  verifies->Increment();
-  verified_bytes->Add(static_cast<int64_t>(segment.byte_size));
+  obs::AddQueryCounter(obs::QueryCounter::kStoreSegmentVerifies, 1);
+  obs::AddQueryCounter(obs::QueryCounter::kStoreVerifiedBytes,
+                       static_cast<int64_t>(segment.byte_size));
   return Status::OK();
 }
 

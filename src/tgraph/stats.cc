@@ -5,11 +5,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
+#include "common/file_io.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tgraph::opt {
 
@@ -227,20 +226,12 @@ Result<Stats> Stats::Parse(const std::string& text) {
 }
 
 Status Stats::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("cannot open '" + path + "' for writing");
-  out << Serialize();
-  out.flush();
-  if (!out) return Status::IoError("failed writing stats profile '" + path + "'");
-  return Status::OK();
+  return WriteFileAtomic(path, Serialize());
 }
 
 Result<Stats> Stats::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("no stats profile at '" + path + "'");
-  std::ostringstream content;
-  content << in.rdbuf();
-  return Parse(content.str());
+  TG_ASSIGN_OR_RETURN(std::string content, ReadFile(path));
+  return Parse(content);
 }
 
 std::string Stats::ToString() const {
@@ -270,10 +261,7 @@ PlanContext PlanContext::FromGraph(const TGraph& graph) {
 }
 
 ScopedObservation::ScopedObservation()
-    : started_us_(obs::Tracer::NowMicros()),
-      shuffle_bytes_before_(obs::MetricsRegistry::Global()
-                                .GetCounter(obs::metric_names::kShuffleBytes)
-                                ->value()) {}
+    : started_us_(obs::Tracer::NowMicros()) {}
 
 void ScopedObservation::Commit(Stats* stats, OpKind op, Representation rep,
                                int64_t rows_in, int64_t rows_out) {
@@ -281,10 +269,7 @@ void ScopedObservation::Commit(Stats* stats, OpKind op, Representation rep,
   Observation observation;
   observation.wall_us = obs::Tracer::NowMicros() - started_us_;
   observation.shuffle_bytes =
-      obs::MetricsRegistry::Global()
-          .GetCounter(obs::metric_names::kShuffleBytes)
-          ->value() -
-      shuffle_bytes_before_;
+      counters_.Delta()[obs::QueryCounter::kShuffleBytes];
   observation.rows_in = rows_in;
   observation.rows_out = rows_out;
   stats->Observe(op, rep, observation);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "obs/trace.h"
 #include "tgraph/tgraph.h"
 
 namespace tgraph::opt {
@@ -29,8 +30,8 @@ std::optional<Representation> ParseRepresentation(const std::string& token);
 
 /// \brief One measured execution of an operator on a representation: the
 /// raw material of the cost model. Producers are the instrumented
-/// Pipeline::Run overload and the TQL interpreter; shuffle bytes come from
-/// the obs::MetricsRegistry delta around the step.
+/// Pipeline::Run overload and the TQL interpreter; shuffle bytes are what
+/// the step added to the query's counter block (ScopedObservation).
 struct Observation {
   int64_t wall_us = 0;
   int64_t shuffle_bytes = 0;
@@ -101,6 +102,8 @@ class Stats {
   std::string Serialize() const;
   static Result<Stats> Parse(const std::string& text);
 
+  /// Writes the profile through WriteFileAtomic: a crash mid-save leaves
+  /// the previous profile (or none), never a truncated one.
   Status SaveToFile(const std::string& path) const;
   /// NotFound when the file does not exist (callers treat that as a cold
   /// start); InvalidArgument on malformed content.
@@ -131,10 +134,12 @@ struct PlanContext {
 };
 
 /// \brief Captures one Observation around a scope: wall time plus the
-/// global shuffle-byte counter delta. The caller supplies row counts (they
-/// require materialized inputs/outputs, which only the caller can time
-/// correctly) and commits the record explicitly — a scope abandoned by an
-/// error records nothing.
+/// shuffle bytes the scope added to the query's counter block
+/// (obs::QueryCounterScope, which installs a block when the caller runs
+/// without one), so concurrent queries' shuffles never land in it. The
+/// caller supplies row counts (they require materialized inputs/outputs,
+/// which only the caller can time correctly) and commits the record
+/// explicitly — a scope abandoned by an error records nothing.
 class ScopedObservation {
  public:
   ScopedObservation();
@@ -146,7 +151,7 @@ class ScopedObservation {
 
  private:
   int64_t started_us_ = 0;
-  int64_t shuffle_bytes_before_ = 0;
+  obs::QueryCounterScope counters_;
 };
 
 }  // namespace tgraph::opt

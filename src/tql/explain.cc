@@ -1,58 +1,40 @@
 #include "tql/explain.h"
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
 namespace tgraph::tql {
 
 namespace {
 
-/// The counters a stage observes, resolved once per process (registry
-/// pointers are stable for the process lifetime).
-struct StageCounters {
-  obs::Counter* shuffles;
-  obs::Counter* shuffle_records;
-  obs::Counter* shuffle_bytes;
-  obs::Counter* shuffles_rebalanced;
-  obs::Counter* shuffle_hot_keys;
-  obs::Counter* row_groups_total;
-  obs::Counter* row_groups_scanned;
-  obs::Counter* store_partitions_pruned;
-  obs::Counter* store_partitions_decoded;
-  obs::Counter* store_segment_verifies;
-  obs::Counter* store_verified_bytes;
-  obs::Counter* catalog_hits;
-  obs::Counter* catalog_loads;
-};
-
-const StageCounters& Counters() {
-  static const StageCounters counters = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    namespace names = obs::metric_names;
-    StageCounters c;
-    c.shuffles = reg.GetCounter(names::kShuffles);
-    c.shuffle_records = reg.GetCounter(names::kShuffleRecords);
-    c.shuffle_bytes = reg.GetCounter(names::kShuffleBytes);
-    c.shuffles_rebalanced = reg.GetCounter(names::kShuffleRebalanced);
-    c.shuffle_hot_keys = reg.GetCounter(names::kShuffleHotKeys);
-    c.row_groups_total = reg.GetCounter(names::kLoadRowGroupsTotal);
-    c.row_groups_scanned = reg.GetCounter(names::kLoadRowGroupsScanned);
-    c.store_partitions_pruned = reg.GetCounter(names::kStorePartitionsPruned);
-    c.store_partitions_decoded = reg.GetCounter(names::kStorePartitionsDecoded);
-    c.store_segment_verifies = reg.GetCounter(names::kStoreSegmentVerifies);
-    c.store_verified_bytes = reg.GetCounter(names::kStoreVerifiedBytes);
-    c.catalog_hits = reg.GetCounter(names::kCatalogHits);
-    c.catalog_loads = reg.GetCounter(names::kCatalogLoads);
-    return c;
-  }();
-  return counters;
-}
-
-void AppendField(std::string* out, const char* key, int64_t value) {
-  *out += " ";
-  *out += key;
-  *out += "=";
-  *out += std::to_string(value);
+/// Calls `emit(key, value, quoted)` for each field a stage prints, in
+/// order: the wall time, rows when applicable, then each counter group
+/// the stage moved. `quoted` marks a string value in JSON.
+template <typename Emit>
+void ForEachField(const StageStats& s, const Emit& emit) {
+  auto number = [&emit](const char* key, int64_t value) {
+    emit(key, std::to_string(value), false);
+  };
+  number("wall_us", s.wall_us);
+  if (s.rows_in >= 0) number("rows_in", s.rows_in);
+  if (s.rows_out >= 0) number("rows_out", s.rows_out);
+  if (s.shuffles != 0) {
+    number("shuffles", s.shuffles);
+    number("shuffle_records", s.shuffle_records);
+    number("shuffle_bytes", s.shuffle_bytes);
+  }
+  if (s.shuffles_rebalanced != 0) {
+    number("rebalanced", s.shuffles_rebalanced);
+    number("hot_keys", s.shuffle_hot_keys);
+  }
+  if (s.store_partitions_pruned != 0 || s.store_partitions_decoded != 0) {
+    number("partitions_pruned", s.store_partitions_pruned);
+    number("partitions_decoded", s.store_partitions_decoded);
+  }
+  if (s.store_segment_verifies != 0) {
+    number("segment_verifies", s.store_segment_verifies);
+    number("verified_bytes", s.store_verified_bytes);
+  }
+  if (s.catalog_hits != 0 || s.catalog_loads != 0) {
+    emit("catalog", s.catalog_loads != 0 ? "load" : "hit", true);
+  }
 }
 
 }  // namespace
@@ -61,77 +43,24 @@ std::string StageStats::ToString() const {
   std::string out = label;
   if (!detail.empty()) out += " " + detail;
   out += ":";
-  AppendField(&out, "wall_us", wall_us);
-  if (rows_in >= 0) AppendField(&out, "rows_in", rows_in);
-  if (rows_out >= 0) AppendField(&out, "rows_out", rows_out);
-  if (shuffles != 0) {
-    AppendField(&out, "shuffles", shuffles);
-    AppendField(&out, "shuffle_records", shuffle_records);
-    AppendField(&out, "shuffle_bytes", shuffle_bytes);
-  }
-  if (shuffles_rebalanced != 0) {
-    AppendField(&out, "rebalanced", shuffles_rebalanced);
-    AppendField(&out, "hot_keys", shuffle_hot_keys);
-  }
-  if (row_groups_total != 0) {
-    AppendField(&out, "row_groups_scanned", row_groups_scanned);
-    AppendField(&out, "row_groups_total", row_groups_total);
-  }
-  if (store_partitions_pruned != 0 || store_partitions_decoded != 0) {
-    AppendField(&out, "partitions_pruned", store_partitions_pruned);
-    AppendField(&out, "partitions_decoded", store_partitions_decoded);
-  }
-  if (store_segment_verifies != 0) {
-    AppendField(&out, "segment_verifies", store_segment_verifies);
-    AppendField(&out, "verified_bytes", store_verified_bytes);
-  }
-  if (catalog_hits != 0 || catalog_loads != 0) {
-    out += catalog_loads != 0 ? " catalog=load" : " catalog=hit";
-  }
+  ForEachField(*this, [&out](const char* key, const std::string& value,
+                             bool /*quoted*/) {
+    out += std::string(" ") + key + "=" + value;
+  });
   return out;
 }
 
 std::string StageStats::ToJson() const {
   // label/detail are operator names and graph identifiers (lexer-safe
   // charsets), so plain quoting suffices.
-  std::string out = "{\"label\":\"" + label + "\",\"detail\":\"" + detail +
-                    "\",\"wall_us\":" + std::to_string(wall_us);
-  auto field = [&out](const char* key, int64_t value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  if (rows_in >= 0) field("rows_in", rows_in);
-  if (rows_out >= 0) field("rows_out", rows_out);
-  if (shuffles != 0) {
-    field("shuffles", shuffles);
-    field("shuffle_records", shuffle_records);
-    field("shuffle_bytes", shuffle_bytes);
-  }
-  if (shuffles_rebalanced != 0) {
-    field("rebalanced", shuffles_rebalanced);
-    field("hot_keys", shuffle_hot_keys);
-  }
-  if (row_groups_total != 0) {
-    field("row_groups_scanned", row_groups_scanned);
-    field("row_groups_total", row_groups_total);
-  }
-  if (store_partitions_pruned != 0 || store_partitions_decoded != 0) {
-    field("partitions_pruned", store_partitions_pruned);
-    field("partitions_decoded", store_partitions_decoded);
-  }
-  if (store_segment_verifies != 0) {
-    field("segment_verifies", store_segment_verifies);
-    field("verified_bytes", store_verified_bytes);
-  }
-  if (catalog_hits != 0 || catalog_loads != 0) {
-    out += ",\"catalog\":\"";
-    out += catalog_loads != 0 ? "load" : "hit";
-    out += "\"";
-  }
-  out += "}";
-  return out;
+  std::string out =
+      "{\"label\":\"" + label + "\",\"detail\":\"" + detail + "\"";
+  ForEachField(*this, [&out](const char* key, const std::string& value,
+                             bool quoted) {
+    out += std::string(",\"") + key + "\":" +
+           (quoted ? "\"" + value + "\"" : value);
+  });
+  return out + "}";
 }
 
 ExplainCollector::Scope::Scope(ExplainCollector* collector, std::string label,
@@ -140,46 +69,27 @@ ExplainCollector::Scope::Scope(ExplainCollector* collector, std::string label,
   if (collector_ == nullptr) return;
   stage_.label = std::move(label);
   stage_.detail = std::move(detail);
-  const StageCounters& c = Counters();
-  shuffles_ = c.shuffles->value();
-  shuffle_records_ = c.shuffle_records->value();
-  shuffle_bytes_ = c.shuffle_bytes->value();
-  shuffles_rebalanced_ = c.shuffles_rebalanced->value();
-  shuffle_hot_keys_ = c.shuffle_hot_keys->value();
-  row_groups_total_ = c.row_groups_total->value();
-  row_groups_scanned_ = c.row_groups_scanned->value();
-  store_partitions_pruned_ = c.store_partitions_pruned->value();
-  store_partitions_decoded_ = c.store_partitions_decoded->value();
-  store_segment_verifies_ = c.store_segment_verifies->value();
-  store_verified_bytes_ = c.store_verified_bytes->value();
-  catalog_hits_ = c.catalog_hits->value();
-  catalog_loads_ = c.catalog_loads->value();
+  counters_.emplace();
   start_us_ = obs::Tracer::NowMicros();
 }
 
 ExplainCollector::Scope::~Scope() {
   if (collector_ == nullptr) return;
-  const StageCounters& c = Counters();
+  using obs::QueryCounter;
   stage_.wall_us = obs::Tracer::NowMicros() - start_us_;
-  stage_.shuffles = c.shuffles->value() - shuffles_;
-  stage_.shuffle_records = c.shuffle_records->value() - shuffle_records_;
-  stage_.shuffle_bytes = c.shuffle_bytes->value() - shuffle_bytes_;
-  stage_.shuffles_rebalanced =
-      c.shuffles_rebalanced->value() - shuffles_rebalanced_;
-  stage_.shuffle_hot_keys = c.shuffle_hot_keys->value() - shuffle_hot_keys_;
-  stage_.row_groups_total = c.row_groups_total->value() - row_groups_total_;
-  stage_.row_groups_scanned =
-      c.row_groups_scanned->value() - row_groups_scanned_;
-  stage_.store_partitions_pruned =
-      c.store_partitions_pruned->value() - store_partitions_pruned_;
+  const obs::QueryCounterValues work = counters_->Delta();
+  stage_.shuffles = work[QueryCounter::kShuffles];
+  stage_.shuffle_records = work[QueryCounter::kShuffleRecords];
+  stage_.shuffle_bytes = work[QueryCounter::kShuffleBytes];
+  stage_.shuffles_rebalanced = work[QueryCounter::kShufflesRebalanced];
+  stage_.shuffle_hot_keys = work[QueryCounter::kShuffleHotKeys];
+  stage_.store_partitions_pruned = work[QueryCounter::kStorePartitionsPruned];
   stage_.store_partitions_decoded =
-      c.store_partitions_decoded->value() - store_partitions_decoded_;
-  stage_.store_segment_verifies =
-      c.store_segment_verifies->value() - store_segment_verifies_;
-  stage_.store_verified_bytes =
-      c.store_verified_bytes->value() - store_verified_bytes_;
-  stage_.catalog_hits = c.catalog_hits->value() - catalog_hits_;
-  stage_.catalog_loads = c.catalog_loads->value() - catalog_loads_;
+      work[QueryCounter::kStorePartitionsDecoded];
+  stage_.store_segment_verifies = work[QueryCounter::kStoreSegmentVerifies];
+  stage_.store_verified_bytes = work[QueryCounter::kStoreVerifiedBytes];
+  stage_.catalog_hits = work[QueryCounter::kCatalogHits];
+  stage_.catalog_loads = work[QueryCounter::kCatalogLoads];
   collector_->Add(std::move(stage_));
 }
 

@@ -2,19 +2,22 @@
 #define TGRAPH_TQL_EXPLAIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace tgraph::tql {
 
 /// \brief One executed stage of an EXPLAIN ANALYZE plan: an operator or
 /// statement with its wall time and the observable work it caused.
 ///
-/// Counter-derived fields are deltas of the process-global
-/// MetricsRegistry taken around the stage, so the numbers are exactly
-/// what the cost model and the metrics endpoint see. Under concurrent
-/// queries they can over-attribute (another query's shuffle landing in
-/// this stage's window) — same caveat as opt::ScopedObservation.
+/// Counter-derived fields are the movement of the query's own counter
+/// block (obs::QueryCounters) across the stage. Every increment lands in
+/// that block and in its process-global twin at once, so a stage reports
+/// the same work /metrics counts, and work of concurrently running
+/// queries never lands in it.
 struct StageStats {
   std::string label;   ///< Operator / statement name ("AZOOM", "LOAD"...).
   std::string detail;  ///< Source graph, representation, target, ...
@@ -30,8 +33,6 @@ struct StageStats {
   int64_t shuffle_hot_keys = 0;
 
   // Storage pushdown over store partitions.
-  int64_t row_groups_total = 0;
-  int64_t row_groups_scanned = 0;
   int64_t store_partitions_pruned = 0;
   int64_t store_partitions_decoded = 0;
   int64_t store_segment_verifies = 0;
@@ -54,8 +55,9 @@ struct StageStats {
 /// log). Single-query scope: not thread-safe, create one per execution.
 class ExplainCollector {
  public:
-  /// RAII stage measurement: snapshots the relevant global counters on
-  /// construction and commits the delta as one stage on destruction.
+  /// RAII stage measurement: times the stage and commits the movement of
+  /// the query's counter block (obs::QueryCounterScope, which installs a
+  /// block when the caller runs without one) as one stage on destruction.
   /// A null collector makes the scope a no-op, so call sites don't
   /// branch.
   class Scope {
@@ -73,20 +75,7 @@ class ExplainCollector {
     ExplainCollector* collector_;
     StageStats stage_;
     int64_t start_us_ = 0;
-    // Counter values at scope entry; deltas become the stage's work.
-    int64_t shuffles_ = 0;
-    int64_t shuffle_records_ = 0;
-    int64_t shuffle_bytes_ = 0;
-    int64_t shuffles_rebalanced_ = 0;
-    int64_t shuffle_hot_keys_ = 0;
-    int64_t row_groups_total_ = 0;
-    int64_t row_groups_scanned_ = 0;
-    int64_t store_partitions_pruned_ = 0;
-    int64_t store_partitions_decoded_ = 0;
-    int64_t store_segment_verifies_ = 0;
-    int64_t store_verified_bytes_ = 0;
-    int64_t catalog_hits_ = 0;
-    int64_t catalog_loads_ = 0;
+    std::optional<obs::QueryCounterScope> counters_;
   };
 
   void Add(StageStats stage) { stages_.push_back(std::move(stage)); }

@@ -91,6 +91,23 @@ Result<TGraph> Interpreter::Lookup(const std::string& name) const {
   return it->second;
 }
 
+Result<TGraph> Interpreter::RunOperator(
+    const char* label, opt::OpKind op, const std::string& source,
+    const TGraph& graph, const std::string& detail_suffix,
+    const std::function<Result<TGraph>(const TGraph&)>& run) {
+  const Representation rep = graph.representation();
+  const bool observe = stats_ != nullptr || explain_ != nullptr;
+  const int64_t rows_in = observe ? RecordCount(graph) : 0;
+  ExplainCollector::Scope stage(explain_, label,
+                                StageDetail(source, rep) + detail_suffix);
+  opt::ScopedObservation observation;
+  TG_ASSIGN_OR_RETURN(TGraph result, run(graph));
+  const int64_t rows_out = RecordCount(result);
+  observation.Commit(stats_, op, rep, rows_in, rows_out);
+  stage.set_rows(rows_in, rows_out);
+  return result;
+}
+
 Result<TGraph> Interpreter::Evaluate(const Expr& expr) {
   if (const auto* ref = std::get_if<RefExpr>(&expr)) {
     return Lookup(ref->source);
@@ -98,46 +115,21 @@ Result<TGraph> Interpreter::Evaluate(const Expr& expr) {
   if (const auto* azoom = std::get_if<AZoomExpr>(&expr)) {
     TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(azoom->source));
     AZoomSpec spec = BuildAZoomSpec(*azoom);
-    const Representation rep = graph.representation();
-    const bool observe = stats_ != nullptr || explain_ != nullptr;
-    const int64_t rows_in = observe ? RecordCount(graph) : 0;
-    ExplainCollector::Scope stage(explain_, "AZOOM",
-                                  StageDetail(azoom->source, rep));
-    opt::ScopedObservation observation;
-    TG_ASSIGN_OR_RETURN(TGraph result, graph.AZoom(spec));
-    const int64_t rows_out = RecordCount(result);
-    observation.Commit(stats_, opt::OpKind::kAZoom, rep, rows_in, rows_out);
-    stage.set_rows(rows_in, rows_out);
-    return result;
+    return RunOperator("AZOOM", opt::OpKind::kAZoom, azoom->source, graph, "",
+                       [&spec](const TGraph& g) { return g.AZoom(spec); });
   }
   if (const auto* wzoom = std::get_if<WZoomExpr>(&expr)) {
     TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(wzoom->source));
     WZoomSpec spec = BuildWZoomSpec(*wzoom);
-    const Representation rep = graph.representation();
-    const bool observe = stats_ != nullptr || explain_ != nullptr;
-    const int64_t rows_in = observe ? RecordCount(graph) : 0;
-    ExplainCollector::Scope stage(explain_, "WZOOM",
-                                  StageDetail(wzoom->source, rep));
-    opt::ScopedObservation observation;
-    TG_ASSIGN_OR_RETURN(TGraph result, graph.WZoom(spec));
-    const int64_t rows_out = RecordCount(result);
-    observation.Commit(stats_, opt::OpKind::kWZoom, rep, rows_in, rows_out);
-    stage.set_rows(rows_in, rows_out);
-    return result;
+    return RunOperator("WZOOM", opt::OpKind::kWZoom, wzoom->source, graph, "",
+                       [&spec](const TGraph& g) { return g.WZoom(spec); });
   }
   if (const auto* slice = std::get_if<SliceExpr>(&expr)) {
     TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(slice->source));
-    const Representation rep = graph.representation();
-    const bool observe = stats_ != nullptr || explain_ != nullptr;
-    const int64_t rows_in = observe ? RecordCount(graph) : 0;
-    ExplainCollector::Scope stage(explain_, "SLICE",
-                                  StageDetail(slice->source, rep));
-    opt::ScopedObservation observation;
-    TGraph result = graph.Slice(Interval(slice->from, slice->to));
-    const int64_t rows_out = RecordCount(result);
-    observation.Commit(stats_, opt::OpKind::kSlice, rep, rows_in, rows_out);
-    stage.set_rows(rows_in, rows_out);
-    return result;
+    const Interval range(slice->from, slice->to);
+    return RunOperator(
+        "SLICE", opt::OpKind::kSlice, slice->source, graph, "",
+        [&range](const TGraph& g) -> Result<TGraph> { return g.Slice(range); });
   }
   if (const auto* subgraph = std::get_if<SubgraphExpr>(&expr)) {
     TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(subgraph->source));
@@ -162,33 +154,17 @@ Result<TGraph> Interpreter::Evaluate(const Expr& expr) {
   }
   if (const auto* coalesce = std::get_if<CoalesceExpr>(&expr)) {
     TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(coalesce->source));
-    const Representation rep = graph.representation();
-    const bool observe = stats_ != nullptr || explain_ != nullptr;
-    const int64_t rows_in = observe ? RecordCount(graph) : 0;
-    ExplainCollector::Scope stage(explain_, "COALESCE",
-                                  StageDetail(coalesce->source, rep));
-    opt::ScopedObservation observation;
-    TGraph result = graph.Coalesce();
-    const int64_t rows_out = RecordCount(result);
-    observation.Commit(stats_, opt::OpKind::kCoalesce, rep, rows_in, rows_out);
-    stage.set_rows(rows_in, rows_out);
-    return result;
+    return RunOperator(
+        "COALESCE", opt::OpKind::kCoalesce, coalesce->source, graph, "",
+        [](const TGraph& g) -> Result<TGraph> { return g.Coalesce(); });
   }
   if (const auto* convert = std::get_if<ConvertExpr>(&expr)) {
     TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(convert->source));
-    const Representation rep = graph.representation();
-    const bool observe = stats_ != nullptr || explain_ != nullptr;
-    const int64_t rows_in = observe ? RecordCount(graph) : 0;
-    ExplainCollector::Scope stage(
-        explain_, "CONVERT",
-        StageDetail(convert->source, rep) + " -> " +
-            RepresentationName(convert->target));
-    opt::ScopedObservation observation;
-    TG_ASSIGN_OR_RETURN(TGraph result, graph.As(convert->target));
-    const int64_t rows_out = RecordCount(result);
-    observation.Commit(stats_, opt::OpKind::kConvert, rep, rows_in, rows_out);
-    stage.set_rows(rows_in, rows_out);
-    return result;
+    const Representation target = convert->target;
+    return RunOperator(
+        "CONVERT", opt::OpKind::kConvert, convert->source, graph,
+        std::string(" -> ") + RepresentationName(target),
+        [target](const TGraph& g) { return g.As(target); });
   }
   return Status::Internal("unhandled expression");
 }

@@ -69,10 +69,12 @@ class Interpreter {
   }
 
   /// When set, every zoom/slice/coalesce/convert expression records one
-  /// observation (wall time, shuffle-byte delta, rows in/out, input
-  /// representation) into the store — how tgraphd learns a cost profile
-  /// from its own query history. The store must outlive the interpreter.
-  /// Unset (the default) means no recording.
+  /// observation (wall time, the shuffle bytes it added to the query's
+  /// counter block, rows in/out, input representation) into the store.
+  /// tgraphd records its queries this way and persists the profile; no
+  /// query plan reads it (only Pipeline::OptimizedWithCost does). The
+  /// store must outlive the interpreter. Unset (the default) means no
+  /// recording.
   void set_stats(opt::Stats* stats) { stats_ = stats; }
 
   /// When set, every executed statement and operator appends a StageStats
@@ -90,6 +92,14 @@ class Interpreter {
 
  private:
   Result<TGraph> Evaluate(const Expr& expr);
+
+  /// Runs one operator of `source` (bound to `graph`) as a measured stage:
+  /// an EXPLAIN ANALYZE stage when collecting and an opt::Stats
+  /// observation when recording.
+  Result<TGraph> RunOperator(
+      const char* label, opt::OpKind op, const std::string& source,
+      const TGraph& graph, const std::string& detail_suffix,
+      const std::function<Result<TGraph>(const TGraph&)>& run);
 
   dataflow::ExecutionContext* ctx_;
   std::map<std::string, TGraph> env_;

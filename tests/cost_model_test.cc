@@ -123,6 +123,34 @@ TEST(StatsTest, FilePersistenceRoundTripAndColdStart) {
   std::remove(path.c_str());
 }
 
+// Saving over an existing profile replaces it through WriteFileAtomic:
+// the new profile round-trips and no temp file is left beside it.
+TEST(StatsTest, SaveOverExistingProfileRoundTripsAndLeavesNoTempFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "cost_model_test_resave";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "profile.txt").string();
+
+  Stats first;
+  first.Observe(OpKind::kAZoom, Representation::kVe, Obs(100, 10, 5));
+  ASSERT_TRUE(first.SaveToFile(path).ok());
+  Stats second;
+  second.Observe(OpKind::kWZoom, Representation::kOg, Obs(640, 64, 32));
+  second.Observe(OpKind::kSlice, Representation::kRg, Obs(20, 8, 4));
+  ASSERT_TRUE(second.SaveToFile(path).ok());
+
+  Result<Stats> loaded = Stats::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->Serialize(), second.Serialize());
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"profile.txt"});
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Fallback behavior.
 

@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "obs/trace.h"
+
 namespace tgraph::dataflow {
 namespace {
 
@@ -191,9 +193,9 @@ TEST(DatasetTest, SharedLineageComputesOnce) {
 TEST(DatasetTest, MetricsCountShuffledRecords) {
   ExecutionContext ctx({.num_workers = 1, .default_parallelism = 2});
   auto ds = Dataset<int64_t>::FromVector(&ctx, Iota(40), 2);
-  int64_t before = ctx.metrics().records_shuffled.load();
+  obs::QueryCounterScope work;
   ds.PartitionBy([](const int64_t& x) { return x; }, 4).Cache();
-  EXPECT_EQ(ctx.metrics().records_shuffled.load() - before, 40);
+  EXPECT_EQ(work.Delta()[obs::QueryCounter::kShuffleRecords], 40);
 }
 
 }  // namespace

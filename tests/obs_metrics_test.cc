@@ -350,17 +350,14 @@ TEST(ExpositionTest, MetricsJsonIsWellFormedAndEscapes) {
   EXPECT_EQ(escaped, "a\\\"b\\\\c\\nd\\u0001");
 }
 
-TEST(DataflowMetricsTest, LegacyMetricsSnapshotAndReset) {
+TEST(DataflowMetricsTest, ParallelForCountsOneStageAndItsTasks) {
   dataflow::ExecutionContext ctx({.num_workers = 2});
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   ctx.ParallelFor(5, [](size_t) {});
-  dataflow::Metrics::Snapshot snap = ctx.metrics().Snap();
-  EXPECT_EQ(snap.stages_executed, 1);
-  EXPECT_EQ(snap.tasks_executed, 5);
-  ctx.metrics().Reset();
-  snap = ctx.metrics().Snap();
-  EXPECT_EQ(snap.stages_executed, 0);
-  EXPECT_EQ(snap.tasks_executed, 0);
-  EXPECT_EQ(snap.records_shuffled, 0);
+  const MetricsSnapshot delta =
+      MetricsRegistry::Global().Snapshot().DeltaSince(before);
+  EXPECT_EQ(delta.counters.at(metric_names::kStages), 1);
+  EXPECT_EQ(delta.counters.at(metric_names::kTasks), 5);
 }
 
 }  // namespace

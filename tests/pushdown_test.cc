@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "common/logging.h"
+#include "obs/trace.h"
 #include "storage/graph_io.h"
 #include "storage/predicate.h"
 #include "storage/store_reader.h"
@@ -184,20 +185,36 @@ TEST(PushdownTest, GraphLoadPrunesUnderStructuralSortOnly) {
     write.sort_order = order;
     write.row_group_size = 100;
     ASSERT_TRUE(WriteVeStore(graph, dir, write).ok());
+    {
+      // The graph has no edges, so the load's partition counters count
+      // the 10 vertex partitions alone.
+      Result<std::unique_ptr<StoreReader>> reader =
+          StoreReader::Open(StorePath(dir));
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      EXPECT_EQ((*reader)->table((*reader)->FindTable("vertices"))
+                    .partitions.size(),
+                10u);
+      EXPECT_EQ(
+          (*reader)->table((*reader)->FindTable("edges")).partitions.size(),
+          0u);
+    }
     for (bool pushdown : {true, false}) {
       load.pushdown = pushdown;
-      LoadMetrics metrics;
-      Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir, load, &metrics);
+      obs::QueryCounterScope work;
+      Result<VeGraph> loaded = LoadVeGraph(Ctx(), dir, load);
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      const int64_t decoded =
+          work.Delta()[obs::QueryCounter::kStorePartitionsDecoded];
+      const int64_t pruned =
+          work.Delta()[obs::QueryCounter::kStorePartitionsPruned];
       const int64_t rows = loaded->vertices().Count();
       if (expected_rows < 0) expected_rows = rows;
       EXPECT_EQ(rows, expected_rows);
-      EXPECT_EQ(metrics.vertex_groups_total, 10u);
-      const size_t expected_scanned =
-          !pushdown ? 10u
-                    : (order == SortOrder::kStructuralLocality ? 1u : 10u);
-      EXPECT_LE(metrics.vertex_groups_scanned, expected_scanned + 1);
-      EXPECT_GE(metrics.vertex_groups_scanned, expected_scanned);
+      EXPECT_EQ(decoded + pruned, 10);
+      const int64_t expected_decoded =
+          !pushdown ? 10 : (order == SortOrder::kStructuralLocality ? 1 : 10);
+      EXPECT_LE(decoded, expected_decoded + 1);
+      EXPECT_GE(decoded, expected_decoded);
     }
   }
   EXPECT_EQ(expected_rows, 14);

@@ -4,8 +4,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "server/server.h"
 #include "storage/graph_io.h"
 #include "test_util.h"
+#include "tql/interpreter.h"
 
 namespace tgraph::server {
 namespace {
@@ -173,6 +178,35 @@ TEST_F(ServerE2eTest, StoreScriptsAreNeverCached) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_FALSE(second->cache_hit());
   EXPECT_EQ(server->cache().entries(), 0u);
+}
+
+// A STORE run by this server replaces the directory's graph for later
+// LOADs: the catalog drops its reader and graphs for the directory and
+// the result cache drops the results that LOADed it.
+TEST_F(ServerE2eTest, LoadAfterStoreIntoTheSameDirectoryServesTheNewGraph) {
+  auto server = StartServer(ServerOptions{});
+  Client client = Connect(*server);
+  const std::string read = "LOAD '" + graph_dir_ + "' AS g;\nINFO g;";
+  Result<Response> before = client.Query(read);
+  ASSERT_TRUE(before.ok()) << before.status();
+  Result<Response> cached = client.Query(read);
+  ASSERT_TRUE(cached.ok()) << cached.status();
+  EXPECT_TRUE(cached->cache_hit());
+
+  Result<Response> store =
+      client.Query("GENERATE snb(scale=0.02, seed=5) AS s;\nSTORE s TO '" +
+                   graph_dir_ + "';");
+  ASSERT_TRUE(store.ok()) << store.status();
+
+  Result<Response> after = client.Query(read);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_FALSE(after->cache_hit());
+  EXPECT_NE(after->body, before->body);
+  // The same script in a fresh interpreter reads the new file from disk.
+  tql::Interpreter fresh(testing::Ctx());
+  Result<std::string> expected = fresh.ExecuteScript(read);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(after->body, *expected);
 }
 
 TEST_F(ServerE2eTest, MalformedQueryAnswersAnErrorNotACrash) {
@@ -420,6 +454,98 @@ TEST_F(ServerE2eTest, SlowQueryLogRecordsStructuredEntries) {
   EXPECT_NE(log.find("\"cache\":\"hit\""), std::string::npos) << log;
   // The miss entry carries executed stages; AZOOM ran.
   EXPECT_NE(log.find("\"label\":\"AZOOM\""), std::string::npos) << log;
+}
+
+/// "key=value" pairs of an EXPLAIN ANALYZE stage line ("  WZOOM g [VE]:
+/// wall_us=12 rows_in=6 ...") or of the slow log's JSON for that stage
+/// ({"label":"WZOOM",...,"wall_us":12,"rows_in":6,...}), without the wall
+/// time, label and detail.
+std::map<std::string, std::string> StageCounters(const std::string& text,
+                                                 bool json) {
+  std::map<std::string, std::string> fields;
+  std::string body = text.substr(text.find(json ? "\"wall_us\"" : "wall_us"));
+  for (char& c : body) {
+    if (c == ',' || c == '}') c = ' ';
+    if (json && c == ':') c = '=';
+  }
+  std::istringstream in(body);
+  std::string token;
+  while (in >> token) {
+    token.erase(std::remove(token.begin(), token.end(), '"'), token.end());
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos || token.compare(0, eq, "wall_us") == 0) {
+      continue;
+    }
+    fields[token.substr(0, eq)] = token.substr(eq + 1);
+  }
+  return fields;
+}
+
+// While another query runs, a slow-logged EXPLAIN ANALYZE's stage in the
+// log carries exactly the counters its own report printed, and both equal
+// a solo run: each reads the query's own counter block.
+TEST_F(ServerE2eTest, SlowLogStagesMatchExplainAnalyzeUnderConcurrentLoad) {
+  ServerOptions options;
+  options.workers = 2;
+  options.slow_query_log = dir_ + "/slow.jsonl";
+  options.slow_query_ms = 0;  // everything is slow
+  auto server = StartServer(options);
+  Client client = Connect(*server);
+  const std::string explain =
+      "LOAD '" + graph_dir_ +
+      "' AS g;\nEXPLAIN ANALYZE SET w = WZOOM g WINDOW 2 NODES EXISTS "
+      "EDGES EXISTS;";
+  std::vector<std::string> reports;
+  Result<Response> solo = client.Query(explain);
+  ASSERT_TRUE(solo.ok()) << solo.status();
+  reports.push_back(solo->body);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> other_queries{0};
+  std::thread other([&] {
+    Client busy;
+    if (!busy.Connect("127.0.0.1", server->port()).ok()) return;
+    while (!stop.load()) {
+      if (busy.Query("GENERATE snb(scale=0.05, seed=9) AS s;\n"
+                     "SET a = AZOOM s BY firstName AGGREGATE COUNT() AS n;",
+                     /*no_cache=*/true)
+              .ok()) {
+        ++other_queries;
+      }
+    }
+  });
+  while (other_queries.load() == 0) std::this_thread::yield();
+  for (int i = 0; i < 5; ++i) {
+    Result<Response> response = client.Query(explain);
+    ASSERT_TRUE(response.ok()) << response.status();
+    reports.push_back(response->body);
+  }
+  stop = true;
+  other.join();
+  server->Drain();
+
+  std::vector<std::string> logged;  // WZOOM stage JSON, in query order
+  std::istringstream log(ReadFileOrEmpty(options.slow_query_log));
+  for (std::string line; std::getline(log, line);) {
+    if (line.find("EXPLAIN ANALYZE") == std::string::npos) continue;
+    const size_t stage = line.find("{\"label\":\"WZOOM\"");
+    ASSERT_NE(stage, std::string::npos) << line;
+    logged.push_back(line.substr(stage, line.find('}', stage) - stage + 1));
+  }
+  ASSERT_EQ(logged.size(), reports.size());
+  std::map<std::string, std::string> solo_fields;
+  for (size_t i = 0; i < reports.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const size_t stage = reports[i].find("  WZOOM g [VE]:");
+    ASSERT_NE(stage, std::string::npos) << reports[i];
+    const auto reported = StageCounters(
+        reports[i].substr(stage, reports[i].find('\n', stage) - stage),
+        /*json=*/false);
+    EXPECT_EQ(StageCounters(logged[i], /*json=*/true), reported);
+    EXPECT_TRUE(reported.count("shuffles") == 1) << reports[i];
+    if (i == 0) solo_fields = reported;
+    EXPECT_EQ(reported, solo_fields);
+  }
 }
 
 ingest::Event AddVertexEvent(int64_t vid, TimePoint at) {

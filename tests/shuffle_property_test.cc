@@ -28,6 +28,7 @@
 #include "dataflow/hashing.h"
 #include "dataflow/shuffle.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace tgraph::dataflow::internal_shuffle {
 namespace {
@@ -159,7 +160,7 @@ TEST_P(ShuffleDistributions, MetricsMatchGroundTruth) {
   Partitions<KV> input = Chunk(data, 4);
 
   obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-  int64_t before_legacy = ctx.metrics().Snap().records_shuffled;
+  obs::QueryCounterScope work;
 
   ShufflePlan plan = PlanShuffle(&ctx, input, 8, kKeyOf, /*allow_spread=*/true);
   Partitions<KV> shuffled =
@@ -170,7 +171,7 @@ TEST_P(ShuffleDistributions, MetricsMatchGroundTruth) {
       obs::MetricsRegistry::Global().Snapshot().DeltaSince(before);
   // kSpread routes every record exactly once, so all three record counts
   // and the byte volume are exact.
-  EXPECT_EQ(ctx.metrics().Snap().records_shuffled - before_legacy, total);
+  EXPECT_EQ(work.Delta()[obs::QueryCounter::kShuffleRecords], total);
   EXPECT_EQ(delta.counters.at(obs::metric_names::kShuffleRecords), total);
   EXPECT_EQ(delta.counters.at(obs::metric_names::kShuffleBytes),
             total * static_cast<int64_t>(sizeof(KV)));

@@ -10,8 +10,10 @@
 #include <optional>
 #include <vector>
 
+#include "obs/trace.h"
 #include "server/catalog.h"
 #include "storage/graph_io.h"
+#include "storage/predicate.h"
 #include "storage/store_reader.h"
 #include "tests/test_util.h"
 #include "tgraph/convert.h"
@@ -145,22 +147,49 @@ TEST(StorePushdownTest, ZoneMapsSkipPartitions) {
 
   LoadOptions options;
   options.time_range = Interval(0, 5);
-  LoadMetrics metrics;
-  Result<VeGraph> sliced = LoadVeGraph(Ctx(), store_dir, options, &metrics);
-  TG_CHECK_OK(sliced.status());
-  EXPECT_GT(metrics.vertex_groups_total, 1);
-  EXPECT_LT(metrics.vertex_groups_scanned, metrics.vertex_groups_total);
-  EXPECT_LT(metrics.edge_groups_scanned, metrics.edge_groups_total);
+  Result<std::unique_ptr<StoreReader>> reader =
+      StoreReader::Open(StorePath(store_dir));
+  TG_CHECK_OK(reader.status());
+  // Per table, the partitions the [0, 5) slice can match by zone map.
+  const Predicate overlaps =
+      Predicate::IntervalOverlaps("start", "end", *options.time_range);
+  auto matching = [&](const char* table, size_t* total) {
+    const int t = (*reader)->FindTable(table);
+    *total = (*reader)->table(t).partitions.size();
+    size_t kept = 0;
+    for (size_t p = 0; p < *total; ++p) {
+      kept += (*reader)->PartitionMaybeMatches(t, p, overlaps) ? 1 : 0;
+    }
+    return kept;
+  };
+  size_t vertex_total = 0, edge_total = 0;
+  const size_t vertex_kept = matching("vertices", &vertex_total);
+  const size_t edge_kept = matching("edges", &edge_total);
+  EXPECT_GT(vertex_total, 1u);
+  EXPECT_LT(vertex_kept, vertex_total);
+  EXPECT_LT(edge_kept, edge_total);
 
-  // Pushdown off: every partition is scanned, same graph comes back.
+  // The load decodes exactly the matching partitions and prunes the rest.
+  obs::QueryCounterScope pruned_load;
+  Result<VeGraph> sliced = LoadVeGraph(Ctx(), store_dir, options);
+  TG_CHECK_OK(sliced.status());
+  const obs::QueryCounterValues work = pruned_load.Delta();
+  EXPECT_EQ(work[obs::QueryCounter::kStorePartitionsDecoded],
+            static_cast<int64_t>(vertex_kept + edge_kept));
+  EXPECT_EQ(work[obs::QueryCounter::kStorePartitionsPruned],
+            static_cast<int64_t>(vertex_total - vertex_kept + edge_total -
+                                 edge_kept));
+
+  // Pushdown off: every partition is decoded, same graph comes back.
   LoadOptions no_pushdown = options;
   no_pushdown.pushdown = false;
-  LoadMetrics full_metrics;
-  Result<VeGraph> full =
-      LoadVeGraph(Ctx(), store_dir, no_pushdown, &full_metrics);
+  obs::QueryCounterScope full_load;
+  Result<VeGraph> full = LoadVeGraph(Ctx(), store_dir, no_pushdown);
   TG_CHECK_OK(full.status());
-  EXPECT_EQ(full_metrics.vertex_groups_scanned,
-            full_metrics.vertex_groups_total);
+  const obs::QueryCounterValues full_work = full_load.Delta();
+  EXPECT_EQ(full_work[obs::QueryCounter::kStorePartitionsDecoded],
+            static_cast<int64_t>(vertex_total + edge_total));
+  EXPECT_EQ(full_work[obs::QueryCounter::kStorePartitionsPruned], 0);
   EXPECT_EQ(Canonical(*full), Canonical(*sliced));
   std::filesystem::remove_all(store_dir);
 }

@@ -109,12 +109,12 @@ EOF
       > "$DIR/serve2.out" 2> "$DIR/serve2.err"
   grep -q "served from cache" "$DIR/serve2.err"
   cmp -s "$DIR/serve1.out" "$DIR/serve2.out"
-  # STATS shows the hit and the catalog load (row-group pushdown counters
-  # from storage::LoadMetrics flow into the same registry).
+  # STATS shows the hit and the catalog load (the store partitions the
+  # load decoded flow into the same registry).
   "$TGZ" stats --connect "127.0.0.1:$PORT" > "$DIR/stats.out"
   grep -q "server.cache.hits 1" "$DIR/stats.out"
   grep -q "server.catalog.loads 1" "$DIR/stats.out"
-  grep -q "storage.load.row_groups.total" "$DIR/stats.out"
+  grep -q "store.partitions_decoded" "$DIR/stats.out"
   # SIGTERM drains: the process exits 0 on its own.
   kill -TERM "$TGZD_PID"
   for _ in $(seq 1 50); do

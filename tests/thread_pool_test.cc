@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "dataflow/context.h"
+#include "obs/metrics.h"
 
 namespace tgraph::dataflow {
 namespace {
@@ -86,11 +87,16 @@ TEST(ExecutionContextTest, NestedParallelForDegradesInline) {
 
 TEST(ExecutionContextTest, MetricsAccumulate) {
   ExecutionContext ctx({.num_workers = 2, .default_parallelism = 2});
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const int64_t stages =
+      registry.GetCounter(obs::metric_names::kStages)->value();
+  const int64_t tasks = registry.GetCounter(obs::metric_names::kTasks)->value();
   ctx.ParallelFor(5, [](size_t) {});
-  EXPECT_EQ(ctx.metrics().stages_executed.load(), 1);
-  EXPECT_EQ(ctx.metrics().tasks_executed.load(), 5);
-  ctx.metrics().Reset();
-  EXPECT_EQ(ctx.metrics().stages_executed.load(), 0);
+  ctx.ParallelFor(3, [](size_t) {});
+  EXPECT_EQ(registry.GetCounter(obs::metric_names::kStages)->value() - stages,
+            2);
+  EXPECT_EQ(registry.GetCounter(obs::metric_names::kTasks)->value() - tasks,
+            8);
 }
 
 TEST(ExecutionContextTest, DefaultParallelismDerivedFromWorkers) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <regex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/graph_io.h"
 #include "tests/test_util.h"
 #include "tql/interpreter.h"
@@ -86,7 +89,7 @@ TEST_F(ExplainTest, StatementShapesProduceStages) {
   // LOAD reports storage pushdown work.
   std::string out = MustRun("EXPLAIN ANALYZE LOAD '" + dir_ + "' AS g");
   EXPECT_NE(out.find("\n  LOAD g"), std::string::npos) << out;
-  EXPECT_NE(out.find("row_groups_scanned="), std::string::npos) << out;
+  EXPECT_NE(out.find("partitions_decoded="), std::string::npos) << out;
 
   out = MustRun("LOAD '" + dir_ + "' AS g; EXPLAIN ANALYZE INFO g");
   EXPECT_NE(out.find("\n  INFO g"), std::string::npos) << out;
@@ -136,12 +139,10 @@ TEST(ExplainCollectorTest, NullCollectorScopesAreNoOps) {
 
 TEST(ExplainCollectorTest, ScopeCapturesCounterDeltas) {
   ExplainCollector collector;
-  obs::Counter* shuffles = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kShuffles);
   {
     ExplainCollector::Scope scope(&collector, "FAKE", "d");
     scope.set_rows(10, 20);
-    shuffles->Add(3);
+    obs::AddQueryCounter(obs::QueryCounter::kShuffles, 3);
   }
   ASSERT_EQ(collector.stages().size(), 1u);
   const StageStats& stage = collector.stages()[0];
@@ -181,6 +182,123 @@ TEST(ExplainCollectorTest, RenderAndJsonShapes) {
   EXPECT_NE(json.find("\"label\":\"WZOOM\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"wall_us\":42"), std::string::npos);
   EXPECT_NE(json.find("\"shuffle_bytes\":4096"), std::string::npos);
+}
+
+// --- attribution under concurrent queries ------------------------------
+
+/// EXPLAIN ANALYZE output with wall times masked: what must repeat
+/// exactly from one run of a query to the next.
+std::string WithoutWallTimes(const std::string& output) {
+  return std::regex_replace(output, std::regex("wall_us=[0-9]+"), "wall_us=*");
+}
+
+struct QueryRun {
+  std::string explain;              ///< Masked EXPLAIN ANALYZE output.
+  obs::QueryCounterValues counted;  ///< The query's whole counter block.
+};
+
+/// Runs `script` in a fresh interpreter under its own counter block, the
+/// way tgraphd runs each request.
+QueryRun RunQuery(const std::string& script) {
+  obs::QueryCounters block;
+  obs::ScopedQueryContext context(
+      obs::QueryContext{/*query_id=*/0, /*trace=*/nullptr,
+                        /*parent_span=*/0, &block});
+  Interpreter interpreter(Ctx());
+  Result<std::string> output = interpreter.ExecuteScript(script);
+  TG_CHECK(output.ok()) << output.status();
+  return QueryRun{WithoutWallTimes(*output), block.Snapshot()};
+}
+
+int64_t GlobalCounter(const obs::MetricsSnapshot& snapshot,
+                      obs::QueryCounter counter) {
+  auto it = snapshot.counters.find(obs::QueryCounterName(counter));
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+// Two different queries, sharing no directory, reader or catalog, run at
+// once on two threads. Each query's EXPLAIN ANALYZE counters must equal
+// its solo run exactly (a process-global delta would pick up the other
+// query's shuffles and decodes), and the two blocks together must account
+// for every attributed increment the process registry saw.
+TEST(ExplainConcurrencyTest, ConcurrentQueriesReportExactlyTheirOwnWork) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "tql_explain_concurrent")
+          .string();
+  std::filesystem::remove_all(dir);
+  storage::GraphWriteOptions write;
+  write.sort_order = storage::SortOrder::kStructuralLocality;
+  write.row_group_size = 64;
+  TG_CHECK_OK(storage::WriteVeStore(
+      ::tgraph::testing::RandomTGraph(11, 200, 400, 40), dir, write));
+
+  const std::string generate_azoom =
+      "EXPLAIN ANALYZE GENERATE snb(scale=0.05, seed=3) AS s;"
+      "EXPLAIN ANALYZE SET a = AZOOM s BY firstName "
+      "AGGREGATE COUNT() AS people;";
+  const std::string load_wzoom =
+      "EXPLAIN ANALYZE LOAD '" + dir + "' FROM 5 TO 25 AS g;"
+      "EXPLAIN ANALYZE SET w = WZOOM g WINDOW 3 NODES EXISTS EDGES EXISTS;";
+
+  const QueryRun solo_a = RunQuery(generate_azoom);
+  const QueryRun solo_b = RunQuery(load_wzoom);
+  // Both queries do attributed work the other could steal.
+  EXPECT_NE(solo_a.explain.find("shuffles="), std::string::npos)
+      << solo_a.explain;
+  EXPECT_NE(solo_b.explain.find("partitions_pruned="), std::string::npos)
+      << solo_b.explain;
+  EXPECT_NE(solo_b.explain.find("segment_verifies="), std::string::npos)
+      << solo_b.explain;
+  EXPECT_NE(solo_b.explain.find("shuffles="), std::string::npos)
+      << solo_b.explain;
+
+  constexpr int kRounds = 50;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Global().Snapshot();
+    QueryRun a, b;
+    std::thread thread_a([&] { a = RunQuery(generate_azoom); });
+    std::thread thread_b([&] { b = RunQuery(load_wzoom); });
+    thread_a.join();
+    thread_b.join();
+    const obs::MetricsSnapshot after =
+        obs::MetricsRegistry::Global().Snapshot();
+
+    EXPECT_EQ(a.explain, solo_a.explain);
+    EXPECT_EQ(b.explain, solo_b.explain);
+    for (size_t i = 0; i < obs::kNumQueryCounters; ++i) {
+      const auto counter = static_cast<obs::QueryCounter>(i);
+      SCOPED_TRACE(obs::QueryCounterName(counter));
+      EXPECT_EQ(a.counted[counter], solo_a.counted[counter]);
+      EXPECT_EQ(b.counted[counter], solo_b.counted[counter]);
+      EXPECT_EQ(a.counted[counter] + b.counted[counter],
+                GlobalCounter(after, counter) - GlobalCounter(before, counter));
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Installing a counter block leaves span recording alone: a local
+// EXPLAIN ANALYZE (no query id) under the global tracer still records
+// every span, as `tgz --trace-out` relies on.
+TEST(ExplainConcurrencyTest, CounterBlockDoesNotSuppressGlobalSpans) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  Interpreter interpreter(Ctx());
+  Result<std::string> output = interpreter.ExecuteScript(
+      "GENERATE snb(scale=0.02, seed=3) AS s;"
+      "EXPLAIN ANALYZE SET w = WZOOM s WINDOW 3;");
+  tracer.Disable();
+  TG_CHECK(output.ok()) << output.status();
+  bool saw_wzoom = false;
+  for (const obs::SpanEvent& event : tracer.Events()) {
+    if (event.name.find("wzoom") != std::string::npos) saw_wzoom = true;
+  }
+  tracer.Clear();
+  EXPECT_TRUE(saw_wzoom);
 }
 
 }  // namespace

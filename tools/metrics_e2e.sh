@@ -72,7 +72,7 @@ grep -q "^# TYPE tgraph_server_request_micros histogram$" "$DIR/metrics.txt"
 grep -q "^tgraph_server_query_count [1-9]" "$DIR/metrics.txt"
 grep -q "^tgraph_server_cache_hits [1-9]" "$DIR/metrics.txt"
 grep -q "^tgraph_server_query_sampled [1-9]" "$DIR/metrics.txt"
-grep -q "tgraph_storage_load_row_groups_total" "$DIR/metrics.txt"
+grep -q "tgraph_store_partitions_decoded" "$DIR/metrics.txt"
 if grep -q "^[a-z_]*\." "$DIR/metrics.txt"; then
   echo "dotted metric name leaked into exposition" >&2
   exit 1
