@@ -1,11 +1,9 @@
 #ifndef TGRAPH_DATAFLOW_CONTEXT_H_
 #define TGRAPH_DATAFLOW_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 
 #include "dataflow/thread_pool.h"
 
