@@ -37,6 +37,8 @@ WZoomSpec ExistsWindows(int64_t size) {
 opt::Stats TrainStats(const VeGraph& ve, const std::string& key,
                       int64_t window, Interval focus) {
   opt::Stats stats;
+  Pipeline::RunOptions options;
+  options.stats = &stats;
   constexpr Representation kReps[] = {
       Representation::kVe, Representation::kOg, Representation::kRg};
   for (Representation rep : kReps) {
@@ -46,13 +48,13 @@ opt::Stats TrainStats(const VeGraph& ve, const std::string& key,
         .AZoom(RandomGroupAZoom())
         .WZoom(ExistsWindows(window))
         .Coalesce();
-    Result<TGraph> run = probe.Run(graph, &stats);
+    Result<TGraph> run = probe.Run(graph, options);
     TG_CHECK(run.ok()) << run.status();
     for (Representation target : kReps) {
       if (target == rep) continue;
       Pipeline convert;
       convert.Convert(target);
-      Result<TGraph> converted = convert.Run(graph, &stats);
+      Result<TGraph> converted = convert.Run(graph, options);
       TG_CHECK(converted.ok()) << converted.status();
     }
   }

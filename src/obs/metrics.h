@@ -196,14 +196,11 @@ inline constexpr char kStorePartitionsDecoded[] = "store.partitions_decoded";
 inline constexpr char kStoreSegmentsDecoded[] = "store.segments_decoded";
 inline constexpr char kStoreDecodedBytes[] = "store.decoded_bytes";
 /// Decoded-segment cache: bytes currently pinned across all open readers
-/// (gauge), reads served from an already-decoded buffer, and decodes
-/// that pushed the pinned total past the soft budget (no eviction —
-/// see SetStoreDecodeCacheBudgetBytes).
+/// (gauge) and reads served from an already-decoded buffer. Decoded
+/// segments live as long as their reader (no eviction).
 inline constexpr char kStoreDecodeCacheBytes[] =
     "store.decode_cache.bytes";  // gauge
 inline constexpr char kStoreDecodeCacheHits[] = "store.decode_cache.hits";
-inline constexpr char kStoreDecodeCacheOverflows[] =
-    "store.decode_cache.overflows";
 
 // tgraphd serving surface.
 inline constexpr char kServerRequests[] = "server.requests";

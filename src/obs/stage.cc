@@ -1,6 +1,6 @@
-#include "tql/explain.h"
+#include "obs/stage.h"
 
-namespace tgraph::tql {
+namespace tgraph::obs {
 
 namespace {
 
@@ -70,14 +70,13 @@ ExplainCollector::Scope::Scope(ExplainCollector* collector, std::string label,
   stage_.label = std::move(label);
   stage_.detail = std::move(detail);
   counters_.emplace();
-  start_us_ = obs::Tracer::NowMicros();
+  start_us_ = Tracer::NowMicros();
 }
 
 ExplainCollector::Scope::~Scope() {
   if (collector_ == nullptr) return;
-  using obs::QueryCounter;
-  stage_.wall_us = obs::Tracer::NowMicros() - start_us_;
-  const obs::QueryCounterValues work = counters_->Delta();
+  stage_.wall_us = Tracer::NowMicros() - start_us_;
+  const QueryCounterValues work = counters_->Delta();
   stage_.shuffles = work[QueryCounter::kShuffles];
   stage_.shuffle_records = work[QueryCounter::kShuffleRecords];
   stage_.shuffle_bytes = work[QueryCounter::kShuffleBytes];
@@ -96,11 +95,6 @@ ExplainCollector::Scope::~Scope() {
 void ExplainCollector::Scope::set_rows(int64_t rows_in, int64_t rows_out) {
   stage_.rows_in = rows_in;
   stage_.rows_out = rows_out;
-}
-
-void ExplainCollector::Scope::set_detail(std::string detail) {
-  if (collector_ == nullptr) return;
-  stage_.detail = std::move(detail);
 }
 
 std::string ExplainCollector::Render(const std::string& canonical,
@@ -124,4 +118,4 @@ std::string ExplainCollector::StagesJson() const {
   return out;
 }
 
-}  // namespace tgraph::tql
+}  // namespace tgraph::obs

@@ -1,5 +1,5 @@
-#ifndef TGRAPH_TQL_EXPLAIN_H_
-#define TGRAPH_TQL_EXPLAIN_H_
+#ifndef TGRAPH_OBS_STAGE_H_
+#define TGRAPH_OBS_STAGE_H_
 
 #include <cstdint>
 #include <optional>
@@ -8,16 +8,18 @@
 
 #include "obs/trace.h"
 
-namespace tgraph::tql {
+namespace tgraph::obs {
 
-/// \brief One executed stage of an EXPLAIN ANALYZE plan: an operator or
-/// statement with its wall time and the observable work it caused.
+/// \brief One executed stage of a query: a statement or a pipeline step
+/// with its wall time and the observable work it caused. The single
+/// per-step record behind EXPLAIN ANALYZE, the slow-query log and the
+/// opt::Stats profile (Pipeline::Run derives each observation from it).
 ///
 /// Counter-derived fields are the movement of the query's own counter
-/// block (obs::QueryCounters) across the stage. Every increment lands in
-/// that block and in its process-global twin at once, so a stage reports
-/// the same work /metrics counts, and work of concurrently running
-/// queries never lands in it.
+/// block (QueryCounters) across the stage. Every increment lands in that
+/// block and in its process-global twin at once, so a stage reports the
+/// same work /metrics counts, and work of concurrently running queries
+/// never lands in it.
 struct StageStats {
   std::string label;   ///< Operator / statement name ("AZOOM", "LOAD"...).
   std::string detail;  ///< Source graph, representation, target, ...
@@ -56,10 +58,10 @@ struct StageStats {
 class ExplainCollector {
  public:
   /// RAII stage measurement: times the stage and commits the movement of
-  /// the query's counter block (obs::QueryCounterScope, which installs a
-  /// block when the caller runs without one) as one stage on destruction.
-  /// A null collector makes the scope a no-op, so call sites don't
-  /// branch.
+  /// the query's counter block (QueryCounterScope, which installs a block
+  /// when the caller runs without one) as one stage on destruction —
+  /// also when the stage's work failed. A null collector makes the scope
+  /// a no-op, so call sites don't branch.
   class Scope {
    public:
     Scope(ExplainCollector* collector, std::string label, std::string detail);
@@ -69,13 +71,12 @@ class ExplainCollector {
     Scope& operator=(const Scope&) = delete;
 
     void set_rows(int64_t rows_in, int64_t rows_out);
-    void set_detail(std::string detail);
 
    private:
     ExplainCollector* collector_;
     StageStats stage_;
     int64_t start_us_ = 0;
-    std::optional<obs::QueryCounterScope> counters_;
+    std::optional<QueryCounterScope> counters_;
   };
 
   void Add(StageStats stage) { stages_.push_back(std::move(stage)); }
@@ -96,6 +97,6 @@ class ExplainCollector {
   std::vector<StageStats> stages_;
 };
 
-}  // namespace tgraph::tql
+}  // namespace tgraph::obs
 
-#endif  // TGRAPH_TQL_EXPLAIN_H_
+#endif  // TGRAPH_OBS_STAGE_H_

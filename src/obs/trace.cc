@@ -209,6 +209,13 @@ int64_t Tracer::NowMicros() {
       .count();
 }
 
+bool Tracer::ShouldRecord() {
+  const internal::QueryContextTls& q = internal::t_query_context;
+  if (q.trace != nullptr) return true;
+  if (!enabled()) return false;
+  return q.query_id == 0;
+}
+
 Tracer& Tracer::Global() {
   // Establish the epoch before any span can observe a timestamp.
   TracerEpoch();

@@ -63,15 +63,14 @@ struct QueryContext {
 };
 
 namespace internal {
-/// The thread-local slot behind CurrentQueryContext(); exposed so the
-/// Span fast path can inline its check. Treat as private.
+/// The thread-local slot behind CurrentQueryContext() (defined in
+/// trace.cc). Treat as private.
 struct QueryContextTls {
   uint64_t query_id = 0;
   QueryTrace* trace = nullptr;
   uint64_t parent_span = 0;
   QueryCounters* counters = nullptr;
 };
-extern thread_local QueryContextTls t_query_context;
 }  // namespace internal
 
 /// This thread's active query context (query_id 0 when none).
@@ -195,12 +194,10 @@ class Tracer {
   /// a sampled query records always; an unsampled query records never
   /// (even with the global tracer on); outside any query the global
   /// enable flag decides.
-  static bool ShouldRecord() {
-    const internal::QueryContextTls& q = internal::t_query_context;
-    if (q.trace != nullptr) return true;
-    if (!enabled()) return false;
-    return q.query_id == 0;
-  }
+  /// Out of line so only trace.cc touches the thread-local: elsewhere the
+  /// linker relaxes its access (add -> lea) under UBSan's null check, which
+  /// then reads stale flags and reports a false null reference.
+  static bool ShouldRecord();
 
   /// Drops all collected events; thread buffers stay registered.
   void Clear();

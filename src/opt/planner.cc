@@ -18,20 +18,7 @@ using Step = Pipeline::Step;
 
 Pipeline FromSteps(const std::vector<Step>& steps) {
   Pipeline pipeline;
-  for (const Step& step : steps) {
-    if (const auto* azoom = std::get_if<Pipeline::AZoomStep>(&step)) {
-      pipeline.AZoom(azoom->spec);
-    } else if (const auto* wzoom = std::get_if<Pipeline::WZoomStep>(&step)) {
-      pipeline.WZoom(wzoom->spec);
-    } else if (const auto* slice = std::get_if<Pipeline::SliceStep>(&step)) {
-      pipeline.Slice(slice->range);
-    } else if (std::holds_alternative<Pipeline::CoalesceStep>(step)) {
-      pipeline.Coalesce();
-    } else if (const auto* convert =
-                   std::get_if<Pipeline::ConvertStep>(&step)) {
-      pipeline.Convert(convert->target);
-    }
-  }
+  for (const Step& step : steps) pipeline.Then(step);
   return pipeline;
 }
 

@@ -630,7 +630,7 @@ void Server::HandleQuery(Session* session, const Request& request,
   interpreter.set_stats(&stats_);
   // Stage collection for the slow-query log; EXPLAIN ANALYZE statements
   // bring their own collector either way.
-  tql::ExplainCollector stages;
+  obs::ExplainCollector stages;
   if (slow_log_ != nullptr) interpreter.set_explain(&stages);
   interpreter.set_interrupt_check([this, session]() -> Status {
     if (session->deadline_at_ms != 0 &&

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/hash.h"
@@ -13,34 +12,6 @@
 #include "storage/serde.h"
 
 namespace tgraph::storage {
-
-namespace {
-
-std::atomic<uint64_t> g_decode_cache_budget{0};  // 0 = not yet resolved
-std::atomic<uint64_t> g_decode_cache_total{0};
-
-uint64_t ResolveDecodeCacheBudget() {
-  uint64_t budget = g_decode_cache_budget.load(std::memory_order_relaxed);
-  if (budget != 0) return budget;
-  // Soft default: 1 GiB of pinned decoded segments per process, matching
-  // kStoreMaxPlainSegmentSize's worst single segment.
-  uint64_t resolved = 1ull << 30;
-  if (const char* env = std::getenv("TGRAPH_DECODE_CACHE_MB")) {
-    char* end = nullptr;
-    unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end != env && mb > 0) resolved = uint64_t{mb} << 20;
-  }
-  g_decode_cache_budget.store(resolved, std::memory_order_relaxed);
-  return resolved;
-}
-
-}  // namespace
-
-void SetStoreDecodeCacheBudgetBytes(uint64_t bytes) {
-  g_decode_cache_budget.store(bytes, std::memory_order_relaxed);
-}
-
-uint64_t StoreDecodeCacheBudgetBytes() { return ResolveDecodeCacheBudget(); }
 
 Result<std::unique_ptr<StoreReader>> StoreReader::Open(
     const std::string& path) {
@@ -133,7 +104,6 @@ StoreReader::~StoreReader() {
     }
   }
   if (released > 0) {
-    g_decode_cache_total.fetch_sub(released, std::memory_order_relaxed);
     obs::MetricsRegistry::Global()
         .GetGauge(obs::metric_names::kStoreDecodeCacheBytes)
         ->Add(-static_cast<int64_t>(released));
@@ -274,9 +244,6 @@ Status StoreReader::VerifySegment(int t, size_t partition, int column) const {
             obs::metric_names::kStoreDecodedBytes);
     static obs::Gauge* cache_bytes = obs::MetricsRegistry::Global().GetGauge(
         obs::metric_names::kStoreDecodeCacheBytes);
-    static obs::Counter* overflows =
-        obs::MetricsRegistry::Global().GetCounter(
-            obs::metric_names::kStoreDecodeCacheOverflows);
     const std::string* expected = nullptr;
     if (decoded_[flat].compare_exchange_strong(expected,
                                                decoded_buffer.get(),
@@ -288,10 +255,6 @@ Status StoreReader::VerifySegment(int t, size_t partition, int column) const {
       segments_decoded->Increment();
       decoded_bytes_counter->Add(static_cast<int64_t>(size));
       cache_bytes->Add(static_cast<int64_t>(size));
-      uint64_t total =
-          g_decode_cache_total.fetch_add(size, std::memory_order_relaxed) +
-          size;
-      if (total > ResolveDecodeCacheBudget()) overflows->Increment();
     }
     // A racing first touch already published its buffer; ours is dropped.
   }

@@ -16,16 +16,6 @@ namespace tgraph::storage {
 
 class Predicate;
 
-/// Soft budget for decoded-segment cache memory across every open
-/// StoreReader in the process, settable via `TGRAPH_DECODE_CACHE_MB` or
-/// tgzd's `--decode-cache-mb`. The budget is advisory: decoded segments
-/// are pinned for their reader's lifetime (accessors hand out raw views
-/// into them, so eviction would be a use-after-free), and crossing the
-/// budget increments `store.decode_cache.overflows` instead of evicting —
-/// the operator's signal to shard the catalog or raise the limit.
-void SetStoreDecodeCacheBudgetBytes(uint64_t bytes);
-uint64_t StoreDecodeCacheBudgetBytes();
-
 /// \brief Memory-mapped reader for tgraph-store v2 and v3 files.
 ///
 /// Open maps the file and fully validates its skeleton (header, trailer,

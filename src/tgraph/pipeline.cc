@@ -140,43 +140,70 @@ int64_t RecordCount(const TGraph& graph) {
                               graph.NumEdgeRecords());
 }
 
+/// Per step kind, in Step's order (opt::OpKind lists the kinds in the
+/// same order): the trace span and the EXPLAIN stage label.
+constexpr struct {
+  const char* span;
+  const char* label;
+} kStepNames[] = {{"pipeline.step.azoom", "AZOOM"},
+                  {"pipeline.step.wzoom", "WZOOM"},
+                  {"pipeline.step.slice", "SLICE"},
+                  {"pipeline.step.coalesce", "COALESCE"},
+                  {"pipeline.step.convert", "CONVERT"}};
+
+Result<TGraph> RunStep(const Pipeline::Step& step, const TGraph& input) {
+  obs::Span span(kStepNames[step.index()].span, "pipeline");
+  if (const auto* azoom = std::get_if<Pipeline::AZoomStep>(&step)) {
+    return input.AZoom(azoom->spec);
+  }
+  if (const auto* wzoom = std::get_if<Pipeline::WZoomStep>(&step)) {
+    return input.WZoom(wzoom->spec);
+  }
+  if (const auto* slice = std::get_if<Pipeline::SliceStep>(&step)) {
+    return input.Slice(slice->range);
+  }
+  if (std::holds_alternative<Pipeline::CoalesceStep>(step)) {
+    return input.Coalesce();
+  }
+  return input.As(std::get<Pipeline::ConvertStep>(step).target);
+}
+
 }  // namespace
 
-Result<TGraph> Pipeline::Run(const TGraph& input, opt::Stats* stats) const {
+Result<TGraph> Pipeline::Run(const TGraph& input,
+                             const RunOptions& options) const {
   TG_SPAN("pipeline.run", "pipeline");
+  // One stage per step; a stats observation is read off its step's stage,
+  // so a run that only records stats collects its stages here.
+  obs::ExplainCollector own_stages;
+  obs::ExplainCollector* stages = options.explain;
+  if (stages == nullptr && options.stats != nullptr) stages = &own_stages;
   TGraph current = input;
   for (const Step& step : steps_) {
-    // Observed before the step runs: the cost model attributes each
-    // measurement to the representation the operator consumed.
+    if (options.interrupt) TG_RETURN_IF_ERROR(options.interrupt());
     const Representation rep = current.representation();
-    const int64_t rows_in = stats != nullptr ? RecordCount(current) : 0;
-    opt::ScopedObservation observation;
-    opt::OpKind op;
-    if (const auto* azoom = std::get_if<AZoomStep>(&step)) {
-      obs::Span span("pipeline.step.azoom", "pipeline");
-      op = opt::OpKind::kAZoom;
-      TG_ASSIGN_OR_RETURN(current, current.AZoom(azoom->spec));
-    } else if (const auto* wzoom = std::get_if<WZoomStep>(&step)) {
-      obs::Span span("pipeline.step.wzoom", "pipeline");
-      op = opt::OpKind::kWZoom;
-      TG_ASSIGN_OR_RETURN(current, current.WZoom(wzoom->spec));
-    } else if (const auto* slice = std::get_if<SliceStep>(&step)) {
-      obs::Span span("pipeline.step.slice", "pipeline");
-      op = opt::OpKind::kSlice;
-      current = current.Slice(slice->range);
-    } else if (std::holds_alternative<CoalesceStep>(step)) {
-      obs::Span span("pipeline.step.coalesce", "pipeline");
-      op = opt::OpKind::kCoalesce;
-      current = current.Coalesce();
-    } else if (const auto* convert = std::get_if<ConvertStep>(&step)) {
-      obs::Span span("pipeline.step.convert", "pipeline");
-      op = opt::OpKind::kConvert;
-      TG_ASSIGN_OR_RETURN(current, current.As(convert->target));
-    } else {
-      continue;
+    std::string detail = std::string("[") + RepresentationName(rep) + "]";
+    if (&step == &steps_.front() && !options.input_name.empty()) {
+      detail = options.input_name + " " + detail;
     }
-    if (stats != nullptr) {
-      observation.Commit(stats, op, rep, rows_in, RecordCount(current));
+    if (const auto* convert = std::get_if<ConvertStep>(&step)) {
+      detail += std::string(" -> ") + RepresentationName(convert->target);
+    }
+    // Rows are counted outside the stage's clock on the way in and inside
+    // it on the way out, where counting may materialize the step's output.
+    const int64_t rows_in = stages != nullptr ? RecordCount(current) : -1;
+    {
+      obs::ExplainCollector::Scope stage(
+          stages, kStepNames[step.index()].label, std::move(detail));
+      TG_ASSIGN_OR_RETURN(current, RunStep(step, current));
+      if (stages != nullptr) stage.set_rows(rows_in, RecordCount(current));
+    }
+    if (options.stats != nullptr) {
+      const obs::StageStats& stage = stages->stages().back();
+      options.stats->Observe(
+          static_cast<opt::OpKind>(step.index()), rep,
+          opt::Observation{stage.wall_us, stage.shuffle_bytes, stage.rows_in,
+                           stage.rows_out});
     }
   }
   return current;

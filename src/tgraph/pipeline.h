@@ -1,11 +1,13 @@
 #ifndef TGRAPH_TGRAPH_PIPELINE_H_
 #define TGRAPH_TGRAPH_PIPELINE_H_
 
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "common/result.h"
+#include "obs/stage.h"
 #include "tgraph/stats.h"
 #include "tgraph/tgraph.h"
 
@@ -63,26 +65,15 @@ class Pipeline {
     bool drop_mid_chain_conversions = true;
   };
 
-  Pipeline& AZoom(AZoomSpec spec) {
-    steps_.push_back(AZoomStep{std::move(spec)});
+  Pipeline& Then(Step step) {
+    steps_.push_back(std::move(step));
     return *this;
   }
-  Pipeline& WZoom(WZoomSpec spec) {
-    steps_.push_back(WZoomStep{std::move(spec)});
-    return *this;
-  }
-  Pipeline& Slice(Interval range) {
-    steps_.push_back(SliceStep{range});
-    return *this;
-  }
-  Pipeline& Coalesce() {
-    steps_.push_back(CoalesceStep{});
-    return *this;
-  }
-  Pipeline& Convert(Representation target) {
-    steps_.push_back(ConvertStep{target});
-    return *this;
-  }
+  Pipeline& AZoom(AZoomSpec spec) { return Then(AZoomStep{std::move(spec)}); }
+  Pipeline& WZoom(WZoomSpec spec) { return Then(WZoomStep{std::move(spec)}); }
+  Pipeline& Slice(Interval range) { return Then(SliceStep{range}); }
+  Pipeline& Coalesce() { return Then(CoalesceStep{}); }
+  Pipeline& Convert(Representation target) { return Then(ConvertStep{target}); }
 
   const std::vector<Step>& steps() const { return steps_; }
 
@@ -110,14 +101,27 @@ class Pipeline {
   /// quantification the zooms do not commute even with stable attributes.
   static bool ZoomReorderSafe(const WZoomSpec& spec);
 
-  /// Executes the steps in order against `input`. The `stats` overload
-  /// additionally records one opt::Stats observation per step — wall
-  /// time, shuffle-byte delta, rows in/out on the representation the step
-  /// ran against — which is how executions feed the cost model.
+  /// What Run measures, and when it may stop early.
+  struct RunOptions {
+    /// Receives one stage per executed step: label "AZOOM", "WZOOM",
+    /// "SLICE", "COALESCE" or "CONVERT", detail "[<input rep>]" (plus
+    /// " -> <target>" for CONVERT), wall time, rows in/out and the step's
+    /// movement of the query's counter block.
+    obs::ExplainCollector* explain = nullptr;
+    /// Names the input in the first stage's detail ("g [VE]").
+    std::string input_name;
+    /// Records one observation per step, read off the step's stage and
+    /// filed under the representation the step consumed.
+    opt::Stats* stats = nullptr;
+    /// Checked before each step; a non-OK status stops the run with it.
+    std::function<Status()> interrupt;
+  };
+
+  /// Executes the steps in order against `input`.
   Result<TGraph> Run(const TGraph& input) const {
-    return Run(input, nullptr);
+    return Run(input, RunOptions());
   }
-  Result<TGraph> Run(const TGraph& input, opt::Stats* stats) const;
+  Result<TGraph> Run(const TGraph& input, const RunOptions& options) const;
 
   /// One line per step, e.g. "1. wZoom window=3 nodes=all edges=all".
   std::string Explain() const;

@@ -260,19 +260,4 @@ PlanContext PlanContext::FromGraph(const TGraph& graph) {
   return context;
 }
 
-ScopedObservation::ScopedObservation()
-    : started_us_(obs::Tracer::NowMicros()) {}
-
-void ScopedObservation::Commit(Stats* stats, OpKind op, Representation rep,
-                               int64_t rows_in, int64_t rows_out) {
-  if (stats == nullptr) return;
-  Observation observation;
-  observation.wall_us = obs::Tracer::NowMicros() - started_us_;
-  observation.shuffle_bytes =
-      counters_.Delta()[obs::QueryCounter::kShuffleBytes];
-  observation.rows_in = rows_in;
-  observation.rows_out = rows_out;
-  stats->Observe(op, rep, observation);
-}
-
 }  // namespace tgraph::opt

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/trace.h"
 #include "tgraph/tgraph.h"
 
 namespace tgraph::opt {
@@ -29,9 +28,9 @@ std::optional<OpKind> ParseOpKind(const std::string& token);
 std::optional<Representation> ParseRepresentation(const std::string& token);
 
 /// \brief One measured execution of an operator on a representation: the
-/// raw material of the cost model. Producers are the instrumented
-/// Pipeline::Run overload and the TQL interpreter; shuffle bytes are what
-/// the step added to the query's counter block (ScopedObservation).
+/// raw material of the cost model. Pipeline::Run derives one from each
+/// step's obs::StageStats when given a store (tgraphd passes its own for
+/// every TQL zoom, slice, coalesce and convert step).
 struct Observation {
   int64_t wall_us = 0;
   int64_t shuffle_bytes = 0;
@@ -131,27 +130,6 @@ struct PlanContext {
   double snapshots = 1;
 
   static PlanContext FromGraph(const TGraph& graph);
-};
-
-/// \brief Captures one Observation around a scope: wall time plus the
-/// shuffle bytes the scope added to the query's counter block
-/// (obs::QueryCounterScope, which installs a block when the caller runs
-/// without one), so concurrent queries' shuffles never land in it. The
-/// caller supplies row counts (they require materialized inputs/outputs,
-/// which only the caller can time correctly) and commits the record
-/// explicitly — a scope abandoned by an error records nothing.
-class ScopedObservation {
- public:
-  ScopedObservation();
-
-  /// Finalizes the measurement and records it into `stats` (no-op when
-  /// `stats` is null, so instrumented call sites need no branching).
-  void Commit(Stats* stats, OpKind op, Representation rep, int64_t rows_in,
-              int64_t rows_out);
-
- private:
-  int64_t started_us_ = 0;
-  obs::QueryCounterScope counters_;
 };
 
 }  // namespace tgraph::opt

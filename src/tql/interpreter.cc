@@ -1,6 +1,6 @@
 #include "tql/interpreter.h"
 
-#include <algorithm>
+#include <set>
 
 #include "gen/generators.h"
 #include "gen/stats.h"
@@ -11,6 +11,8 @@
 #include "tql/pipeline_build.h"
 
 namespace tgraph::tql {
+
+using obs::ExplainCollector;
 
 namespace {
 
@@ -53,6 +55,38 @@ bool MatchesAll(const WherePredicate& predicate, const Properties& props) {
   return true;
 }
 
+const std::string& SourceOf(const Expr& expr) {
+  return std::visit(
+      [](const auto& e) -> const std::string& { return e.source; }, expr);
+}
+
+/// The names a statement reads or binds. Each statement names at most its
+/// own binding or operand in a `name` field, plus a SET's source. (View
+/// names count too, which can only keep a chain from forming.)
+std::set<std::string> NamesOf(const Statement& statement) {
+  if (const auto* explain = std::get_if<ExplainStatement>(&statement)) {
+    return NamesOf(*explain->inner);
+  }
+  if (const auto* set = std::get_if<SetStatement>(&statement)) {
+    return {set->name, SourceOf(set->expr)};
+  }
+  return std::visit(
+      [](const auto& s) -> std::set<std::string> {
+        if constexpr (requires { s.name; }) {
+          return {s.name};
+        } else {
+          return {};
+        }
+      },
+      statement);
+}
+
+/// The SET statement if it lowers to a pipeline step, else null.
+const SetStatement* LowerableSet(const Statement& statement) {
+  const auto* set = std::get_if<SetStatement>(&statement);
+  return set != nullptr && LowerExpr(set->expr).has_value() ? set : nullptr;
+}
+
 int64_t RecordCount(const TGraph& graph) {
   return static_cast<int64_t>(graph.NumVertexRecords() +
                               graph.NumEdgeRecords());
@@ -73,11 +107,36 @@ Status NoViewCatalog() {
 
 Result<std::string> Interpreter::ExecuteScript(const std::string& script) {
   TG_ASSIGN_OR_RETURN(std::vector<Statement> statements, Parse(script));
-  std::string output;
+  // A name that only the SET binding it and the SET reading it mention can
+  // stay unbound unobserved. LIST reads every name, so it blocks chains.
+  std::map<std::string, int> mentions;
+  bool lists = false;
   for (const Statement& statement : statements) {
+    lists |= std::holds_alternative<ListStatement>(statement);
+    for (const std::string& name : NamesOf(statement)) ++mentions[name];
+  }
+  // Whether statement i + 1 consumes statement i inside one chain.
+  auto chains = [&](size_t i) {
+    if (lists || i + 1 >= statements.size()) return false;
+    const SetStatement* producer = LowerableSet(statements[i]);
+    const SetStatement* consumer = LowerableSet(statements[i + 1]);
+    return producer != nullptr && consumer != nullptr &&
+           SourceOf(consumer->expr) == producer->name &&
+           mentions[producer->name] == 2;
+  };
+  std::string output;
+  for (size_t i = 0; i < statements.size(); ++i) {
     if (interrupt_check_) TG_RETURN_IF_ERROR(interrupt_check_());
-    TG_ASSIGN_OR_RETURN(std::string line, Execute(statement));
-    output += line;
+    if (!chains(i)) {
+      TG_ASSIGN_OR_RETURN(std::string line, Execute(statements[i]));
+      output += line;
+      continue;
+    }
+    std::vector<const SetStatement*> chain = {
+        &std::get<SetStatement>(statements[i])};
+    while (chains(i)) chain.push_back(&std::get<SetStatement>(statements[++i]));
+    TG_ASSIGN_OR_RETURN(std::string lines, ExecuteChain(chain));
+    output += lines;
   }
   return output;
 }
@@ -91,45 +150,36 @@ Result<TGraph> Interpreter::Lookup(const std::string& name) const {
   return it->second;
 }
 
-Result<TGraph> Interpreter::RunOperator(
-    const char* label, opt::OpKind op, const std::string& source,
-    const TGraph& graph, const std::string& detail_suffix,
-    const std::function<Result<TGraph>(const TGraph&)>& run) {
-  const Representation rep = graph.representation();
-  const bool observe = stats_ != nullptr || explain_ != nullptr;
-  const int64_t rows_in = observe ? RecordCount(graph) : 0;
-  ExplainCollector::Scope stage(explain_, label,
-                                StageDetail(source, rep) + detail_suffix);
-  opt::ScopedObservation observation;
-  TG_ASSIGN_OR_RETURN(TGraph result, run(graph));
-  const int64_t rows_out = RecordCount(result);
-  observation.Commit(stats_, op, rep, rows_in, rows_out);
-  stage.set_rows(rows_in, rows_out);
-  return result;
+Result<std::string> Interpreter::ExecuteChain(
+    const std::vector<const SetStatement*>& sets) {
+  Pipeline chain;
+  for (const SetStatement* set : sets) chain.Then(*LowerExpr(set->expr));
+  TG_ASSIGN_OR_RETURN(TGraph input, Lookup(SourceOf(sets.front()->expr)));
+  // On an OGC input a conversion is semantic (aZoom errors on OGC but
+  // runs after a conversion), so every one the script wrote is kept — the
+  // guard OptimizedWithCost applies too.
+  Pipeline::Hints hints;
+  hints.drop_mid_chain_conversions =
+      input.representation() != Representation::kOgc;
+  Pipeline::RunOptions options;
+  options.explain = explain_;
+  options.input_name = SourceOf(sets.front()->expr);
+  options.stats = stats_;
+  options.interrupt = interrupt_check_;
+  TG_ASSIGN_OR_RETURN(TGraph result,
+                      chain.Optimized(hints).Run(input, options));
+  std::string output;
+  for (const SetStatement* set : sets) {
+    env_.erase(set->name);
+    output += "set " + set->name + "\n";
+  }
+  env_.insert_or_assign(sets.back()->name, std::move(result));
+  return output;
 }
 
 Result<TGraph> Interpreter::Evaluate(const Expr& expr) {
   if (const auto* ref = std::get_if<RefExpr>(&expr)) {
     return Lookup(ref->source);
-  }
-  if (const auto* azoom = std::get_if<AZoomExpr>(&expr)) {
-    TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(azoom->source));
-    AZoomSpec spec = BuildAZoomSpec(*azoom);
-    return RunOperator("AZOOM", opt::OpKind::kAZoom, azoom->source, graph, "",
-                       [&spec](const TGraph& g) { return g.AZoom(spec); });
-  }
-  if (const auto* wzoom = std::get_if<WZoomExpr>(&expr)) {
-    TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(wzoom->source));
-    WZoomSpec spec = BuildWZoomSpec(*wzoom);
-    return RunOperator("WZOOM", opt::OpKind::kWZoom, wzoom->source, graph, "",
-                       [&spec](const TGraph& g) { return g.WZoom(spec); });
-  }
-  if (const auto* slice = std::get_if<SliceExpr>(&expr)) {
-    TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(slice->source));
-    const Interval range(slice->from, slice->to);
-    return RunOperator(
-        "SLICE", opt::OpKind::kSlice, slice->source, graph, "",
-        [&range](const TGraph& g) -> Result<TGraph> { return g.Slice(range); });
   }
   if (const auto* subgraph = std::get_if<SubgraphExpr>(&expr)) {
     TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(subgraph->source));
@@ -152,21 +202,7 @@ Result<TGraph> Interpreter::Evaluate(const Expr& expr) {
     stage.set_rows(rows_in, RecordCount(out));
     return out;
   }
-  if (const auto* coalesce = std::get_if<CoalesceExpr>(&expr)) {
-    TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(coalesce->source));
-    return RunOperator(
-        "COALESCE", opt::OpKind::kCoalesce, coalesce->source, graph, "",
-        [](const TGraph& g) -> Result<TGraph> { return g.Coalesce(); });
-  }
-  if (const auto* convert = std::get_if<ConvertExpr>(&expr)) {
-    TG_ASSIGN_OR_RETURN(TGraph graph, Lookup(convert->source));
-    const Representation target = convert->target;
-    return RunOperator(
-        "CONVERT", opt::OpKind::kConvert, convert->source, graph,
-        std::string(" -> ") + RepresentationName(target),
-        [target](const TGraph& g) { return g.As(target); });
-  }
-  return Status::Internal("unhandled expression");
+  return Status::Internal("pipeline steps run through ExecuteChain");
 }
 
 Result<std::string> Interpreter::Execute(const Statement& statement) {
@@ -226,6 +262,7 @@ Result<std::string> Interpreter::Execute(const Statement& statement) {
     return "generated " + generate->name + " (" + generate->dataset + ")\n";
   }
   if (const auto* set = std::get_if<SetStatement>(&statement)) {
+    if (LowerableSet(statement) != nullptr) return ExecuteChain({set});
     TG_ASSIGN_OR_RETURN(TGraph graph, Evaluate(set->expr));
     env_.insert_or_assign(set->name, std::move(graph));
     return "set " + set->name + "\n";
@@ -316,7 +353,7 @@ Result<std::string> Interpreter::Execute(const Statement& statement) {
     const int64_t total_us = obs::Tracer::NowMicros() - start_us;
     explain_ = saved;
     if (saved != nullptr) {
-      for (const StageStats& stage : nested.stages()) saved->Add(stage);
+      for (const obs::StageStats& stage : nested.stages()) saved->Add(stage);
     }
     TG_RETURN_IF_ERROR(inner.status());
     return nested.Render(Canonicalize(*explain->inner), total_us) + *inner;

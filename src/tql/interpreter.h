@@ -6,9 +6,10 @@
 #include <string>
 
 #include "common/result.h"
+#include "obs/stage.h"
+#include "tgraph/pipeline.h"
 #include "tgraph/stats.h"
 #include "tql/ast.h"
-#include "tql/explain.h"
 
 namespace tgraph::tql {
 
@@ -42,6 +43,13 @@ class Interpreter {
 
   /// Parses and executes a whole script; returns the concatenated output
   /// of its statements. Execution stops at the first failing statement.
+  ///
+  /// Each run of consecutive SET statements over AZOOM, WZOOM, SLICE,
+  /// COALESCE or CONVERT in which every statement reads the previous one's
+  /// name, and no other statement of the script reads or binds that name,
+  /// is lowered to one Pipeline and run Optimized(). Each statement still
+  /// prints its "set <name>" line, but only the chain's last name ends up
+  /// bound; the intermediate names are unbound.
   Result<std::string> ExecuteScript(const std::string& script);
 
   /// Executes one parsed statement and returns its printable output.
@@ -61,28 +69,30 @@ class Interpreter {
   void set_loader(Loader loader) { loader_ = std::move(loader); }
 
   /// Cooperative interruption: when set, checked before each statement of
-  /// ExecuteScript; a non-OK return aborts the script with that status.
+  /// ExecuteScript and before each step of a lowered chain; a non-OK
+  /// return aborts the script with that status.
   /// tgraphd uses this for per-request deadlines and drain cancellation.
   using InterruptCheck = std::function<Status()>;
   void set_interrupt_check(InterruptCheck check) {
     interrupt_check_ = std::move(check);
   }
 
-  /// When set, every zoom/slice/coalesce/convert expression records one
+  /// When set, every executed zoom/slice/coalesce/convert step records one
   /// observation (wall time, the shuffle bytes it added to the query's
-  /// counter block, rows in/out, input representation) into the store.
+  /// counter block, rows in/out, input representation) into the store,
+  /// derived from the step's stage (Pipeline::RunOptions::stats).
   /// tgraphd records its queries this way and persists the profile; no
   /// query plan reads it (only Pipeline::OptimizedWithCost does). The
   /// store must outlive the interpreter. Unset (the default) means no
   /// recording.
   void set_stats(opt::Stats* stats) { stats_ = stats; }
 
-  /// When set, every executed statement and operator appends a StageStats
+  /// When set, every executed statement and pipeline step appends a StageStats
   /// to the collector — the engine behind EXPLAIN ANALYZE and tgraphd's
   /// slow-query log. EXPLAIN ANALYZE statements swap in their own
   /// collector for the inner statement regardless of this setting.
   /// The collector must outlive the interpreter. Unset by default.
-  void set_explain(ExplainCollector* explain) { explain_ = explain; }
+  void set_explain(obs::ExplainCollector* explain) { explain_ = explain; }
 
   /// Routes the view statements (CREATE VIEW, DROP VIEW, SHOW VIEWS,
   /// VIEW). tgraphd points this at its view registry; unset (the
@@ -93,20 +103,18 @@ class Interpreter {
  private:
   Result<TGraph> Evaluate(const Expr& expr);
 
-  /// Runs one operator of `source` (bound to `graph`) as a measured stage:
-  /// an EXPLAIN ANALYZE stage when collecting and an opt::Stats
-  /// observation when recording.
-  Result<TGraph> RunOperator(
-      const char* label, opt::OpKind op, const std::string& source,
-      const TGraph& graph, const std::string& detail_suffix,
-      const std::function<Result<TGraph>(const TGraph&)>& run);
+  /// Runs the lowered steps of `sets` (a chain as ExecuteScript forms
+  /// them, or one statement) as one optimized Pipeline over the first
+  /// statement's source, binds the last name and unbinds the others.
+  Result<std::string> ExecuteChain(
+      const std::vector<const SetStatement*>& sets);
 
   dataflow::ExecutionContext* ctx_;
   std::map<std::string, TGraph> env_;
   Loader loader_;
   InterruptCheck interrupt_check_;
   opt::Stats* stats_ = nullptr;
-  ExplainCollector* explain_ = nullptr;
+  obs::ExplainCollector* explain_ = nullptr;
   ViewCatalog* views_ = nullptr;
 };
 

@@ -34,23 +34,34 @@ WZoomSpec BuildWZoomSpec(const WZoomExpr& expr) {
   return spec;
 }
 
+std::optional<Pipeline::Step> LowerExpr(const Expr& expr) {
+  if (const auto* azoom = std::get_if<AZoomExpr>(&expr)) {
+    return Pipeline::AZoomStep{BuildAZoomSpec(*azoom)};
+  }
+  if (const auto* wzoom = std::get_if<WZoomExpr>(&expr)) {
+    return Pipeline::WZoomStep{BuildWZoomSpec(*wzoom)};
+  }
+  if (const auto* slice = std::get_if<SliceExpr>(&expr)) {
+    return Pipeline::SliceStep{Interval(slice->from, slice->to)};
+  }
+  if (std::holds_alternative<CoalesceExpr>(expr)) {
+    return Pipeline::CoalesceStep{};
+  }
+  if (const auto* convert = std::get_if<ConvertExpr>(&expr)) {
+    return Pipeline::ConvertStep{convert->target};
+  }
+  return std::nullopt;
+}
+
 Result<Pipeline> BuildViewPipeline(const std::vector<Expr>& stages) {
   Pipeline pipeline;
   for (const Expr& stage : stages) {
-    if (const auto* azoom = std::get_if<AZoomExpr>(&stage)) {
-      pipeline.AZoom(BuildAZoomSpec(*azoom));
-    } else if (const auto* wzoom = std::get_if<WZoomExpr>(&stage)) {
-      pipeline.WZoom(BuildWZoomSpec(*wzoom));
-    } else if (const auto* slice = std::get_if<SliceExpr>(&stage)) {
-      pipeline.Slice(Interval(slice->from, slice->to));
-    } else if (std::get_if<CoalesceExpr>(&stage) != nullptr) {
-      pipeline.Coalesce();
-    } else if (const auto* convert = std::get_if<ConvertExpr>(&stage)) {
-      pipeline.Convert(convert->target);
-    } else {
+    std::optional<Pipeline::Step> step = LowerExpr(stage);
+    if (!step.has_value()) {
       return Status::InvalidArgument(
           "view stages must be AZOOM, WZOOM, SLICE, COALESCE, or CONVERT");
     }
+    pipeline.Then(*std::move(step));
   }
   if (pipeline.steps().empty()) {
     return Status::InvalidArgument("a view needs at least one stage");

@@ -1,6 +1,7 @@
 #ifndef TGRAPH_TQL_PIPELINE_BUILD_H_
 #define TGRAPH_TQL_PIPELINE_BUILD_H_
 
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -10,15 +11,21 @@
 
 namespace tgraph::tql {
 
-/// Spec construction shared by the interpreter's expression evaluator and
-/// the view registry's pipeline builder, so `SET g = AZOOM ...` and
-/// `CREATE VIEW ... AS AZOOM ...` can never drift apart semantically.
+/// The one lowering of TQL operator expressions to pipeline steps, shared
+/// by the interpreter (`SET g = AZOOM ...` chains) and the view registry
+/// (`CREATE VIEW ... AS AZOOM ...`), so the two can never drift apart
+/// semantically.
 
 /// The AZoomSpec an AZOOM clause denotes (grouping, aggregates, types).
 AZoomSpec BuildAZoomSpec(const AZoomExpr& expr);
 
 /// The WZoomSpec a WZOOM clause denotes (window, quantifiers, resolves).
 WZoomSpec BuildWZoomSpec(const WZoomExpr& expr);
+
+/// The pipeline step an AZOOM/WZOOM/SLICE/COALESCE/CONVERT expression
+/// denotes; nullopt for expressions that are not pipeline steps (a bare
+/// name, SUBGRAPH).
+std::optional<Pipeline::Step> LowerExpr(const Expr& expr);
 
 /// Lowers a view's stage chain to a tgraph::Pipeline. Stages must be
 /// sourceless AZOOM/WZOOM/SLICE/COALESCE/CONVERT expressions (the parser

@@ -27,7 +27,7 @@ MaterializedView::MaterializedView(dataflow::ExecutionContext* ctx,
                                    Pipeline pipeline, Options options)
     : ctx_(ctx),
       definition_(std::move(definition)),
-      pipeline_(std::move(pipeline)),
+      pipeline_(pipeline.Optimized()),
       final_rep_(incremental::FinalRepresentation(pipeline_,
                                                  Representation::kVe)),
       options_(std::move(options)) {}

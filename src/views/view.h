@@ -109,13 +109,15 @@ class MaterializedView {
         on_fallback;
   };
 
+  /// Optimizes `pipeline` once (the source is VE, so the default hints
+  /// hold); rebuilds, the delta planner and representation() all use it.
   MaterializedView(dataflow::ExecutionContext* ctx, ViewDefinition definition,
                    Pipeline pipeline, Options options);
 
   const ViewDefinition& definition() const { return definition_; }
 
-  /// The representation the view publishes (last CONVERT target, else VE —
-  /// the source always materializes as VE).
+  /// The representation the view publishes (last CONVERT target of the
+  /// optimized chain, else VE — the source always materializes as VE).
   Representation representation() const { return final_rep_; }
 
   /// The latest published snapshot; nullptr until the first successful

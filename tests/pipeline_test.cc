@@ -37,8 +37,10 @@ TEST(PipelineTest, InstrumentedRunRecordsObservations) {
   Pipeline pipeline;
   pipeline.AZoom(SchoolZoom()).Coalesce().Slice(Interval(1, 8));
   opt::Stats stats;
+  Pipeline::RunOptions options;
+  options.stats = &stats;
   Result<TGraph> result =
-      pipeline.Run(TGraph::FromVe(Figure1(), true), &stats);
+      pipeline.Run(TGraph::FromVe(Figure1(), true), options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.TotalObservations(), 3);
   auto azoom = stats.Get(opt::OpKind::kAZoom, Representation::kVe);

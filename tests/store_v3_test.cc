@@ -280,24 +280,6 @@ TEST(StoreV3Test, DecodeCacheIsSharedAcrossLoadsOfOneReader) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(StoreV3Test, DecodeCacheBudgetOverflowIsCounted) {
-  VeGraph g = RandomTGraph(41, 80, 160, 40);
-  std::string dir = TempDir("v3_budget");
-  TG_CHECK_OK(WriteVeStore(g, dir, Versioned(3)));
-
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  namespace names = obs::metric_names;
-  uint64_t saved = StoreDecodeCacheBudgetBytes();
-  SetStoreDecodeCacheBudgetBytes(1);  // everything overflows
-  obs::MetricsSnapshot before = registry.Snapshot();
-  TG_CHECK_OK(LoadVeGraph(Ctx(), dir, {}).status());
-  obs::MetricsSnapshot delta = registry.Snapshot().DeltaSince(before);
-  EXPECT_GT(CounterValue(delta, names::kStoreDecodeCacheOverflows), 0);
-  SetStoreDecodeCacheBudgetBytes(saved);
-  EXPECT_EQ(StoreDecodeCacheBudgetBytes(), saved);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(StoreV3Test, GenerationBelowEightBytesARowOpensAndRoundTrips) {
   // A compacted live generation of many short-lived edges between two
   // vertices: sequential ids and times, constant endpoints and properties.

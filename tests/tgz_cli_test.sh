@@ -13,6 +13,19 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# expect_usage_error FLAG CMD...: CMD must exit 2 (not abort) and name FLAG
+# on stderr.
+expect_usage_error() {
+  flag="$1"
+  shift
+  if "$@" > /dev/null 2> "$DIR/usage.err"; then code=0; else code=$?; fi
+  if [ "$code" -ne 2 ] || ! grep -q -- "$flag" "$DIR/usage.err"; then
+    echo "expected exit 2 naming $flag from: $* (got $code)" >&2
+    cat "$DIR/usage.err" >&2
+    exit 1
+  fi
+}
+
 "$TGZ" generate --dataset snb --out "$DIR/base" --scale 0.1 --seed 7
 # Every writer emits one v3 store and nothing else.
 test -f "$DIR/base/graph.tgs"
@@ -50,6 +63,20 @@ if "$TGZ" info --in "$DIR/nonexistent" 2>/dev/null; then
   echo "expected nonzero exit for missing input" >&2
   exit 1
 fi
+# Numeric flags are parsed whole and range-checked.
+expect_usage_error --scale \
+    "$TGZ" generate --dataset wikitalk --out "$DIR/bad" --scale abc
+expect_usage_error --seed \
+    "$TGZ" generate --dataset snb --out "$DIR/bad" --seed 7x
+expect_usage_error --from "$TGZ" slice --in "$DIR/base" --out "$DIR/bad" \
+    --from 1e --to 30
+expect_usage_error --window "$TGZ" wzoom --in "$DIR/base" --out "$DIR/bad" \
+    --window -3
+expect_usage_error --vq "$TGZ" wzoom --in "$DIR/base" --out "$DIR/bad" \
+    --window 3 --vq atleast:1.5
+expect_usage_error --limit \
+    "$TGZ" snapshot --in "$DIR/base" --at 12 --limit many
+expect_usage_error --connect "$TGZ" stats --connect 127.0.0.1:port
 
 # --- save-store rewrites the store with other partitioning or another
 # representation -----------------------------------------------------------
@@ -85,6 +112,12 @@ fi
 
 # --- tgzd: start, serve over a real socket, stats, graceful shutdown -------
 if [ -n "$TGZD" ]; then
+  expect_usage_error --port "$TGZD" --port abc
+  expect_usage_error --port "$TGZD" --port 70000
+  expect_usage_error --workers "$TGZD" --workers 0
+  expect_usage_error --cache-bytes "$TGZD" --cache-bytes 64MiB
+  expect_usage_error --view-max-suffix-fraction \
+      "$TGZD" --view-max-suffix-fraction x
   "$TGZD" --port 0 --workers 2 > "$DIR/tgzd.out" 2> "$DIR/tgzd.err" &
   TGZD_PID=$!
   # The startup line carries the bound ephemeral port.

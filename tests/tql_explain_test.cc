@@ -1,4 +1,4 @@
-#include "tql/explain.h"
+#include "obs/stage.h"
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,8 @@
 namespace tgraph::tql {
 namespace {
 
+using ::tgraph::obs::ExplainCollector;
+using ::tgraph::obs::StageStats;
 using ::tgraph::testing::Ctx;
 using ::tgraph::testing::Figure1;
 
@@ -121,6 +123,47 @@ TEST_F(ExplainTest, StageRowsInOutMatchOperatorWork) {
   EXPECT_NE(line.find("rows_out="), std::string::npos) << line;
   // Shuffle counters did not move for a slice, so they must be omitted.
   EXPECT_EQ(line.find("shuffles="), std::string::npos) << line;
+}
+
+// A lowered chain run with both a collector and a stats store: Pipeline::Run
+// derives each step's opt::Stats observation from that step's stage, so
+// the two agree exactly on wall time, shuffle bytes and rows.
+TEST_F(ExplainTest, ChainStepStagesAndStatsObservationsAgree) {
+  ExplainCollector collector;
+  opt::Stats stats;
+  interpreter_.set_explain(&collector);
+  interpreter_.set_stats(&stats);
+  MustRun("LOAD '" + dir_ + "' AS g;" +
+          "SET a = AZOOM g BY school AGGREGATE COUNT() AS n;"
+          "SET w = WZOOM a WINDOW 3 NODES EXISTS EDGES EXISTS;");
+  interpreter_.set_explain(nullptr);
+  interpreter_.set_stats(nullptr);
+
+  // The LOAD, then one stage per step of the lowered AZOOM -> WZOOM chain;
+  // the WZOOM step reads an intermediate that is never bound.
+  ASSERT_EQ(collector.stages().size(), 3u);
+  EXPECT_EQ(collector.stages()[1].detail, "g [VE]");
+  EXPECT_EQ(collector.stages()[2].detail, "[VE]");
+  EXPECT_EQ(stats.TotalObservations(), 2);
+  const std::pair<opt::OpKind, std::string> steps[] = {
+      {opt::OpKind::kAZoom, "AZOOM"}, {opt::OpKind::kWZoom, "WZOOM"}};
+  int64_t shuffle_bytes = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    const StageStats& stage = collector.stages()[i + 1];
+    SCOPED_TRACE(stage.ToString());
+    EXPECT_EQ(stage.label, steps[i].second);
+    std::optional<opt::OpStats> cell =
+        stats.Get(steps[i].first, Representation::kVe);
+    ASSERT_TRUE(cell.has_value());
+    EXPECT_EQ(cell->observations, 1);
+    EXPECT_EQ(cell->wall_us, stage.wall_us);
+    EXPECT_EQ(cell->shuffle_bytes, stage.shuffle_bytes);
+    EXPECT_EQ(cell->rows_in, stage.rows_in);
+    EXPECT_EQ(cell->rows_out, stage.rows_out);
+    EXPECT_GT(stage.rows_in, 0);
+    shuffle_bytes += stage.shuffle_bytes;
+  }
+  EXPECT_GT(shuffle_bytes, 0);
 }
 
 TEST_F(ExplainTest, InnerErrorPropagates) {

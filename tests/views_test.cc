@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "ingest/event.h"
 #include "ingest/live_graph.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "tgraph/incremental.h"
 #include "tql/canonical.h"
@@ -350,6 +351,32 @@ TEST_F(ViewRegistryTest, DdlLifecycle) {
   EXPECT_TRUE(registry.DropView("v").status().IsNotFound());
   ASSERT_TRUE(registry.ShowViews().ok());
   EXPECT_EQ(*registry.ShowViews(), "no views\n");
+}
+
+// A view optimizes its chain once, when it is registered: the rewrites
+// fire then, and the published representation is that of the optimized
+// chain (the mid-chain CONVERT is dropped, so the view publishes VE).
+TEST_F(ViewRegistryTest, ViewRunsItsOptimizedChain) {
+  auto fired = [](const char* rule) {
+    return obs::MetricsRegistry::Global()
+        .GetCounter(std::string("pipeline.optimizer.rule.") + rule)
+        ->value();
+  };
+  const int64_t pushdowns = fired("slice_pushdown");
+  const int64_t drops = fired("drop_conversion");
+  ingest::LiveGraphRegistry live(testing::Ctx());
+  ViewRegistry registry(testing::Ctx(), &live, {});
+  ASSERT_TRUE(registry
+                  .CreateView(ParseCreate(
+                      "create view v on 'nowhere' as convert to og then "
+                      "azoom by role aggregate count() as n then "
+                      "slice from 0 to 50;"))
+                  .ok());
+  EXPECT_GT(fired("slice_pushdown"), pushdowns);
+  EXPECT_GT(fired("drop_conversion"), drops);
+  std::shared_ptr<MaterializedView> view = registry.Find("v");
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->representation(), Representation::kVe);
 }
 
 TEST_F(ViewRegistryTest, InvalidStagesRejectedAtDdlTime) {

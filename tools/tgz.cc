@@ -29,11 +29,14 @@
 // docs/FORMAT.md); every command reads and writes it, so every command
 // composes with every other.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -87,19 +90,42 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  int64_t GetInt(const std::string& key) const { return std::stoll(Get(key)); }
-  int64_t GetIntOr(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+  int64_t GetInt(const std::string& key,
+                 int64_t min = std::numeric_limits<int64_t>::lowest()) const {
+    return ParseNumber<int64_t>("--" + key, Get(key), min);
   }
-  double GetDoubleOr(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+  int64_t GetIntOr(const std::string& key, int64_t fallback,
+                   int64_t min = std::numeric_limits<int64_t>::lowest()) const {
+    return Has(key) ? GetInt(key, min) : fallback;
+  }
+  double GetDoubleOr(const std::string& key, double fallback,
+                     double min) const {
+    return Has(key) ? ParseNumber<double>("--" + key, Get(key), min)
+                    : fallback;
   }
 
   [[noreturn]] static void Die(const std::string& message) {
     std::fprintf(stderr, "tgz: %s\n", message.c_str());
     std::exit(2);
+  }
+
+  /// Parses all of `text` as a number in [min, max]; otherwise dies naming
+  /// `what`. The one numeric parse behind every flag and flag part.
+  template <typename T>
+  static T ParseNumber(const std::string& what, const std::string& text,
+                       T min, T max = std::numeric_limits<T>::max()) {
+    T value{};
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end ||
+        !(value >= min && value <= max)) {
+      std::ostringstream want;
+      want << "a number";
+      if (min != std::numeric_limits<T>::lowest()) want << " >= " << min;
+      if (max != std::numeric_limits<T>::max()) want << " and <= " << max;
+      Die(what + " wants " + want.str() + ", got '" + text + "'");
+    }
+    return value;
   }
 
  private:
@@ -133,12 +159,14 @@ void StoreOutput(const VeGraph& graph, const Flags& flags) {
               stats.ToString().c_str());
 }
 
-Quantifier ParseQuantifier(const std::string& name) {
+Quantifier ParseQuantifier(const Flags& flags, const std::string& key) {
+  const std::string name = flags.GetOr(key, "all");
   if (name == "all") return Quantifier::All();
   if (name == "most") return Quantifier::Most();
   if (name == "exists") return Quantifier::Exists();
   if (name.rfind("atleast:", 0) == 0) {
-    return Quantifier::AtLeast(std::stod(name.substr(8)));
+    return Quantifier::AtLeast(
+        Flags::ParseNumber("--" + key + " atleast:", name.substr(8), 0.0, 1.0));
   }
   Flags::Die("unknown quantifier '" + name +
              "' (use all|most|exists|atleast:<fraction>)");
@@ -156,8 +184,8 @@ Representation ParseRepresentation(const std::string& name) {
 
 int Generate(const Flags& flags) {
   std::string dataset = flags.Get("dataset");
-  uint64_t seed = static_cast<uint64_t>(flags.GetIntOr("seed", 42));
-  double scale = flags.GetDoubleOr("scale", 1.0);
+  uint64_t seed = static_cast<uint64_t>(flags.GetIntOr("seed", 42, 0));
+  double scale = flags.GetDoubleOr("scale", 1.0, 0.0);
   VeGraph graph;
   if (dataset == "wikitalk") {
     gen::WikiTalkConfig config;
@@ -231,9 +259,9 @@ int AZoomCommand(const Flags& flags) {
 
 int WZoomCommand(const Flags& flags) {
   VeGraph graph = LoadInput(flags);
-  WZoomSpec spec{WindowSpec::TimePoints(flags.GetInt("window")),
-                 ParseQuantifier(flags.GetOr("vq", "all")),
-                 ParseQuantifier(flags.GetOr("eq", "all")),
+  WZoomSpec spec{WindowSpec::TimePoints(flags.GetInt("window", 1)),
+                 ParseQuantifier(flags, "vq"),
+                 ParseQuantifier(flags, "eq"),
                  {},
                  {}};
   Representation rep = ParseRepresentation(flags.GetOr("rep", "og"));
@@ -255,7 +283,7 @@ int Snapshot(const Flags& flags) {
               static_cast<long long>(at),
               static_cast<long long>(snapshot.NumVertices()),
               static_cast<long long>(snapshot.NumEdges()));
-  int64_t limit = flags.GetIntOr("limit", 10);
+  int64_t limit = flags.GetIntOr("limit", 10, 0);
   for (const sg::Vertex& v : snapshot.vertices().Take(limit)) {
     std::printf("  v%lld %s\n", static_cast<long long>(v.vid),
                 v.properties.ToString().c_str());
@@ -274,7 +302,9 @@ std::pair<std::string, int> ParseHostPort(const std::string& spec) {
   if (colon == std::string::npos || colon + 1 >= spec.size()) {
     Flags::Die("--connect wants host:port, got '" + spec + "'");
   }
-  return {spec.substr(0, colon), std::stoi(spec.substr(colon + 1))};
+  return {spec.substr(0, colon),
+          static_cast<int>(Flags::ParseNumber<int64_t>(
+              "--connect port", spec.substr(colon + 1), 1, 65535))};
 }
 
 server::Client ConnectedClient(const Flags& flags) {
@@ -464,7 +494,7 @@ int SaveStore(const Flags& flags) {
     options.sort_order = storage::SortOrder::kStructuralLocality;
   }
   options.row_group_size =
-      flags.GetIntOr("partition-rows", options.row_group_size);
+      flags.GetIntOr("partition-rows", options.row_group_size, 1);
   std::string rep = flags.GetOr("rep", "ve");
   std::string out = flags.Get("out");
   if (rep == "ve") {

@@ -7,7 +7,6 @@
 //        [--metrics-port N] [--slow-query-log FILE] [--slow-query-ms N]
 //        [--wal-dir DIR] [--ingest-delta-events N] [--ingest-compact-ms N]
 //        [--views-file FILE] [--view-max-suffix-fraction F]
-//        [--decode-cache-mb N]
 //
 // Listens on loopback for framed TQL requests (src/server/protocol.h),
 // executes them on a bounded worker pool over one shared
@@ -23,17 +22,19 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "dataflow/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/server.h"
-#include "storage/store_reader.h"
 
 namespace {
 
@@ -55,6 +56,24 @@ void HandleSignal(int /*signum*/) {
   std::exit(2);
 }
 
+/// Parses all of `text` as a number in [min, max]; otherwise dies naming
+/// `flag`. The one numeric parse behind every flag.
+template <typename T>
+T ParseNumber(const std::string& flag, const std::string& text, T min,
+              T max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !(value >= min && value <= max)) {
+    std::ostringstream want;
+    want << "a number >= " << min;
+    if (max != std::numeric_limits<T>::max()) want << " and <= " << max;
+    Die("--" + flag + " wants " + want.str() + ", got '" + text + "'");
+  }
+  return value;
+}
+
 int Help(std::FILE* out) {
   std::fprintf(
       out,
@@ -65,7 +84,7 @@ int Help(std::FILE* out) {
       "            [--slow-query-log FILE] [--slow-query-ms N]\n"
       "            [--wal-dir DIR] [--ingest-delta-events N]\n"
       "            [--ingest-compact-ms N] [--views-file FILE]\n"
-      "            [--view-max-suffix-fraction F] [--decode-cache-mb N]\n"
+      "            [--view-max-suffix-fraction F]\n"
       "  --port N            TCP port, loopback only (0 = ephemeral; "
       "default 7464)\n"
       "  --workers N         concurrent request executors (default 4)\n"
@@ -95,6 +114,7 @@ int Help(std::FILE* out) {
       "  --ingest-delta-events N  compact a live graph once its in-memory\n"
       "                      delta holds N events (default 4096)\n"
       "  --ingest-compact-ms N  also compact non-empty deltas every N ms\n"
+      "                      (default 0 = size-triggered only)\n"
       "  --views-file FILE   persist CREATE VIEW definitions here and\n"
       "                      re-register them on start (default: in-memory\n"
       "                      views only)\n"
@@ -102,11 +122,6 @@ int Help(std::FILE* out) {
       "                      when the incremental suffix would span more\n"
       "                      than this fraction of the source lifetime\n"
       "                      (default 0.75)\n"
-      "                      (default 0 = size-triggered only)\n"
-      "  --decode-cache-mb N soft budget (MiB) for the decoded-segment\n"
-      "                      cache shared by all open v3 stores; crossing\n"
-      "                      it counts overflows instead of evicting\n"
-      "                      (default 1024; env TGRAPH_DECODE_CACHE_MB)\n"
       "  --help              print this help and exit\n"
       "Graph dirs named in TQL LOAD statements hold a tgraph-store\n"
       "container (graph.tgs, docs/FORMAT.md); the catalog serves each off\n"
@@ -114,8 +129,6 @@ int Help(std::FILE* out) {
       "directory.\n");
   return out == stdout ? 0 : 2;
 }
-
-int Usage() { return Help(stderr); }
 
 }  // namespace
 
@@ -139,16 +152,19 @@ int main(int argc, char** argv) {
       flags[key] = argv[++i];
     }
   }
-  auto int_flag = [&](const char* key, int64_t fallback) {
+  auto int_flag = [&](const char* key, int64_t fallback, int64_t min = 0,
+                      int64_t max = std::numeric_limits<int64_t>::max()) {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoll(it->second);
+    return it == flags.end() ? fallback
+                             : ParseNumber<int64_t>(key, it->second, min, max);
   };
 
   server::ServerOptions options;
-  options.port = static_cast<int>(int_flag("port", options.port));
-  options.workers = static_cast<int>(int_flag("workers", options.workers));
-  options.queue_depth =
-      static_cast<int>(int_flag("queue-depth", options.queue_depth));
+  options.port = static_cast<int>(int_flag("port", options.port, 0, 65535));
+  options.workers =
+      static_cast<int>(int_flag("workers", options.workers, 1, 1024));
+  options.queue_depth = static_cast<int>(int_flag(
+      "queue-depth", options.queue_depth, 0, std::numeric_limits<int>::max()));
   options.cache_bytes = static_cast<size_t>(
       int_flag("cache-bytes", static_cast<int64_t>(options.cache_bytes)));
   options.cache_ttl_ms = int_flag("cache-ttl-ms", options.cache_ttl_ms);
@@ -158,8 +174,8 @@ int main(int argc, char** argv) {
   if (auto it = flags.find("stats-file"); it != flags.end()) {
     options.stats_path = it->second;
   }
-  options.metrics_port =
-      static_cast<int>(int_flag("metrics-port", options.metrics_port));
+  options.metrics_port = static_cast<int>(
+      int_flag("metrics-port", options.metrics_port, 0, 65535));
   if (auto it = flags.find("slow-query-log"); it != flags.end()) {
     options.slow_query_log = it->second;
   }
@@ -175,13 +191,8 @@ int main(int argc, char** argv) {
     options.views_path = it->second;
   }
   if (auto it = flags.find("view-max-suffix-fraction"); it != flags.end()) {
-    options.view_max_suffix_fraction = std::stod(it->second);
-  }
-  if (auto it = flags.find("decode-cache-mb"); it != flags.end()) {
-    int64_t mb = std::stoll(it->second);
-    if (mb < 0) Die("--decode-cache-mb must be >= 0");
-    tgraph::storage::SetStoreDecodeCacheBudgetBytes(
-        static_cast<uint64_t>(mb) << 20);
+    options.view_max_suffix_fraction =
+        ParseNumber<double>(it->first, it->second, 0.0);
   }
   std::string trace_out;
   if (auto it = flags.find("trace-out"); it != flags.end()) {
