@@ -66,6 +66,61 @@ class CowMap {
     }
   }
 
+  /// Calls fn(key, before, after) for every key whose entry differs
+  /// between this version and `after`, in key order: `before` or `after`
+  /// is nullptr where the key is absent from that version, and values are
+  /// compared with ==. Chunks the two versions share are skipped without
+  /// reading an entry, so diffing a version against its successor costs
+  /// O(number of chunks + entries in the chunks With() copied).
+  template <typename Fn>
+  void Diff(const CowMap& after, Fn&& fn) const {
+    const auto& left = chunks_;
+    const auto& right = after.chunks_;
+    size_t i = 0, j = 0;  // chunk cursors
+    size_t a = 0, b = 0;  // entry cursors within chunks i and j
+    while (i < left.size() || j < right.size()) {
+      // Both cursors reach the first key of a shared chunk together: keys
+      // are visited in order, and the chunk holds the same keys in both.
+      if (i < left.size() && j < right.size() && a == 0 && b == 0 &&
+          left[i] == right[j]) {
+        ++i;
+        ++j;
+        continue;
+      }
+      const Entry* x = i < left.size() ? &(*left[i])[a] : nullptr;
+      const Entry* y = j < right.size() ? &(*right[j])[b] : nullptr;
+      const bool take_x =
+          x != nullptr && (y == nullptr || !Less()(y->first, x->first));
+      const bool take_y =
+          y != nullptr && (x == nullptr || !Less()(x->first, y->first));
+      if (take_x && take_y) {
+        if (!(x->second == y->second)) fn(x->first, &x->second, &y->second);
+      } else if (take_x) {
+        fn(x->first, &x->second, static_cast<const V*>(nullptr));
+      } else {
+        fn(y->first, static_cast<const V*>(nullptr), &y->second);
+      }
+      if (take_x && ++a == left[i]->size()) {
+        ++i;
+        a = 0;
+      }
+      if (take_y && ++b == right[j]->size()) {
+        ++j;
+        b = 0;
+      }
+    }
+  }
+
+  /// The number of chunks; ForEachInChunk(c, fn) for every c below it
+  /// visits every entry in key order, so chunks can be read in parallel.
+  size_t chunk_count() const { return chunks_.size(); }
+
+  /// Calls fn(key, value) for the entries of chunk `c`, in key order.
+  template <typename Fn>
+  void ForEachInChunk(size_t c, Fn&& fn) const {
+    for (const Entry& entry : *chunks_[c]) fn(entry.first, entry.second);
+  }
+
   /// A new version with `updates` applied. `updates` must be sorted by key
   /// with no key repeated.
   CowMap With(std::vector<Update> updates) const {

@@ -205,11 +205,27 @@ FoldedState FoldedState::Replace(TGraphBuilder::Folded folded,
   FoldedState next;
   next.vertex_rows_ = vertex_rows_;
   next.edge_rows_ = edge_rows_;
+  next.min_start_ = min_start_;
+  next.max_closed_end_ = max_closed_end_;
+  next.open_entities_ = open_entities_;
+  // Widens the lifetime bookkeeping by `states` (replacing `before`).
+  auto account = [&next, horizon](const History* before,
+                                  const History& states) {
+    if (before != nullptr && Alive(*before, horizon)) --next.open_entities_;
+    if (Alive(states, horizon)) ++next.open_entities_;
+    for (const HistoryItem& item : states) {
+      next.min_start_ = std::min(next.min_start_, item.interval.start);
+      if (item.interval.end != horizon) {
+        next.max_closed_end_ =
+            std::max(next.max_closed_end_, item.interval.end);
+      }
+    }
+  };
   std::vector<decltype(vertices_)::Update> vertex_updates;
   for (auto& [vid, states] : folded.vertices) {
-    if (const auto* before = vertices_.Find(vid)) {
-      next.vertex_rows_ -= (*before)->size();
-    }
+    const auto* before = vertices_.Find(vid);
+    if (before != nullptr) next.vertex_rows_ -= (*before)->size();
+    account(before != nullptr ? before->get() : nullptr, states);
     next.vertex_rows_ += states.size();
     vertex_updates.emplace_back(
         vid, std::make_shared<const History>(std::move(states)));
@@ -218,10 +234,12 @@ FoldedState FoldedState::Replace(TGraphBuilder::Folded folded,
   std::vector<decltype(alive_edges_)::Update> alive;
   for (auto& [eid, edge] : folded.edges) {
     bool was_alive = false;
-    if (const auto* before = edges_.Find(eid)) {
+    const auto* before = edges_.Find(eid);
+    if (before != nullptr) {
       next.edge_rows_ -= (*before)->states.size();
       was_alive = Alive((*before)->states, horizon);
     }
+    account(before != nullptr ? &(*before)->states : nullptr, edge.states);
     next.edge_rows_ += edge.states.size();
     const bool alive_now = Alive(edge.states, horizon);
     if (alive_now != was_alive) {
@@ -262,6 +280,65 @@ VeGraph FoldedState::Materialize(dataflow::ExecutionContext* ctx) const {
                          std::nullopt);
 }
 
+VeGraph FoldedState::Slice(dataflow::ExecutionContext* ctx, Interval range,
+                           TimePoint horizon) const {
+  // Each chunk clips into its own vector; joining them in chunk order
+  // keeps Materialize()'s row order. A task takes a run of chunks, so the
+  // pool sees a few tasks rather than one per chunk.
+  const size_t vertex_chunks = vertices_.chunk_count();
+  const size_t chunks = vertex_chunks + edges_.chunk_count();
+  std::vector<std::vector<VeVertex>> vertex_parts(vertex_chunks);
+  std::vector<std::vector<VeEdge>> edge_parts(chunks - vertex_chunks);
+  auto clip = [&](size_t c) {
+    if (c < vertex_chunks) {
+      vertices_.ForEachInChunk(c, [&](VertexId vid, const auto& states) {
+        for (const HistoryItem& item : *states) {
+          const Interval clipped = item.interval.Intersect(range);
+          if (clipped.empty()) continue;
+          vertex_parts[c].push_back(VeVertex{vid, clipped, item.properties});
+        }
+      });
+      return;
+    }
+    std::vector<VeEdge>& out = edge_parts[c - vertex_chunks];
+    edges_.ForEachInChunk(c - vertex_chunks, [&](EdgeId eid,
+                                                 const auto& edge) {
+      for (const HistoryItem& item : edge->states) {
+        const Interval clipped = item.interval.Intersect(range);
+        if (clipped.empty()) continue;
+        out.push_back(
+            VeEdge{eid, edge->src, edge->dst, clipped, item.properties});
+      }
+    });
+  };
+  const size_t tasks = std::min<size_t>(
+      chunks, static_cast<size_t>(std::max(1, ctx->default_parallelism())));
+  ctx->ParallelFor(tasks, [&](size_t t) {
+    for (size_t c = t * chunks / tasks; c < (t + 1) * chunks / tasks; ++c) {
+      clip(c);
+    }
+  });
+  auto join = [](auto& parts) {
+    size_t total = 0;
+    for (const auto& part : parts) total += part.size();
+    std::remove_reference_t<decltype(parts.front())> rows;
+    rows.reserve(total);
+    for (auto& part : parts) {
+      rows.insert(rows.end(), std::make_move_iterator(part.begin()),
+                  std::make_move_iterator(part.end()));
+    }
+    return rows;
+  };
+  return VeGraph::Create(ctx, join(vertex_parts), join(edge_parts),
+                         Lifetime(horizon).Intersect(range));
+}
+
+Interval FoldedState::Lifetime(TimePoint horizon) const {
+  if (vertex_rows_ + edge_rows_ == 0) return Interval();
+  return Interval(min_start_,
+                  open_entities_ > 0 ? horizon : max_closed_end_);
+}
+
 // --- LiveSnapshot ----------------------------------------------------------
 
 uint64_t LiveSnapshot::last_seq() const {
@@ -278,6 +355,11 @@ Result<const VeGraph*> LiveSnapshot::Graph() const {
     materialized_->graph = state_->Materialize(ctx_);
   });
   return &*materialized_->graph;
+}
+
+VeGraph LiveSnapshot::Slice(Interval range) const {
+  obs::Span span("ingest.slice", "ingest");
+  return state_->Slice(ctx_, range, horizon_);
 }
 
 // --- LiveGraph -------------------------------------------------------------

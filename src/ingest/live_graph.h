@@ -109,9 +109,30 @@ class FoldedState {
   /// rows an offline TGraphBuilder::Finish over the full log returns.
   VeGraph Materialize(dataflow::ExecutionContext* ctx) const;
 
- private:
+  /// SliceVe(Materialize(ctx), range) with its rows collected: the same
+  /// rows in the same order, clipped chunk by chunk in parallel without
+  /// materializing the whole state first.
+  VeGraph Slice(dataflow::ExecutionContext* ctx, Interval range,
+                TimePoint horizon) const;
+
+  /// The lifetime Materialize() derives from its rows (an empty interval
+  /// when there are none), kept up to date by every fold.
+  Interval Lifetime(TimePoint horizon) const;
+
   /// (endpoint, edge id) of every edge whose last state is still open.
   using Incidence = std::pair<VertexId, EdgeId>;
+
+  const CowMap<VertexId, std::shared_ptr<const History>>& vertices() const {
+    return vertices_;
+  }
+  const CowMap<EdgeId, std::shared_ptr<const EdgeHistory>>& edges() const {
+    return edges_;
+  }
+  const CowMap<Incidence, std::monostate>& alive_edges() const {
+    return alive_edges_;
+  }
+
+ private:
 
   /// This state with the entities of `folded` replaced (or added).
   FoldedState Replace(TGraphBuilder::Folded folded, TimePoint horizon) const;
@@ -121,6 +142,13 @@ class FoldedState {
   CowMap<Incidence, std::monostate> alive_edges_;
   size_t vertex_rows_ = 0;
   size_t edge_rows_ = 0;
+  // Lifetime bookkeeping. Folds never drop a state and only append states
+  // after the watermark, so the earliest start and the latest end before
+  // the horizon only move outward; an entity whose last state runs to the
+  // horizon makes the horizon the end.
+  TimePoint min_start_ = std::numeric_limits<TimePoint>::max();
+  TimePoint max_closed_end_ = std::numeric_limits<TimePoint>::min();
+  size_t open_entities_ = 0;
 };
 
 /// \brief A consistent, immutable view of a live graph at one publication
@@ -163,6 +191,15 @@ class LiveSnapshot {
   /// share the graph too. Concurrent callers synchronize on a once_flag;
   /// the result is immutable after that.
   Result<const VeGraph*> Graph() const;
+
+  /// The rows of Graph() clipped to `range`, as SliceVe clips them, read
+  /// straight off the folded state: a ranged read never materializes the
+  /// whole graph.
+  VeGraph Slice(Interval range) const;
+
+  /// The folded state itself (never null). Snapshots that share a folded
+  /// state return the same pointer.
+  const std::shared_ptr<const FoldedState>& state() const { return state_; }
 
  private:
   friend class LiveGraph;

@@ -268,8 +268,12 @@ inline constexpr char kViewCount[] = "view.count";  // gauge
 /// View snapshots published (incremental applies + full rebuilds +
 /// unchanged-value republishes).
 inline constexpr char kViewRefreshes[] = "view.refreshes";
-/// Deltas applied incrementally (cut-and-splice, no recompute).
+/// Deltas applied incrementally (by counting or by cut-and-splice, no
+/// recompute of the whole view).
 inline constexpr char kViewAppliedDeltas[] = "view.applied_deltas";
+/// The applied deltas of view.applied_deltas that counting applied
+/// (per-group totals; no pipeline run over the suffix).
+inline constexpr char kViewCountedDeltas[] = "view.counted_deltas";
 /// Full recomputes: first builds plus fallbacks (PlanDelta rejections
 /// and incremental-apply errors).
 inline constexpr char kViewFullRebuilds[] = "view.full_rebuilds";

@@ -5,7 +5,6 @@
 #include "obs/trace.h"
 #include "storage/graph_io.h"
 #include "storage/store_reader.h"
-#include "tgraph/slice.h"
 
 namespace tgraph::server {
 
@@ -118,16 +117,14 @@ Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
 Result<VeGraph> GraphCatalog::LoadLiveSnapshot(
     const std::shared_ptr<const ingest::LiveSnapshot>& snap,
     const std::optional<Interval>& range) {
-  TG_ASSIGN_OR_RETURN(const VeGraph* merged, snap->Graph());
-  if (!range.has_value()) return *merged;
   // Mirror the static loaders' pushdown semantics: clip every state to
-  // range ∩ lifetime and drop the ones that vanish. The clip runs per
-  // partition and copies only the surviving rows, so a narrow window
-  // never copies the whole history; collecting them detaches the result
-  // from the snapshot's graph.
-  VeGraph sliced = SliceVe(*merged, *range);
-  return VeGraph::Create(ctx_, sliced.vertices().Collect(),
-                         sliced.edges().Collect(), sliced.lifetime());
+  // range ∩ lifetime and drop the ones that vanish. The clip reads the
+  // folded state chunk by chunk and copies only the surviving rows, so a
+  // ranged read neither merges the whole snapshot nor copies the whole
+  // history. Only unranged loads (and compaction) materialize the graph.
+  if (range.has_value()) return snap->Slice(*range);
+  TG_ASSIGN_OR_RETURN(const VeGraph* merged, snap->Graph());
+  return *merged;
 }
 
 void GraphCatalog::PruneLiveEpochs(const std::string& dir,

@@ -115,9 +115,9 @@ class GraphCatalog {
   Result<std::shared_ptr<storage::StoreReader>> GetOrOpenStore(
       const std::string& dir);
 
-  /// The snapshot's merged graph, range-clipped the same way the static
-  /// loaders clip (rows intersected with range ∩ lifetime, empties
-  /// dropped).
+  /// The snapshot's graph, range-clipped the same way the static loaders
+  /// clip (rows intersected with range ∩ lifetime, empties dropped). A
+  /// ranged load clips the folded state without merging it.
   Result<VeGraph> LoadLiveSnapshot(
       const std::shared_ptr<const ingest::LiveSnapshot>& snap,
       const std::optional<Interval>& range);

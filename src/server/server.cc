@@ -516,25 +516,27 @@ void Server::HandleQuery(Session* session, const Request& request,
       ServerCounter(obs::metric_names::kServerDeadlineExceeded);
 
   const bool no_cache = (request.flags & kFlagNoCache) != 0;
-  Result<std::string> canonical = tql::CanonicalizeScript(request.body);
-  if (!canonical.ok()) {
+  // One parse serves the cache key, the STORE/cacheability scan and the
+  // execution.
+  Result<std::vector<tql::Statement>> statements = tql::Parse(request.body);
+  if (!statements.ok()) {
     errors->Increment();
-    response->code = static_cast<uint8_t>(canonical.status().code());
-    response->body = canonical.status().ToString();
+    response->code = static_cast<uint8_t>(statements.status().code());
+    response->body = statements.status().ToString();
     return;
   }
-  slow->canonical = *canonical;
+  const std::string canonical = tql::CanonicalizeScript(*statements);
+  slow->canonical = canonical;
   bool cacheable = false;
-  std::string cache_key = *canonical;
+  std::string cache_key = canonical;
   std::vector<std::string> cache_tags;
   std::vector<std::string> live_paths;  // live LOAD paths, statement order
   std::vector<std::string> view_names;  // VIEW statements, statement order
   std::vector<std::string> store_paths;  // STORE targets, statement order
   {
-    // Re-derive cacheability from the parsed script (STORE has disk side
+    // Derive cacheability from the parsed script (STORE has disk side
     // effects, EXPLAIN ANALYZE must re-execute to measure).
-    Result<std::vector<tql::Statement>> statements = tql::Parse(request.body);
-    for (size_t i = 0; statements.ok() && i < statements->size(); ++i) {
+    for (size_t i = 0; i < statements->size(); ++i) {
       const tql::Statement* statement = &(*statements)[i];
       if (const auto* explain = std::get_if<tql::ExplainStatement>(statement)) {
         statement = explain->inner.get();  // EXPLAIN ANALYZE STORE also writes
@@ -543,8 +545,7 @@ void Server::HandleQuery(Session* session, const Request& request,
         store_paths.push_back(store->path);
       }
     }
-    bool script_cacheable =
-        statements.ok() && tql::IsCacheableScript(*statements);
+    bool script_cacheable = tql::IsCacheableScript(*statements);
     cacheable = script_cacheable && options_.cache_bytes > 0 && !no_cache;
     slow->cache = !script_cacheable      ? "uncacheable"
                   : no_cache             ? "bypass"
@@ -642,7 +643,7 @@ void Server::HandleQuery(Session* session, const Request& request,
     return Status::OK();
   });
   const uint64_t evictions_before = catalog_.evictions();
-  Result<std::string> output = interpreter.ExecuteScript(request.body);
+  Result<std::string> output = interpreter.ExecuteScript(*statements);
   // A STORE replaced its directory's file (even if a later statement
   // failed): drop the catalog's reader and graphs for it and every cached
   // result that LOADed it, so the next LOAD reads the new graph.
@@ -674,7 +675,7 @@ void Server::HandleQuery(Session* session, const Request& request,
                     !mixed_epochs && !mixed_view_versions &&
                     served_epochs.size() == unique_live.size() &&
                     served_view_versions.size() == unique_views.size();
-    std::string store_key = *canonical;
+    std::string store_key = canonical;
     for (const std::string& path : live_paths) {
       auto it = served_epochs.find(path);
       if (it == served_epochs.end()) {

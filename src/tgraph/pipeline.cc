@@ -135,11 +135,6 @@ Pipeline Pipeline::Optimized(const Hints& hints) const {
 
 namespace {
 
-int64_t RecordCount(const TGraph& graph) {
-  return static_cast<int64_t>(graph.NumVertexRecords() +
-                              graph.NumEdgeRecords());
-}
-
 /// Per step kind, in Step's order (opt::OpKind lists the kinds in the
 /// same order): the trace span and the EXPLAIN stage label.
 constexpr struct {
@@ -190,13 +185,16 @@ Result<TGraph> Pipeline::Run(const TGraph& input,
       detail += std::string(" -> ") + RepresentationName(convert->target);
     }
     // Rows are counted outside the stage's clock on the way in and inside
-    // it on the way out, where counting may materialize the step's output.
-    const int64_t rows_in = stages != nullptr ? RecordCount(current) : -1;
+    // it on the way out. The step's output is materialized inside its own
+    // stage, collected or not, so its shuffles are never charged to
+    // whatever reads the result next.
+    const int64_t rows_in = stages != nullptr ? current.Materialize() : -1;
     {
       obs::ExplainCollector::Scope stage(
           stages, kStepNames[step.index()].label, std::move(detail));
       TG_ASSIGN_OR_RETURN(current, RunStep(step, current));
-      if (stages != nullptr) stage.set_rows(rows_in, RecordCount(current));
+      const int64_t rows_out = current.Materialize();
+      if (stages != nullptr) stage.set_rows(rows_in, rows_out);
     }
     if (options.stats != nullptr) {
       const obs::StageStats& stage = stages->stages().back();

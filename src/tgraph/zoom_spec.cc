@@ -63,6 +63,9 @@ VertexAggregator MakeAggregator(std::string new_type,
                                 std::string group_property,
                                 std::vector<AggregateSpec> aggregates) {
   VertexAggregator aggregator;
+  aggregator.new_type = new_type;
+  aggregator.group_property = group_property;
+  aggregator.aggregates = aggregates;
 
   aggregator.init = [new_type, group_property, aggregates](
                         const GroupKey& key, VertexId,

@@ -31,6 +31,19 @@ using SkolemFn = std::function<VertexId(const GroupKey&)>;
 /// the Skolem function", Section 5.1).
 VertexId HashSkolem(const GroupKey& key);
 
+/// Built-in aggregate kinds (Section 2.2 lists count, sum, min, max,
+/// average plus user-specified commutative/associative functions — the
+/// latter are expressed by writing a custom VertexAggregator).
+enum class AggKind { kCount, kSum, kMin, kMax, kAvg };
+
+/// \brief One aggregate column of the zoomed graph: output property name,
+/// kind, and the input property it reads (ignored for kCount).
+struct AggregateSpec {
+  std::string output_property;
+  AggKind kind = AggKind::kCount;
+  std::string input_property;
+};
+
 /// \brief The aggregation machinery applied when multiple input vertices
 /// map to the same output vertex in the same snapshot (the paper's f_agg,
 /// generalized to an init/merge/finalize triple so that non-pairwise
@@ -43,19 +56,14 @@ struct VertexAggregator {
   /// Optional final pass per output state (e.g. dividing sum by count for
   /// averages, dropping scratch keys). May be null.
   std::function<Properties(const Properties&)> finalize;
-};
 
-/// Built-in aggregate kinds (Section 2.2 lists count, sum, min, max,
-/// average plus user-specified commutative/associative functions — the
-/// latter are expressed by writing a custom VertexAggregator).
-enum class AggKind { kCount, kSum, kMin, kMax, kAvg };
-
-/// \brief One aggregate column of the zoomed graph: output property name,
-/// kind, and the input property it reads (ignored for kCount).
-struct AggregateSpec {
-  std::string output_property;
-  AggKind kind = AggKind::kCount;
-  std::string input_property;
+  /// What MakeAggregator built the three functions from. A materialized
+  /// view maintains COUNT/SUM/AVG groups by counting from these, which
+  /// the opaque functions do not allow; empty `aggregates` (and any
+  /// hand-built aggregator) means the functions are all there is.
+  std::string new_type;
+  std::string group_property;
+  std::vector<AggregateSpec> aggregates;
 };
 
 /// \brief Builds a VertexAggregator that gives output vertices

@@ -252,6 +252,10 @@ std::string Canonicalize(const Statement& statement) {
 
 Result<std::string> CanonicalizeScript(const std::string& script) {
   TG_ASSIGN_OR_RETURN(std::vector<Statement> statements, Parse(script));
+  return CanonicalizeScript(statements);
+}
+
+std::string CanonicalizeScript(const std::vector<Statement>& statements) {
   std::string out;
   for (const Statement& statement : statements) {
     out += Canonicalize(statement);

@@ -22,6 +22,9 @@ std::string Canonicalize(const Statement& statement);
 /// terminated with ";". Fails if the script does not parse.
 Result<std::string> CanonicalizeScript(const std::string& script);
 
+/// The same for an already parsed script (tgzd parses each QUERY once).
+std::string CanonicalizeScript(const std::vector<Statement>& statements);
+
 /// True when executing `statement` neither writes outside the interpreter
 /// environment nor depends on anything but the named inputs — the
 /// condition under which a script's output may be served from the result

@@ -107,6 +107,11 @@ Status NoViewCatalog() {
 
 Result<std::string> Interpreter::ExecuteScript(const std::string& script) {
   TG_ASSIGN_OR_RETURN(std::vector<Statement> statements, Parse(script));
+  return ExecuteScript(statements);
+}
+
+Result<std::string> Interpreter::ExecuteScript(
+    const std::vector<Statement>& statements) {
   // A name that only the SET binding it and the SET reading it mention can
   // stay unbound unobserved. LIST reads every name, so it blocks chains.
   std::map<std::string, int> mentions;

@@ -52,6 +52,9 @@ class Interpreter {
   /// bound; the intermediate names are unbound.
   Result<std::string> ExecuteScript(const std::string& script);
 
+  /// The same for an already parsed script (tgzd parses each QUERY once).
+  Result<std::string> ExecuteScript(const std::vector<Statement>& statements);
+
   /// Executes one parsed statement and returns its printable output.
   Result<std::string> Execute(const Statement& statement);
 

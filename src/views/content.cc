@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "obs/trace.h"
 #include "tgraph/coalesce.h"
 
 namespace tgraph::views {
@@ -90,22 +91,37 @@ template <typename Row>
 std::shared_ptr<const EntityContent<Row>> SpliceEntity(
     const std::shared_ptr<const EntityContent<Row>>& prev,
     std::vector<Row> suffix, TimePoint cut) {
-  std::vector<Row> rows;
+  // prev's rows are coalesced and ordered by start, so the ones ending at
+  // or before the cut form a prefix. All of them but the last stay as
+  // they are: only that last one can meet a row that starts at the cut.
+  size_t keep = 0;
+  std::vector<Row> tail;
   if (prev != nullptr) {
+    while (keep < prev->rows.size() && prev->rows[keep].interval.end <= cut) {
+      ++keep;
+    }
+    if (keep > 0) --keep;
     const Interval before(std::numeric_limits<TimePoint>::min(), cut);
-    for (const Row& row : prev->rows) {
-      const Interval clipped = row.interval.Intersect(before);
+    for (size_t i = keep; i < prev->rows.size(); ++i) {
+      const Interval clipped = prev->rows[i].interval.Intersect(before);
       if (clipped.empty()) continue;
-      rows.push_back(row);
-      rows.back().interval = clipped;
+      tail.push_back(prev->rows[i]);
+      tail.back().interval = clipped;
     }
   }
-  rows.insert(rows.end(), std::make_move_iterator(suffix.begin()),
+  tail.insert(tail.end(), std::make_move_iterator(suffix.begin()),
               std::make_move_iterator(suffix.end()));
-  rows = CoalesceRows(std::move(rows));
+  tail = CoalesceRows(std::move(tail));
+  std::vector<Row> rows;
+  if (keep > 0) {
+    rows.reserve(keep + tail.size());
+    rows.assign(prev->rows.begin(), prev->rows.begin() + keep);
+  }
+  rows.insert(rows.end(), std::make_move_iterator(tail.begin()),
+              std::make_move_iterator(tail.end()));
   if (rows.empty()) return nullptr;
 
-  size_t same = 0;
+  size_t same = keep;
   if (prev != nullptr) {
     while (same < rows.size() && same < prev->rows.size() &&
            rows[same] == prev->rows[same]) {
@@ -126,18 +142,24 @@ std::shared_ptr<const EntityContent<Row>> SpliceEntity(
 
 /// Rebuilds the entities of `map` that `suffix_rows` or the cut can
 /// change (see ViewContent::Splice) and adjusts `*records` by the change
-/// in their row counts.
+/// in their row counts. With a `scope`, only the entities it names and
+/// those with suffix rows are rebuilt.
 template <typename Map, typename Row>
 Map SpliceEntities(const Map& map, std::vector<Row> suffix_rows,
-                   TimePoint cut, size_t* records) {
+                   TimePoint cut, size_t* records,
+                   const std::vector<int64_t>* scope = nullptr) {
   std::map<int64_t, std::vector<Row>> suffix;
   for (Row& row : suffix_rows) suffix[IdOf(row)].push_back(std::move(row));
   // Entities alive past the cut lose their rows after it; the suffix
   // brings back whatever still holds there.
   std::vector<int64_t> affected;
-  map.ForEach([&](int64_t id, const auto& entity) {
-    if (entity->rows.back().interval.end > cut) affected.push_back(id);
-  });
+  if (scope != nullptr) {
+    affected = *scope;
+  } else {
+    map.ForEach([&](int64_t id, const auto& entity) {
+      if (entity->rows.back().interval.end > cut) affected.push_back(id);
+    });
+  }
   for (const auto& [id, rows] : suffix) affected.push_back(id);
   std::sort(affected.begin(), affected.end(), DecimalOrder());
   affected.erase(std::unique(affected.begin(), affected.end()),
@@ -199,6 +221,21 @@ ViewContent ViewContent::Splice(const VeGraph& suffix, TimePoint cut) const {
   next.lifetime_ =
       lifetime_.Intersect(Interval(std::numeric_limits<TimePoint>::min(), cut))
           .Merge(suffix.lifetime());
+  return next;
+}
+
+ViewContent ViewContent::Splice(std::vector<VeVertex> vertices,
+                                const std::vector<VertexId>& vertex_scope,
+                                std::vector<VeEdge> edges,
+                                const std::vector<EdgeId>& edge_scope,
+                                TimePoint cut, Interval lifetime) const {
+  obs::Span span("views.splice", "views");
+  ViewContent next = *this;
+  next.vertices_ = SpliceEntities(vertices_, std::move(vertices), cut,
+                                  &next.vertex_records_, &vertex_scope);
+  next.edges_ = SpliceEntities(edges_, std::move(edges), cut,
+                               &next.edge_records_, &edge_scope);
+  next.lifetime_ = lifetime;
   return next;
 }
 

@@ -49,6 +49,17 @@ class ViewContent {
   /// ending after `cut` or a row in `suffix` are rebuilt.
   ViewContent Splice(const VeGraph& suffix, TimePoint cut) const;
 
+  /// Splice() scoped to named entities: rebuilds only the entities in
+  /// `vertex_scope`/`edge_scope` and those with rows in `vertices`/`edges`
+  /// (which all start at or after `cut`), each as Coalesce(prev|(-inf, cut)
+  /// UNION its new rows), and shares every other entity as it is, however
+  /// far past the cut it reaches. `lifetime` becomes the content's.
+  ViewContent Splice(std::vector<VeVertex> vertices,
+                     const std::vector<VertexId>& vertex_scope,
+                     std::vector<VeEdge> edges,
+                     const std::vector<EdgeId>& edge_scope, TimePoint cut,
+                     Interval lifetime) const;
+
   /// All rows as a VE graph.
   VeGraph ToVe(dataflow::ExecutionContext* ctx) const;
 

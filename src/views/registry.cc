@@ -145,8 +145,12 @@ Result<std::string> ViewRegistry::ShowViews() {
           << " epoch=" << snapshot->source_epoch
           << " watermark=" << snapshot->watermark
           << " applied=" << snapshot->applied_deltas
+          << " counted=" << snapshot->counted_deltas
           << " rebuilds=" << snapshot->full_rebuilds << " staleness_us="
           << std::max<int64_t>(0, UnixNowUs() - snapshot->refreshed_unix_us);
+      if (!snapshot->not_counted.empty()) {
+        out << " not_counted=" << snapshot->not_counted;
+      }
     }
     out << "\n";
   }

@@ -30,7 +30,10 @@ MaterializedView::MaterializedView(dataflow::ExecutionContext* ctx,
       pipeline_(pipeline.Optimized()),
       final_rep_(incremental::FinalRepresentation(pipeline_,
                                                  Representation::kVe)),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      not_counted_(options_.max_suffix_fraction <= 0
+                       ? "max-suffix-fraction-0"
+                       : CountingFallback(pipeline_)) {}
 
 Result<TGraph> ViewSnapshot::Graph() const {
   Published& published = *published_;
@@ -49,6 +52,7 @@ std::shared_ptr<ViewSnapshot> MaterializedView::MakeSnapshot(
   // content fingerprint. The text carries no version or epoch, so the
   // incremental and full-recompute paths — and a post-restart rebuild —
   // produce byte-identical output for identical content.
+  obs::Span span("views.render", "views");
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(content.Hash()));
@@ -74,6 +78,7 @@ Result<std::shared_ptr<ViewSnapshot>> MaterializedView::FullRebuild(
   std::shared_ptr<ViewSnapshot> next =
       MakeSnapshot(ViewContent::Build(output_ve.ve()));
   next->applied_deltas = prev != nullptr ? prev->applied_deltas : 0;
+  next->counted_deltas = prev != nullptr ? prev->counted_deltas : 0;
   next->full_rebuilds = (prev != nullptr ? prev->full_rebuilds : 0) + 1;
   next->last_fallback = reason;
   return next;
@@ -89,6 +94,7 @@ Result<std::shared_ptr<ViewSnapshot>> MaterializedView::ApplyDelta(
   std::shared_ptr<ViewSnapshot> next =
       MakeSnapshot(prev.content.Splice(output_ve.ve(), cut));
   next->applied_deltas = prev.applied_deltas + 1;
+  next->counted_deltas = prev.counted_deltas;
   next->full_rebuilds = prev.full_rebuilds;
   next->last_fallback = prev.last_fallback;
   return next;
@@ -100,6 +106,8 @@ Status MaterializedView::Refresh(ingest::LiveGraph* live,
       obs::metric_names::kViewRefreshes);
   static obs::Counter* applied = obs::MetricsRegistry::Global().GetCounter(
       obs::metric_names::kViewAppliedDeltas);
+  static obs::Counter* counted = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kViewCountedDeltas);
   static obs::Counter* rebuilds = obs::MetricsRegistry::Global().GetCounter(
       obs::metric_names::kViewFullRebuilds);
   static obs::Histogram* apply_micros =
@@ -121,22 +129,49 @@ Status MaterializedView::Refresh(ingest::LiveGraph* live,
 
   obs::Span span("views.refresh", "views");
   const auto started = std::chrono::steady_clock::now();
-  TG_ASSIGN_OR_RETURN(const VeGraph* source_ve, snap->Graph());
-  // The live graph's VE is its folded state, coalesced per entity (the
-  // ingest differential tests pin that property).
-  TGraph source = TGraph::FromVe(*source_ve, /*coalesced=*/true);
   const TimePoint watermark = snap->watermark();
+  // The live graph's VE is its folded state, coalesced per entity (the
+  // ingest differential tests pin that property). It is merged only for
+  // the paths that run the pipeline; counting reads the folded state.
+  auto merged_source = [&snap]() -> Result<TGraph> {
+    TG_ASSIGN_OR_RETURN(const VeGraph* source_ve, snap->Graph());
+    return TGraph::FromVe(*source_ve, /*coalesced=*/true);
+  };
 
   std::shared_ptr<ViewSnapshot> next;
   std::string fallback_fired;  // non-empty => on_fallback after unlock
   if (cur == nullptr) {
+    TG_ASSIGN_OR_RETURN(TGraph source, merged_source());
     TG_ASSIGN_OR_RETURN(next, FullRebuild(source, nullptr, "initial"));
     rebuilds->Increment();
+    if (not_counted_.empty()) {
+      counts_ = GroupCounts::Build(pipeline_, snap->state(), &not_counted_);
+    }
   } else if (watermark == cur->watermark) {
     // No new events (a compaction-only epoch): the content is unchanged,
     // so share content/graph/rendering and just advance version+epoch.
     next = std::make_shared<ViewSnapshot>(*cur);
-  } else {
+    if (counts_.has_value()) counts_->Keep(snap->state());
+  } else if (counts_.has_value()) {
+    // Every event of the new epoch is after the old watermark, so the two
+    // folded states agree before this cut.
+    std::optional<ViewContent> content = counts_->Apply(
+        ctx_, cur->content, snap->state(), cur->watermark + 1,
+        snap->state()->Lifetime(snap->horizon()), &not_counted_);
+    if (content.has_value()) {
+      next = MakeSnapshot(*std::move(content));
+      next->applied_deltas = cur->applied_deltas + 1;
+      next->counted_deltas = cur->counted_deltas + 1;
+      next->full_rebuilds = cur->full_rebuilds;
+      next->last_fallback = cur->last_fallback;
+      applied->Increment();
+      counted->Increment();
+    } else {
+      counts_.reset();
+    }
+  }
+  if (next == nullptr) {
+    TG_ASSIGN_OR_RETURN(TGraph source, merged_source());
     // The earliest timestamp this delta could touch. When compaction
     // folded epochs we never saw into the base, the delta partition no
     // longer addresses them — but every folded event was at or above
@@ -183,6 +218,7 @@ Status MaterializedView::Refresh(ingest::LiveGraph* live,
     }
   }
 
+  next->not_counted = not_counted_;
   next->version = (cur != nullptr ? cur->version : 0) + 1;
   next->source_epoch = snap->epoch();
   next->watermark = watermark;

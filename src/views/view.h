@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "tgraph/tgraph.h"
 #include "tql/ast.h"
 #include "views/content.h"
+#include "views/counting.h"
 
 namespace tgraph::views {
 
@@ -57,11 +59,17 @@ struct ViewSnapshot {
   /// can cut positionally). Always coalesced (canonical), so a view
   /// rebuilt from scratch after a restart renders byte-identically.
   ViewContent content;
-  /// Lifetime counters, carried forward across snapshots.
+  /// Lifetime counters, carried forward across snapshots. A delta applied
+  /// by counting counts in both `applied_deltas` and `counted_deltas`.
   uint64_t applied_deltas = 0;
+  uint64_t counted_deltas = 0;
   uint64_t full_rebuilds = 0;
   /// Why the most recent full rebuild happened ("" until the first one).
   std::string last_fallback;
+  /// Why deltas are not applied by counting ("" while they are): a
+  /// CountingFallback reason, or "non-integer-value" once a SUM/AVG input
+  /// could not be counted.
+  std::string not_counted;
   /// Deliberately version-free rendering of `VIEW <name>` (header +
   /// content hash), so results converge across restarts and across the
   /// incremental/full-recompute paths.
@@ -90,8 +98,9 @@ struct ViewSnapshot {
 /// \brief A registered view plus its maintenance state machine.
 ///
 /// Refresh() is the single writer (serialized by a per-view mutex); it
-/// reads the source's current LiveSnapshot, decides between an
-/// incremental cut-and-splice (incremental::PlanDelta) and a full
+/// reads the source's current LiveSnapshot and applies the new epoch by
+/// counting (GroupCounts, for aZoom views that qualify), by an
+/// incremental cut-and-splice (incremental::PlanDelta), or by a full
 /// recompute, and publishes the result as a new immutable ViewSnapshot
 /// via an atomic pointer swap. Readers never block: Current() is one
 /// acquire load.
@@ -100,7 +109,8 @@ class MaterializedView {
   struct Options {
     /// Forwarded to incremental::PlanDelta: deltas whose recomputed
     /// suffix spans more than this fraction of the source lifetime fall
-    /// back to a full recompute.
+    /// back to a full recompute. A counted delta recomputes no suffix, so
+    /// only 0 (recompute every epoch) turns counting off.
     double max_suffix_fraction = 0.75;
     /// Invoked (outside all locks) after a full rebuild that *replaced*
     /// existing state, i.e. whenever previously served results may have
@@ -151,6 +161,13 @@ class MaterializedView {
   /// Serializes Refresh (epoch listener threads, compactor, and
   /// query-triggered refreshes can race); never held by readers.
   std::mutex apply_mu_;
+  /// The counting state while deltas are counted (guarded by apply_mu_):
+  /// built by the first refresh, dropped for good when a value cannot be
+  /// counted.
+  std::optional<GroupCounts> counts_;
+  /// Why counts_ is empty (guarded by apply_mu_): CountingFallback's
+  /// reason, "max-suffix-fraction-0", or "non-integer-value".
+  std::string not_counted_;
   std::atomic<std::shared_ptr<const ViewSnapshot>> current_;
 };
 

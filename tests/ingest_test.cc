@@ -19,10 +19,14 @@
 #include "ingest/event.h"
 #include "ingest/live_graph.h"
 #include "ingest/wal.h"
+#include "obs/trace.h"
+#include "server/catalog.h"
 #include "storage/graph_io.h"
 #include "storage/store_reader.h"
 #include "tgraph/builder.h"
+#include "tgraph/slice.h"
 #include "test_util.h"
+#include "views/view.h"
 
 namespace tgraph::ingest {
 namespace {
@@ -323,6 +327,93 @@ TEST_F(LiveGraphTest, FoldEqualsOfflineAfterEveryBatch) {
     }
     ASSERT_TRUE((*live)->Close().ok());
   }
+}
+
+TEST_F(LiveGraphTest, RangedSliceEqualsSliceOfMergedGraph) {
+  // A ranged live read clips the folded state chunk by chunk; it must
+  // return SliceVe(*Graph()) row for row, order and lifetime included,
+  // over random ranges — before and after compactions and a reopen.
+  for (uint64_t seed : {5u, 6u}) {
+    const std::vector<std::vector<Event>> batches = RandomLog(seed, 60);
+    std::string dir = Dir("slice_" + std::to_string(seed));
+    Result<std::unique_ptr<LiveGraph>> live =
+        LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+    ASSERT_TRUE(live.ok()) << live.status();
+    Rng rng(seed);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      Result<uint64_t> seq = (*live)->Append(batches[i]);
+      ASSERT_TRUE(seq.ok()) << seq.status();
+      if (i % 11 == 10) ASSERT_TRUE((*live)->Compact().ok());
+      if (i == 40) {
+        ASSERT_TRUE((*live)->Close().ok());
+        live = LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+        ASSERT_TRUE(live.ok()) << live.status();
+      }
+      std::shared_ptr<const LiveSnapshot> snap = (*live)->snapshot();
+      const TimePoint last = snap->watermark();
+      for (int r = 0; r < 4; ++r) {
+        const TimePoint start = last - static_cast<TimePoint>(
+                                           rng.NextBounded(40)) + 5;
+        const TimePoint end =
+            r == 3 ? (*live)->horizon() + 7
+                   : start + static_cast<TimePoint>(rng.NextBounded(15));
+        const Interval range(start, end);
+        Result<const VeGraph*> merged = snap->Graph();
+        ASSERT_TRUE(merged.ok()) << merged.status();
+        ExpectSameRows(snap->Slice(range), SliceVe(**merged, range),
+                       "seed " + std::to_string(seed) + " batch " +
+                           std::to_string(i) + " range " + range.ToString());
+      }
+    }
+    ASSERT_TRUE((*live)->Close().ok());
+  }
+}
+
+TEST_F(LiveGraphTest, AppendRefreshAndRangedReadsNeverMergeTheSnapshot) {
+  // The write path (append + counted view refresh) and ranged catalog
+  // reads all work off the folded state: after a view's first build, no
+  // `ingest.merge` span (LiveSnapshot::Graph) may appear.
+  const std::string dir = Dir("no_merge");
+  LiveGraphRegistry registry(testing::Ctx());
+  registry.set_options(NoCompactor());
+  Result<LiveGraph*> live = registry.GetOrOpen(dir);
+  ASSERT_TRUE(live.ok()) << live.status();
+  server::GraphCatalog catalog(testing::Ctx());
+  catalog.set_live_graphs(&registry);
+
+  const std::vector<std::vector<Event>> batches = RandomLog(8, 40);
+  for (size_t i = 0; i < 5; ++i) ASSERT_TRUE((*live)->Append(batches[i]).ok());
+  Pipeline pipeline;
+  AZoomSpec spec;
+  spec.group_of = GroupByProperty("g");
+  spec.aggregator = MakeAggregator("grp", "g", {{"n", AggKind::kCount, ""}});
+  pipeline.AZoom(spec);
+  views::ViewDefinition def;
+  def.name = "v";
+  def.source = dir;
+  views::MaterializedView view(testing::Ctx(), def, pipeline, {});
+  ASSERT_TRUE(view.Refresh(*live, 0).ok());  // the first build merges
+
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  for (size_t i = 5; i < batches.size(); ++i) {
+    ASSERT_TRUE((*live)->Append(batches[i]).ok());
+    ASSERT_TRUE(view.Refresh(*live, 0).ok());
+    const TimePoint last = (*live)->snapshot()->watermark();
+    ASSERT_TRUE(catalog.GetOrLoad(dir, Interval(last - 6, last + 1)).ok());
+  }
+  tracer.Disable();
+  size_t merges = 0;
+  size_t slices = 0;
+  for (const obs::SpanEvent& event : tracer.Events()) {
+    merges += event.name == "ingest.merge";
+    slices += event.name == "ingest.slice";
+  }
+  tracer.Clear();
+  EXPECT_EQ(merges, 0u);
+  EXPECT_EQ(slices, batches.size() - 5);
+  EXPECT_EQ(view.Current()->counted_deltas, batches.size() - 5);
 }
 
 TEST_F(LiveGraphTest, RemovalEndsAliveEdgeTheBatchNeverMentions) {

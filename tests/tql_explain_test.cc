@@ -166,6 +166,55 @@ TEST_F(ExplainTest, ChainStepStagesAndStatsObservationsAgree) {
   EXPECT_GT(shuffle_bytes, 0);
 }
 
+// A chain's work belongs to the chain's steps even when nothing collects
+// stages: its result is materialized inside each step, so a statement
+// reading it afterwards (here EXPLAIN ANALYZE INFO) reports only its own
+// work — the same as a second INFO of the same graph, whose own
+// statistics pass shuffles too. With a collector, the steps' stages add
+// up to the movement of the query's counter block across the chain.
+TEST_F(ExplainTest, ChainWorkIsChargedToTheChainNotTheNextStatement) {
+  const std::string chain =
+      "SET c = COALESCE g;"
+      "SET z = AZOOM c BY school AGGREGATE COUNT() AS n;"
+      "SET s = SLICE z FROM 2 TO 8;"
+      "SET o = CONVERT s TO og;"
+      "SET w = WZOOM o WINDOW 3 NODES EXISTS EDGES EXISTS;";
+  // The INFO stage line without its wall time.
+  auto info_work = [](const std::string& out) {
+    const size_t info = out.find("\n  INFO w ");
+    EXPECT_NE(info, std::string::npos) << out;
+    if (info == std::string::npos) return std::string();
+    const std::string line =
+        out.substr(info, out.find('\n', info + 1) - info);
+    return std::regex_replace(line, std::regex("wall_us=[0-9]+"), "");
+  };
+  const std::string first = info_work(MustRun(
+      "LOAD '" + dir_ + "' AS g;" + chain + "EXPLAIN ANALYZE INFO w"));
+  const std::string again = info_work(MustRun("EXPLAIN ANALYZE INFO w"));
+  EXPECT_EQ(first, again);
+
+  ExplainCollector collector;
+  MustRun("LOAD '" + dir_ + "' AS g;");
+  interpreter_.set_explain(&collector);
+  obs::QueryCounterValues delta;
+  {
+    obs::QueryCounterScope block;
+    MustRun(chain);
+    delta = block.Delta();
+  }
+  interpreter_.set_explain(nullptr);
+  StageStats sum;
+  for (const StageStats& stage : collector.stages()) {
+    sum.shuffles += stage.shuffles;
+    sum.shuffle_records += stage.shuffle_records;
+    sum.shuffle_bytes += stage.shuffle_bytes;
+  }
+  EXPECT_GT(delta[obs::QueryCounter::kShuffles], 0);
+  EXPECT_EQ(sum.shuffles, delta[obs::QueryCounter::kShuffles]);
+  EXPECT_EQ(sum.shuffle_records, delta[obs::QueryCounter::kShuffleRecords]);
+  EXPECT_EQ(sum.shuffle_bytes, delta[obs::QueryCounter::kShuffleBytes]);
+}
+
 TEST_F(ExplainTest, InnerErrorPropagates) {
   Result<std::string> output = interpreter_.ExecuteScript(
       "EXPLAIN ANALYZE SET z = SLICE missing FROM 0 TO 1");

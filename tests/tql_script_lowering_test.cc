@@ -15,7 +15,9 @@
 #include "obs/metrics.h"
 #include "storage/graph_io.h"
 #include "tests/test_util.h"
+#include "tql/canonical.h"
 #include "tql/interpreter.h"
+#include "tql/parser.h"
 
 namespace tgraph::tql {
 namespace {
@@ -153,6 +155,31 @@ TEST_F(ScriptLoweringTest, WholeScriptEqualsStatementByStatement) {
         ASSERT_TRUE(other.ok()) << other.status();
         EXPECT_EQ(Canonical(graph), Canonical(*other));
       }
+    }
+  }
+}
+
+// tgzd parses a QUERY once and hands the statements to both the
+// canonicalizer and the interpreter: the statement-list overloads must
+// print and canonicalize exactly what the text overloads do.
+TEST_F(ScriptLoweringTest, ParsedOverloadsEqualTextOverloads) {
+  for (const std::string rep : {"ve", "og", "ogc", "rg"}) {
+    for (const Script& script : Scripts()) {
+      SCOPED_TRACE(script.name + " on " + rep);
+      std::string text;
+      for (const std::string& statement : Prefix(rep)) text += statement + ";";
+      for (const std::string& statement : script.statements) {
+        text += statement + ";";
+      }
+      Result<std::vector<Statement>> parsed = Parse(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      Result<std::string> canonical = CanonicalizeScript(text);
+      ASSERT_TRUE(canonical.ok()) << canonical.status();
+      EXPECT_EQ(*canonical, CanonicalizeScript(*parsed));
+      Interpreter from_text(Ctx());
+      Interpreter from_statements(Ctx());
+      EXPECT_EQ(Masked(from_text.ExecuteScript(text)),
+                Masked(from_statements.ExecuteScript(*parsed)));
     }
   }
 }

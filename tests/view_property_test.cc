@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,16 +41,20 @@ struct Config {
   std::string pipeline_name;
   double max_suffix_fraction = 1.0;
   int compact_every = 0;
+  /// The stream sets some weights to non-integers.
+  bool fractional_weights = false;
 };
 
 /// Non-asserting differential run (shrink candidates must not abort the
 /// test): kFail on view != offline recompute, kInvalid when the stream
 /// itself does not ingest/build (shrinking can produce such candidates —
 /// they are not counterexamples). `first_fail` (optional) receives the
-/// first diverging batch index; `why` a human-readable diagnosis.
+/// first diverging batch index; `why` a human-readable diagnosis;
+/// `not_counted` why the view was last not counting ("" if it was).
 Outcome CheckStream(const Stream& batches, const Config& config,
                     size_t* first_fail = nullptr,
-                    std::string* why = nullptr) {
+                    std::string* why = nullptr,
+                    std::string* not_counted = nullptr) {
   static int run = 0;  // distinct dir per candidate run
   std::string dir = FreshDir("prop_" + std::to_string(run++));
   ingest::LiveGraph::Options live_options;
@@ -88,6 +93,7 @@ Outcome CheckStream(const Stream& batches, const Config& config,
       outcome = Outcome::kInvalid;
       break;
     }
+    if (not_counted != nullptr) *not_counted = cur->not_counted;
 
     TGraphBuilder builder(Ctx());
     for (size_t b = 0; b <= i; ++b) {
@@ -174,42 +180,79 @@ std::string RenderStream(const Stream& stream) {
 }
 
 /// Derives a deterministic maintenance configuration from the seed,
-/// cycling through pipelines, fallback pressure (max_suffix_fraction 0
+/// cycling through pipelines, aggregate lists (COUNT, SUM, AVG, MIN and
+/// MAX drawn independently, sometimes made opaque), integer-only or
+/// fractional weights, fallback pressure (max_suffix_fraction 0
 /// recomputes every epoch), and compaction interleavings.
 Config ConfigForSeed(uint64_t seed) {
   Config config;
-  switch (seed % 3) {
+  Rng rng(seed * 7919 + 1);
+  const AggregateSpec kinds[] = {{"n", AggKind::kCount, ""},
+                                 {"total", AggKind::kSum, "weight"},
+                                 {"mean", AggKind::kAvg, "weight"},
+                                 {"low", AggKind::kMin, "weight"},
+                                 {"high", AggKind::kMax, "weight"}};
+  std::vector<AggregateSpec> aggregates;
+  std::string names;
+  for (const AggregateSpec& kind : kinds) {
+    if (rng.NextBounded(2) == 0) continue;
+    aggregates.push_back(kind);
+    names += (names.empty() ? "" : ",") + kind.output_property;
+  }
+  Pipeline zoom;
+  zoom.AZoom(GroupZoom(aggregates));
+  if (rng.NextBounded(5) == 0) {
+    zoom = testing::WithoutAggregateSpecs(zoom);
+    names += " opaque";
+  }
+  const std::string azoom = "azoom(" + names + ")";
+  config.fractional_weights = rng.NextBounded(2) == 0;
+  switch (seed % 4) {
     case 0:
-      config.pipeline.AZoom(GroupZoom());
-      config.pipeline_name = "azoom";
+      config.pipeline = zoom;
+      config.pipeline_name = azoom;
       break;
     case 1:
       config.pipeline.WZoom(WZoomSpec{
           WindowSpec::TimePoints(static_cast<int64_t>(3 + seed % 4))});
       config.pipeline_name = "wzoom" + std::to_string(3 + seed % 4);
       break;
-    default:
+    case 2:
       config.pipeline.WZoom(WZoomSpec{WindowSpec::TimePoints(4)});
-      config.pipeline.AZoom(GroupZoom());
+      config.pipeline.Then(zoom.steps().front());
       config.pipeline.Convert(Representation::kOg);
-      config.pipeline_name = "wzoom4+azoom+og";
+      config.pipeline_name = "wzoom4+" + azoom + "+og";
       break;
+    default: {
+      const Representation rep =
+          seed % 8 == 3 ? Representation::kOgc : Representation::kRg;
+      config.pipeline = zoom;
+      config.pipeline.Convert(rep);
+      config.pipeline_name = azoom + "+" + RepresentationName(rep);
+      break;
+    }
   }
   const double fractions[] = {1.0, 0.0, 0.5};
-  config.max_suffix_fraction = fractions[(seed / 3) % 3];
-  config.compact_every = static_cast<int>((seed / 9) % 3);
+  config.max_suffix_fraction = fractions[(seed / 4) % 3];
+  config.compact_every = static_cast<int>((seed / 12) % 3);
   return config;
 }
 
 TEST(ViewProperty, MaintainedViewEqualsRecomputeUnderFuzzedStreams) {
-  for (uint64_t seed = 100; seed < 118; ++seed) {
+  // Why the views were not counting, over all seeds: every named
+  // fallback must fire, and counting itself ("").
+  std::set<std::string> reasons;
+  for (uint64_t seed = 100; seed < 140; ++seed) {
     Config config = ConfigForSeed(seed);
-    Stream stream = FuzzStream(seed, 40);
+    Stream stream = FuzzStream(seed, 40, config.fractional_weights);
     size_t first_fail = 0;
     std::string why;
-    Outcome outcome = CheckStream(stream, config, &first_fail, &why);
+    std::string not_counted;
+    Outcome outcome =
+        CheckStream(stream, config, &first_fail, &why, &not_counted);
     ASSERT_NE(outcome, Outcome::kInvalid)
         << "generator produced an invalid stream for seed " << seed;
+    reasons.insert(not_counted);
     if (outcome == Outcome::kPass) continue;
 
     // Counterexample: shrink to a minimal failing stream and report it.
@@ -226,6 +269,12 @@ TEST(ViewProperty, MaintainedViewEqualsRecomputeUnderFuzzedStreams) {
                   << "\nminimal failing stream (" << minimal.size()
                   << " batches, " << events << " events):\n"
                   << RenderStream(minimal);
+  }
+  for (const char* reason :
+       {"", "min-max-aggregate", "hand-built-aggregator", "non-integer-value",
+        "slice-or-wzoom", "convert-to-ogc", "max-suffix-fraction-0"}) {
+    EXPECT_EQ(reasons.count(reason), 1u)
+        << "no seed exercised not_counted='" << reason << "'";
   }
 }
 

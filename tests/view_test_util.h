@@ -21,6 +21,7 @@
 #include "ingest/event.h"
 #include "test_util.h"
 #include "tgraph/builder.h"
+#include "tgraph/pipeline.h"
 
 namespace tgraph::views::testing {
 
@@ -53,9 +54,12 @@ inline int64_t UnixNowUs() {
 /// timestamps, edges only between concurrently-alive endpoints, incident
 /// edges ended before their endpoint is removed, removed vertex ids
 /// re-added later, and property churn that splits vertex states (and moves
-/// vertices between aZoom groups). Returned pre-split into batches.
-inline std::vector<std::vector<ingest::Event>> FuzzStream(uint64_t seed,
-                                                   int num_events) {
+/// vertices between aZoom groups). Weights are integers; with
+/// `fractional_weights`, one in three is a multiple of 1/4 instead (exact
+/// in binary, so sums do not depend on their order). Returned pre-split
+/// into batches.
+inline std::vector<std::vector<ingest::Event>> FuzzStream(
+    uint64_t seed, int num_events, bool fractional_weights = false) {
   Rng rng(seed);
   TimePoint t = 10;
   std::vector<ingest::Event> events;
@@ -130,6 +134,9 @@ inline std::vector<std::vector<ingest::Event>> FuzzStream(uint64_t seed,
       e.at = t++;
       if (rng.NextBounded(2) == 0) {
         e.props = Properties{{"group", "g" + std::to_string(rng.NextBounded(3))}};
+      } else if (fractional_weights && rng.NextBounded(3) == 0) {
+        e.props = Properties{
+            {"weight", static_cast<double>(rng.NextBounded(400)) / 4}};
       } else {
         e.props = Properties{
             {"weight", static_cast<int64_t>(rng.NextBounded(100))}};
@@ -218,13 +225,27 @@ inline std::string ReferenceRender(const std::string& name,
          "\n";
 }
 
-inline AZoomSpec GroupZoom() {
+inline AZoomSpec GroupZoom(std::vector<AggregateSpec> aggregates = {
+                               {"n", AggKind::kCount, ""}}) {
   AZoomSpec spec;
   spec.group_of = GroupByProperty("group");
-  spec.aggregator =
-      MakeAggregator("group", "name", {{"n", AggKind::kCount, ""}});
+  spec.aggregator = MakeAggregator("group", "name", std::move(aggregates));
   spec.edge_type = "rel";
   return spec;
+}
+
+/// `pipeline` with every aZoom's aggregator made opaque (its
+/// AggregateSpec list cleared): the same functions, so the same results,
+/// but a view over it cannot count and keeps the suffix path.
+inline Pipeline WithoutAggregateSpecs(const Pipeline& pipeline) {
+  Pipeline out;
+  for (Pipeline::Step step : pipeline.steps()) {
+    if (auto* azoom = std::get_if<Pipeline::AZoomStep>(&step)) {
+      azoom->spec.aggregator.aggregates.clear();
+    }
+    out.Then(std::move(step));
+  }
+  return out;
 }
 
 }  // namespace tgraph::views::testing
