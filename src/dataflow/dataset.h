@@ -8,13 +8,12 @@
 #include <mutex>
 #include <optional>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "dataflow/context.h"
+#include "dataflow/flat_index.h"
 #include "dataflow/hashing.h"
 #include "dataflow/shuffle.h"
 #include "obs/metrics.h"
@@ -109,17 +108,19 @@ Partitions<T> Chunk(std::vector<T> data, int num_partitions) {
   return out;
 }
 
-/// Merges per-key state across each hot key's sub-partitions into its
-/// first sub-partition (the reduce side of two-level aggregation after a
-/// HotRouting::kSpread shuffle). Entries are pair<K, S>;
-/// `append(S* dst, S&& src)` merges two entries with equal keys. Each hot
-/// key's sub-partitions hold only records of one key hash, so the number
-/// of distinct keys per sub-partition is tiny (hash collisions only) and
-/// a linear key scan beats a hash table.
-template <typename K, typename S, typename Append>
-void MergeHotGroups(ExecutionContext* ctx,
-                    const internal_shuffle::ShufflePlan& plan,
-                    Partitions<std::pair<K, S>>* out, const Append& append) {
+/// Merges each hot key's sub-partitions into its first sub-partition (the
+/// reduce side of two-level aggregation after a HotRouting::kSpread
+/// shuffle). `same(a, b)` tells whether two entries share a key, and
+/// `merge(E* dst, E&& src)` folds an entry into its equal-keyed head
+/// entry; entries with a new key are appended in order. Each hot key's
+/// sub-partitions hold only records of one key hash, so the number of
+/// distinct keys per sub-partition is tiny (hash collisions only) and a
+/// linear scan beats a hash table.
+template <typename E, typename Same, typename Merge>
+void MergeHotSubPartitions(ExecutionContext* ctx,
+                           const internal_shuffle::ShufflePlan& plan,
+                           Partitions<E>* out, const Same& same,
+                           const Merge& merge) {
   if (!plan.rebalanced()) return;
   TG_SPAN("dataflow.shuffle.merge", "dataflow");
   ctx->ParallelFor(plan.hot.size(), [&](size_t i) {
@@ -128,14 +129,13 @@ void MergeHotGroups(ExecutionContext* ctx,
     auto& head = (*out)[hk.first_sub];
     for (int s = 1; s < hk.splits; ++s) {
       auto& sub = (*out)[hk.first_sub + static_cast<size_t>(s)];
-      for (auto& entry : sub) {
-        auto it = std::find_if(
-            head.begin(), head.end(),
-            [&](const std::pair<K, S>& e) { return e.first == entry.first; });
+      for (E& entry : sub) {
+        auto it = std::find_if(head.begin(), head.end(),
+                               [&](const E& e) { return same(e, entry); });
         if (it == head.end()) {
           head.push_back(std::move(entry));
         } else {
-          append(&it->second, std::move(entry.second));
+          merge(&*it, std::move(entry));
         }
       }
       sub.clear();
@@ -143,28 +143,26 @@ void MergeHotGroups(ExecutionContext* ctx,
   });
 }
 
-/// Re-deduplicates each hot key's sub-partitions into the first one
-/// (Distinct's merge step: every sub-partition is already locally
-/// deduplicated, so the union per hot key is small).
-template <typename T>
-void MergeHotDistinct(ExecutionContext* ctx,
-                      const internal_shuffle::ShufflePlan& plan,
-                      Partitions<T>* out) {
-  if (!plan.rebalanced()) return;
-  TG_SPAN("dataflow.shuffle.merge", "dataflow");
-  ctx->ParallelFor(plan.hot.size(), [&](size_t i) {
-    const internal_shuffle::HotKey& hk = plan.hot[i];
-    if (hk.splits <= 1) return;
-    auto& head = (*out)[hk.first_sub];
-    std::unordered_set<T, DfHasher<T>> seen(head.begin(), head.end());
-    for (int s = 1; s < hk.splits; ++s) {
-      auto& sub = (*out)[hk.first_sub + static_cast<size_t>(s)];
-      for (T& record : sub) {
-        if (seen.insert(record).second) head.push_back(std::move(record));
-      }
-      sub.clear();
-    }
-  });
+/// MergeHotSubPartitions for key-value entries: `append(S* dst, S&& src)`
+/// merges the states of two entries with equal keys.
+template <typename K, typename S, typename Append>
+void MergeHotGroups(ExecutionContext* ctx,
+                    const internal_shuffle::ShufflePlan& plan,
+                    Partitions<std::pair<K, S>>* out, const Append& append) {
+  using E = std::pair<K, S>;
+  MergeHotSubPartitions(
+      ctx, plan, out,
+      [](const E& a, const E& b) { return a.first == b.first; },
+      [&append](E* dst, E&& src) {
+        append(&dst->second, std::move(src.second));
+      });
+}
+
+/// Appends `src` to `dst` by moving its elements.
+template <typename V>
+void AppendMoved(std::vector<V>* dst, std::vector<V>&& src) {
+  dst->reserve(dst->size() + src.size());
+  std::move(src.begin(), src.end(), std::back_inserter(*dst));
 }
 
 }  // namespace internal_dataset
@@ -183,6 +181,14 @@ void MergeHotDistinct(ExecutionContext* ctx,
 /// sub-partitions and re-merged per operator, so results are identical to
 /// the plain hash shuffle (see ExecutionContext::shuffle_options to tune
 /// or disable).
+///
+/// Each wide operator builds its per-partition tables on one flat
+/// open-addressing index (dataflow/flat_index.h), which allocates nothing
+/// per key. An output partition lists its keys (Distinct: its records) in
+/// the order they first occur in the shuffled partition; Join emits, per
+/// probe record in order, its matches in build-side order. The output is
+/// therefore a function of the input partitioning alone, independent of
+/// the worker count.
 ///
 /// Key-value operators are available whenever T is a std::pair<K, V> with a
 /// DfHash-able, equality-comparable K.
@@ -390,13 +396,18 @@ class Dataset {
               ctx, in, plan, key, internal_shuffle::HotRouting::kSpread);
           Partitions<T> out(shuffled.size());
           ctx->ParallelFor(shuffled.size(), [&](size_t p) {
-            std::unordered_set<T, DfHasher<T>> seen;
-            seen.reserve(shuffled[p].size());
+            std::vector<T>& unique = out[p];
+            auto index = internal_dataset::MakeFlatIndex<T>(
+                shuffled[p].size(),
+                [&unique](size_t i) -> const T& { return unique[i]; });
             for (T& record : shuffled[p]) {
-              if (seen.insert(record).second) out[p].push_back(record);
+              if (index.Insert(record).second) {
+                unique.push_back(std::move(record));
+              }
             }
           });
-          internal_dataset::MergeHotDistinct(ctx, plan, &out);
+          internal_dataset::MergeHotSubPartitions(
+              ctx, plan, &out, std::equal_to<T>(), [](T*, T&&) {});
           return out;
         });
     return Dataset<T>(ctx_, std::move(node));
@@ -423,9 +434,7 @@ class Dataset {
   // ---------------------------------------------------------------------
 
   /// Groups values by key: Dataset<pair<K, vector<V>>>. A hot key is
-  /// spread over sub-partitions, partially grouped in each (without the
-  /// per-record hash-map probe — a sub-partition holds a single key hash,
-  /// so grouping is an equality scan over a handful of entries), then the
+  /// spread over sub-partitions, partially grouped in each, then the
   /// partial value vectors are concatenated in a merge step.
   template <typename P = T>
     requires internal_dataset::PairTraits<P>::is_pair
@@ -445,46 +454,27 @@ class Dataset {
               ctx, in, plan, key, internal_shuffle::HotRouting::kSpread);
           Partitions<Out> out(shuffled.size());
           ctx->ParallelFor(shuffled.size(), [&](size_t p) {
-            if (p >= plan.num_base) {
-              // Hot sub-partition: one key hash; group by equality scan.
-              for (T& kv : shuffled[p]) {
-                auto it = std::find_if(out[p].begin(), out[p].end(),
-                                       [&](const Out& group) {
-                                         return group.first == kv.first;
-                                       });
-                if (it == out[p].end()) {
-                  out[p].emplace_back(kv.first, std::vector<V>{});
-                  it = std::prev(out[p].end());
-                  it->second.reserve(shuffled[p].size());
-                }
-                it->second.push_back(std::move(kv.second));
-              }
-              return;
-            }
-            std::unordered_map<K, std::vector<V>, DfHasher<K>> groups;
-            groups.reserve(shuffled[p].size());
+            std::vector<Out>& groups = out[p];
+            auto index =
+                internal_dataset::IndexByFirst<K>(groups, shuffled[p].size());
             for (T& kv : shuffled[p]) {
-              groups[kv.first].push_back(std::move(kv.second));
-            }
-            out[p].reserve(groups.size());
-            for (auto& [key, values] : groups) {
-              out[p].emplace_back(key, std::move(values));
+              auto [i, inserted] = index.Insert(kv.first);
+              if (inserted) groups.emplace_back(kv.first, std::vector<V>{});
+              groups[i].second.push_back(std::move(kv.second));
             }
           });
-          internal_dataset::MergeHotGroups(
-              ctx, plan, &out,
-              [](std::vector<V>* dst, std::vector<V>&& src) {
-                dst->reserve(dst->size() + src.size());
-                std::move(src.begin(), src.end(), std::back_inserter(*dst));
-              });
+          internal_dataset::MergeHotGroups(ctx, plan, &out,
+                                           internal_dataset::AppendMoved<V>);
           return out;
         });
     return Dataset<Out>(ctx_, std::move(node));
   }
 
   /// Merges values per key with a commutative, associative function
-  /// `fn(const V&, const V&) -> V`. Performs map-side combining before the
-  /// shuffle, like Spark's reduceByKey.
+  /// `fn(V, V) -> V`. The accumulated value is passed as an rvalue, so a
+  /// `fn` taking its first argument by value grows it in place; one taking
+  /// `const V&` works too. Performs map-side combining before the shuffle,
+  /// like Spark's reduceByKey.
   template <typename Fn, typename P = T>
     requires internal_dataset::PairTraits<P>::is_pair
   Dataset<T> ReduceByKey(Fn fn, int num_partitions = 0) const {
@@ -498,15 +488,15 @@ class Dataset {
           // Map-side combine.
           Partitions<T> combined(in.size());
           ctx->ParallelFor(in.size(), [&](size_t p) {
-            std::unordered_map<K, V, DfHasher<K>> acc;
-            acc.reserve(in[p].size());
+            std::vector<T>& acc = combined[p];
+            auto index = internal_dataset::IndexByFirst<K>(acc, in[p].size());
             for (const T& kv : in[p]) {
-              auto [it, inserted] = acc.try_emplace(kv.first, kv.second);
-              if (!inserted) it->second = fn(it->second, kv.second);
-            }
-            combined[p].reserve(acc.size());
-            for (auto& [key, value] : acc) {
-              combined[p].emplace_back(key, std::move(value));
+              auto [i, inserted] = index.Insert(kv.first);
+              if (inserted) {
+                acc.push_back(kv);
+              } else {
+                acc[i].second = fn(std::move(acc[i].second), kv.second);
+              }
             }
           });
           // Shuffle + final combine. Map-side combining already collapses
@@ -521,21 +511,26 @@ class Dataset {
               ctx, combined, plan, key, internal_shuffle::HotRouting::kSpread);
           Partitions<T> out(shuffled.size());
           ctx->ParallelFor(shuffled.size(), [&](size_t p) {
-            std::unordered_map<K, V, DfHasher<K>> acc;
+            // Map-side combining left each key at most once per input
+            // partition, so the shuffled size bounds the keys closely.
+            std::vector<T>& acc = out[p];
             acc.reserve(shuffled[p].size());
+            auto index =
+                internal_dataset::IndexByFirst<K>(acc, shuffled[p].size());
             for (T& kv : shuffled[p]) {
-              auto [it, inserted] =
-                  acc.try_emplace(kv.first, std::move(kv.second));
-              if (!inserted) it->second = fn(it->second, kv.second);
-            }
-            out[p].reserve(acc.size());
-            for (auto& [key, value] : acc) {
-              out[p].emplace_back(key, std::move(value));
+              auto [i, inserted] = index.Insert(kv.first);
+              if (inserted) {
+                acc.push_back(std::move(kv));
+              } else {
+                acc[i].second =
+                    fn(std::move(acc[i].second), std::move(kv.second));
+              }
             }
           });
           internal_dataset::MergeHotGroups(ctx, plan, &out,
                                            [&fn](V* dst, V&& src) {
-                                             *dst = fn(*dst, src);
+                                             *dst = fn(std::move(*dst),
+                                                       std::move(src));
                                            });
           return out;
         });
@@ -559,14 +554,12 @@ class Dataset {
           // Map-side partial aggregation.
           Partitions<Out> partial(in.size());
           ctx->ParallelFor(in.size(), [&](size_t p) {
-            std::unordered_map<K, A, DfHasher<K>> acc;
+            std::vector<Out>& acc = partial[p];
+            auto index = internal_dataset::IndexByFirst<K>(acc, in[p].size());
             for (const T& kv : in[p]) {
-              auto [it, inserted] = acc.try_emplace(kv.first, init);
-              seq(&it->second, kv.second);
-            }
-            partial[p].reserve(acc.size());
-            for (auto& [key, value] : acc) {
-              partial[p].emplace_back(key, std::move(value));
+              auto [i, inserted] = index.Insert(kv.first);
+              if (inserted) acc.emplace_back(kv.first, init);
+              seq(&acc[i].second, kv.second);
             }
           });
           auto key = [](const Out& kv) -> const K& { return kv.first; };
@@ -577,15 +570,17 @@ class Dataset {
               ctx, partial, plan, key, internal_shuffle::HotRouting::kSpread);
           Partitions<Out> out(shuffled.size());
           ctx->ParallelFor(shuffled.size(), [&](size_t p) {
-            std::unordered_map<K, A, DfHasher<K>> acc;
+            std::vector<Out>& acc = out[p];
+            acc.reserve(shuffled[p].size());
+            auto index =
+                internal_dataset::IndexByFirst<K>(acc, shuffled[p].size());
             for (Out& kv : shuffled[p]) {
-              auto [it, inserted] =
-                  acc.try_emplace(kv.first, std::move(kv.second));
-              if (!inserted) comb(&it->second, std::move(kv.second));
-            }
-            out[p].reserve(acc.size());
-            for (auto& [key, value] : acc) {
-              out[p].emplace_back(key, std::move(value));
+              auto [i, inserted] = index.Insert(kv.first);
+              if (inserted) {
+                acc.push_back(std::move(kv));
+              } else {
+                comb(&acc[i].second, std::move(kv.second));
+              }
             }
           });
           internal_dataset::MergeHotGroups(ctx, plan, &out,
@@ -646,17 +641,11 @@ class Dataset {
               internal_shuffle::HotRouting::kReplicate);
           Partitions<Out> out(ls.size());
           ctx->ParallelFor(ls.size(), [&](size_t p) {
-            std::unordered_map<K, std::vector<W>, DfHasher<K>> table;
-            table.reserve(rs[p].size());
-            for (RightT& kv : rs[p]) {
-              table[kv.first].push_back(std::move(kv.second));
-            }
+            const internal_dataset::KeyChains<K, W> table(rs[p]);
             for (const T& kv : ls[p]) {
-              auto it = table.find(kv.first);
-              if (it == table.end()) continue;
-              for (const W& w : it->second) {
+              table.ForEachMatch(kv.first, [&](const W& w) {
                 out[p].emplace_back(kv.first, std::pair<V, W>(kv.second, w));
-              }
+              });
             }
           });
           return out;
@@ -697,11 +686,9 @@ class Dataset {
               internal_shuffle::HotRouting::kReplicate);
           Partitions<T> out(ls.size());
           ctx->ParallelFor(ls.size(), [&](size_t p) {
-            std::unordered_set<K, DfHasher<K>> keys;
-            keys.reserve(rs[p].size());
-            for (const RightT& kv : rs[p]) keys.insert(kv.first);
+            const internal_dataset::KeyChains<K, W> keys(rs[p]);
             for (T& kv : ls[p]) {
-              if (keys.contains(kv.first)) out[p].push_back(std::move(kv));
+              if (keys.Contains(kv.first)) out[p].push_back(std::move(kv));
             }
           });
           return out;
@@ -720,7 +707,8 @@ class Dataset {
     using K = typename internal_dataset::PairTraits<P>::Key;
     using V = typename internal_dataset::PairTraits<P>::Value;
     using RightT = std::pair<K, W>;
-    using Out = std::pair<K, std::pair<std::vector<V>, std::vector<W>>>;
+    using Sides = std::pair<std::vector<V>, std::vector<W>>;
+    using Out = std::pair<K, Sides>;
     TG_CHECK_EQ(ctx_, right.context());
     int parts = num_partitions > 0 ? num_partitions : ctx_->default_parallelism();
     auto left_node = node_;
@@ -757,30 +745,27 @@ class Dataset {
               internal_shuffle::HotRouting::kSpread);
           Partitions<Out> out(ls.size());
           ctx->ParallelFor(ls.size(), [&](size_t p) {
-            std::unordered_map<K, std::pair<std::vector<V>, std::vector<W>>,
-                               DfHasher<K>>
-                groups;
+            std::vector<Out>& groups = out[p];
+            auto index = internal_dataset::IndexByFirst<K>(
+                groups, ls[p].size() + rs[p].size());
+            auto group_of = [&](const K& key) -> Sides& {
+              auto [i, inserted] = index.Insert(key);
+              if (inserted) groups.emplace_back(key, Sides{});
+              return groups[i].second;
+            };
             for (T& kv : ls[p]) {
-              groups[kv.first].first.push_back(std::move(kv.second));
+              group_of(kv.first).first.push_back(std::move(kv.second));
             }
             for (RightT& kv : rs[p]) {
-              groups[kv.first].second.push_back(std::move(kv.second));
-            }
-            out[p].reserve(groups.size());
-            for (auto& [key, pair] : groups) {
-              out[p].emplace_back(key, std::move(pair));
+              group_of(kv.first).second.push_back(std::move(kv.second));
             }
           });
           internal_dataset::MergeHotGroups(
-              ctx, plan, &out,
-              [](std::pair<std::vector<V>, std::vector<W>>* dst,
-                 std::pair<std::vector<V>, std::vector<W>>&& src) {
-                dst->first.reserve(dst->first.size() + src.first.size());
-                std::move(src.first.begin(), src.first.end(),
-                          std::back_inserter(dst->first));
-                dst->second.reserve(dst->second.size() + src.second.size());
-                std::move(src.second.begin(), src.second.end(),
-                          std::back_inserter(dst->second));
+              ctx, plan, &out, [](Sides* dst, Sides&& src) {
+                internal_dataset::AppendMoved(&dst->first,
+                                              std::move(src.first));
+                internal_dataset::AppendMoved(&dst->second,
+                                              std::move(src.second));
               });
           return out;
         });

@@ -48,12 +48,6 @@ uint64_t DfHash(const T& value) {
   }
 }
 
-/// Adapter so DfHash can serve as the Hasher of unordered containers.
-template <typename K>
-struct DfHasher {
-  size_t operator()(const K& k) const { return static_cast<size_t>(DfHash(k)); }
-};
-
 }  // namespace tgraph::dataflow
 
 #endif  // TGRAPH_DATAFLOW_HASHING_H_

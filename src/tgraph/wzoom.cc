@@ -154,11 +154,9 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
                                         std::move(acc));
                     });
               })
-          .ReduceByKey([](const WindowAcc& a, const WindowAcc& b) {
-            WindowAcc merged = a;
-            WindowAcc copy = b;
-            CombineAcc(&merged, std::move(copy));
-            return merged;
+          .ReduceByKey([](WindowAcc a, WindowAcc b) {
+            CombineAcc(&a, std::move(b));
+            return a;
           })
           .FlatMap<std::pair<VertexWindowKey, Properties>>(
               [windows, vq, vresolve](
@@ -195,11 +193,9 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
                                         std::move(value));
                     });
               })
-          .ReduceByKey([](const EdgeWindowValue& a, const EdgeWindowValue& b) {
-            EdgeWindowValue merged = a;
-            WindowAcc copy = b.acc;
-            CombineAcc(&merged.acc, std::move(copy));
-            return merged;
+          .ReduceByKey([](EdgeWindowValue a, EdgeWindowValue b) {
+            CombineAcc(&a.acc, std::move(b.acc));
+            return a;
           })
           .FlatMap<std::pair<EdgeWindowKey, EdgeWindowValue>>(
               [windows, eq](const std::pair<EdgeWindowKey, EdgeWindowValue>& kv,
@@ -418,11 +414,9 @@ RgGraph WZoomRg(const RgGraph& graph, const WZoomSpec& spec) {
     // Aggregate, filter by quantifier, resolve (lines 7-18).
     auto window_vertices =
         vertex_states
-            .ReduceByKey([](const WindowAcc& a, const WindowAcc& b) {
-              WindowAcc merged = a;
-              WindowAcc copy = b;
-              CombineAcc(&merged, std::move(copy));
-              return merged;
+            .ReduceByKey([](WindowAcc a, WindowAcc b) {
+              CombineAcc(&a, std::move(b));
+              return a;
             })
             .FlatMap<sg::Vertex>(
                 [window, vq, vresolve](const std::pair<VertexId, WindowAcc>& kv,
@@ -433,11 +427,9 @@ RgGraph WZoomRg(const RgGraph& graph, const WZoomSpec& spec) {
                 });
     auto window_edges =
         edge_states
-            .ReduceByKey([](const EdgeValue& a, const EdgeValue& b) {
-              EdgeValue merged = a;
-              WindowAcc copy = b.acc;
-              CombineAcc(&merged.acc, std::move(copy));
-              return merged;
+            .ReduceByKey([](EdgeValue a, EdgeValue b) {
+              CombineAcc(&a.acc, std::move(b.acc));
+              return a;
             })
             .FlatMap<sg::Edge>(
                 [window, eq, eresolve](const std::pair<EdgeId, EdgeValue>& kv,

@@ -198,5 +198,48 @@ TEST(DatasetTest, MetricsCountShuffledRecords) {
   EXPECT_EQ(work.Delta()[obs::QueryCounter::kShuffleRecords], 40);
 }
 
+TEST(FlatIndexTest, NumbersKeysInFirstInsertionOrderAndGrows) {
+  // Keys that share DfHash % 8, as the keys of one shuffled partition do,
+  // and more of them than the table starts with.
+  std::vector<int64_t> pool;
+  for (int64_t k = 0; pool.size() < 3000; ++k) {
+    if (DfHash(k) % 8 == 3) pool.push_back(k);
+  }
+  std::vector<int64_t> entries;
+  auto index = internal_dataset::MakeFlatIndex<int64_t>(
+      /*expected_keys=*/16,
+      [&entries](size_t i) -> const int64_t& { return entries[i]; });
+  for (size_t i = 0; i < pool.size(); ++i) {
+    auto [pos, inserted] = index.Insert(pool[i]);
+    ASSERT_TRUE(inserted);
+    ASSERT_EQ(pos, i);
+    entries.push_back(pool[i]);
+  }
+  EXPECT_EQ(index.size(), pool.size());
+  for (size_t i = pool.size(); i-- > 0;) {
+    EXPECT_EQ(index.Insert(pool[i]), std::make_pair(i, false));
+    EXPECT_EQ(index.Find(pool[i]), i);
+  }
+  EXPECT_EQ(index.Find(pool.back() + 1), index.kAbsent);
+  EXPECT_EQ(index.size(), pool.size());
+}
+
+TEST(FlatIndexTest, KeyChainsListSameKeyRecordsInInsertionOrder) {
+  std::vector<std::pair<std::string, int>> records = {
+      {"b", 0}, {"a", 1}, {"b", 2}, {"c", 3}, {"b", 4}, {"a", 5}};
+  const internal_dataset::KeyChains<std::string, int> chains(records);
+  auto matches = [&](const std::string& key) {
+    std::vector<int> out;
+    chains.ForEachMatch(key, [&](int v) { out.push_back(v); });
+    return out;
+  };
+  EXPECT_EQ(matches("b"), (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(matches("a"), (std::vector<int>{1, 5}));
+  EXPECT_EQ(matches("c"), (std::vector<int>{3}));
+  EXPECT_TRUE(matches("d").empty());
+  EXPECT_TRUE(chains.Contains("c"));
+  EXPECT_FALSE(chains.Contains("d"));
+}
+
 }  // namespace
 }  // namespace tgraph::dataflow

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
+#include <random>
+#include <set>
+#include <string>
 
 #include "dataflow/dataset.h"
 #include "obs/metrics.h"
@@ -225,6 +229,377 @@ TEST(KeyedOpsSkewTest, RebalancingSplitsHotPartitionAndKeepsResult) {
     return groups;
   };
   EXPECT_EQ(canonicalize(grouped), canonicalize(expected));
+}
+
+// ---------------------------------------------------------------------------
+// Every wide operator against a naive std::map reference, over seeded random
+// inputs. Values are the records' positions in the flattened input, so the
+// checks can also tell the order each output partition lists its records in.
+
+template <typename K>
+using Records = Partitions<std::pair<K, int64_t>>;
+
+/// Deals `keys` into `num_parts` partitions at random (partitions listed in
+/// `empty` stay empty), then numbers the records in flattened order.
+template <typename K>
+Records<K> Deal(const std::vector<K>& keys, size_t num_parts,
+                const std::set<size_t>& empty, std::mt19937_64* rng) {
+  std::vector<size_t> live;
+  for (size_t p = 0; p < num_parts; ++p) {
+    if (!empty.contains(p)) live.push_back(p);
+  }
+  Records<K> parts(num_parts);
+  for (const K& key : keys) {
+    parts[live[(*rng)() % live.size()]].emplace_back(key, 0);
+  }
+  int64_t position = 0;
+  for (auto& part : parts) {
+    for (auto& record : part) record.second = position++;
+  }
+  return parts;
+}
+
+template <typename K>
+std::vector<std::pair<K, int64_t>> Flat(const Records<K>& parts) {
+  std::vector<std::pair<K, int64_t>> all;
+  for (const auto& part : parts) {
+    all.insert(all.end(), part.begin(), part.end());
+  }
+  return all;
+}
+
+/// Each key's rank by first occurrence in `records`, counting on from
+/// `ranks`' size (keys already ranked keep their rank).
+template <typename K>
+void RankFirstOccurrences(const std::vector<std::pair<K, int64_t>>& records,
+                          std::map<K, size_t>* ranks) {
+  for (const auto& record : records) {
+    ranks->try_emplace(record.first, ranks->size());
+  }
+}
+
+/// Each output key sits in one entry of one partition, and every partition
+/// lists its keys in first-occurrence order.
+template <typename E, typename KeyOf>
+void ExpectFirstOccurrenceOrder(const Partitions<E>& out, const KeyOf& key_of,
+                                const auto& ranks) {
+  std::set<size_t> seen;
+  for (size_t p = 0; p < out.size(); ++p) {
+    bool first = true;
+    size_t last = 0;
+    for (const E& entry : out[p]) {
+      const size_t rank = ranks.at(key_of(entry));
+      EXPECT_TRUE(seen.insert(rank).second) << "key listed twice";
+      if (!first) {
+        EXPECT_LT(last, rank) << "partition " << p;
+      }
+      first = false;
+      last = rank;
+    }
+  }
+}
+
+/// Runs ReduceByKey, AggregateByKey, CountByKey, GroupByKey, Distinct, Join,
+/// SemiJoin and CoGroup over `left` and `right`, and compares each with a
+/// std::map reference. Values within a group are compared in input order
+/// when `ordered_values` (no hot-key spreading), else as sorted multisets.
+template <typename K>
+void ExpectWideOpsMatchReference(ExecutionContext* ctx, const Records<K>& left,
+                                 const Records<K>& right, int out_parts,
+                                 bool ordered_values) {
+  using Values = std::vector<int64_t>;
+  using Entry = std::pair<K, int64_t>;
+  auto lds = Dataset<Entry>::FromPartitions(ctx, left);
+  auto rds = Dataset<Entry>::FromPartitions(ctx, right);
+  const std::vector<Entry> lflat = Flat(left);
+  const std::vector<Entry> rflat = Flat(right);
+
+  std::map<K, Values> lgroups;
+  std::map<K, Values> rgroups;
+  for (const Entry& e : lflat) lgroups[e.first].push_back(e.second);
+  for (const Entry& e : rflat) rgroups[e.first].push_back(e.second);
+  std::map<K, size_t> ranks;
+  RankFirstOccurrences(lflat, &ranks);
+  auto first_key = [](const auto& entry) -> const K& { return entry.first; };
+  auto maybe_sorted = [ordered_values](Values values) {
+    if (!ordered_values) std::sort(values.begin(), values.end());
+    return values;
+  };
+
+  {
+    SCOPED_TRACE("ReduceByKey, vector values merged by value");
+    auto reduced =
+        lds.Map([](const Entry& e) {
+             return std::pair<K, Values>(e.first, Values{e.second});
+           })
+            .ReduceByKey(
+                [](Values a, Values b) {
+                  a.insert(a.end(), b.begin(), b.end());
+                  return a;
+                },
+                out_parts);
+    const auto& parts = reduced.MaterializedPartitions();
+    ExpectFirstOccurrenceOrder(parts, first_key, ranks);
+    std::map<K, Values> got;
+    for (const auto& part : parts) {
+      for (const auto& [key, values] : part) {
+        Values sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        got[key] = sorted;
+      }
+    }
+    EXPECT_EQ(got, lgroups);
+  }
+  {
+    SCOPED_TRACE("AggregateByKey and CountByKey");
+    using CountSum = std::pair<int64_t, int64_t>;
+    auto aggregated = lds.template AggregateByKey<CountSum>(
+        CountSum{0, 0},
+        [](CountSum* acc, const int64_t& v) {
+          ++acc->first;
+          acc->second += v;
+        },
+        [](CountSum* acc, CountSum&& other) {
+          acc->first += other.first;
+          acc->second += other.second;
+        },
+        out_parts);
+    ExpectFirstOccurrenceOrder(aggregated.MaterializedPartitions(), first_key,
+                               ranks);
+    std::map<K, CountSum> expected;
+    for (const auto& [key, values] : lgroups) {
+      expected[key] = {
+          static_cast<int64_t>(values.size()),
+          std::accumulate(values.begin(), values.end(), int64_t{0})};
+    }
+    auto collected = aggregated.Collect();
+    EXPECT_EQ((std::map<K, CountSum>(collected.begin(), collected.end())),
+              expected);
+    std::map<K, int64_t> expected_counts;
+    for (const auto& [key, cs] : expected) expected_counts[key] = cs.first;
+    auto counts = lds.CountByKey(out_parts).Collect();
+    EXPECT_EQ((std::map<K, int64_t>(counts.begin(), counts.end())),
+              expected_counts);
+  }
+  {
+    SCOPED_TRACE("GroupByKey");
+    auto grouped = lds.GroupByKey(out_parts);
+    const auto& parts = grouped.MaterializedPartitions();
+    ExpectFirstOccurrenceOrder(parts, first_key, ranks);
+    std::map<K, Values> got;
+    std::map<K, Values> expected;
+    for (const auto& part : parts) {
+      for (const auto& [key, values] : part) got[key] = maybe_sorted(values);
+    }
+    for (const auto& [key, values] : lgroups) {
+      expected[key] = maybe_sorted(values);
+    }
+    EXPECT_EQ(got, expected);
+  }
+  {
+    SCOPED_TRACE("Distinct");
+    auto distinct =
+        lds.Map([](const Entry& e) { return e.first; }).Distinct(out_parts);
+    const auto& parts = distinct.MaterializedPartitions();
+    ExpectFirstOccurrenceOrder(
+        parts, [](const K& key) -> const K& { return key; }, ranks);
+    std::set<K> got;
+    for (const auto& part : parts) got.insert(part.begin(), part.end());
+    std::set<K> expected;
+    for (const auto& [key, values] : lgroups) expected.insert(key);
+    EXPECT_EQ(got, expected);
+  }
+  {
+    SCOPED_TRACE("Join");
+    using Match = std::pair<int64_t, int64_t>;  // (left, right) positions
+    auto joined = lds.template Join<int64_t>(rds, out_parts);
+    std::multiset<std::pair<K, Match>> got;
+    for (const auto& part : joined.MaterializedPartitions()) {
+      // Probe records in input order, each with its matches in build order.
+      for (size_t i = 1; i < part.size(); ++i) {
+        EXPECT_LT(part[i - 1].second, part[i].second);
+      }
+      got.insert(part.begin(), part.end());
+    }
+    std::multiset<std::pair<K, Match>> expected;
+    for (const Entry& l : lflat) {
+      auto it = rgroups.find(l.first);
+      if (it == rgroups.end()) continue;
+      for (int64_t r : it->second) expected.insert({l.first, {l.second, r}});
+    }
+    EXPECT_EQ(got, expected);
+  }
+  {
+    SCOPED_TRACE("SemiJoin");
+    auto kept = lds.template SemiJoin<int64_t>(rds, out_parts);
+    std::multiset<Entry> got;
+    for (const auto& part : kept.MaterializedPartitions()) {
+      for (size_t i = 1; i < part.size(); ++i) {
+        EXPECT_LT(part[i - 1].second, part[i].second);
+      }
+      got.insert(part.begin(), part.end());
+    }
+    std::multiset<Entry> expected;
+    for (const Entry& l : lflat) {
+      if (rgroups.contains(l.first)) expected.insert(l);
+    }
+    EXPECT_EQ(got, expected);
+  }
+  {
+    SCOPED_TRACE("CoGroup");
+    std::map<K, size_t> cogroup_ranks = ranks;
+    RankFirstOccurrences(rflat, &cogroup_ranks);
+    auto cogrouped = lds.template CoGroup<int64_t>(rds, out_parts);
+    const auto& parts = cogrouped.MaterializedPartitions();
+    ExpectFirstOccurrenceOrder(parts, first_key, cogroup_ranks);
+    std::map<K, std::pair<Values, Values>> got;
+    for (const auto& part : parts) {
+      for (const auto& [key, sides] : part) {
+        got[key] = {maybe_sorted(sides.first), maybe_sorted(sides.second)};
+      }
+    }
+    std::map<K, std::pair<Values, Values>> expected;
+    for (const auto& [key, values] : lgroups) {
+      expected[key].first = maybe_sorted(values);
+    }
+    for (const auto& [key, values] : rgroups) {
+      expected[key].second = maybe_sorted(values);
+    }
+    EXPECT_EQ(got, expected);
+  }
+}
+
+ExecutionContext* PlainCtx() {
+  static ExecutionContext* ctx = new ExecutionContext(
+      ContextOptions{.num_workers = 2,
+                     .default_parallelism = 4,
+                     .shuffle = {.enable = false}});
+  return ctx;
+}
+
+/// Splits hot keys eagerly, so small inputs exercise the spread path.
+ExecutionContext* RebalancingCtx() {
+  static ExecutionContext* ctx = new ExecutionContext(
+      ContextOptions{.num_workers = 2,
+                     .default_parallelism = 4,
+                     .shuffle = {.enable = true,
+                                 .skew_threshold = 2.0,
+                                 .max_splits = 4,
+                                 .min_records = 0}});
+  return ctx;
+}
+
+std::vector<int64_t> UniformKeys(size_t n, int64_t range,
+                                 std::mt19937_64* rng) {
+  std::vector<int64_t> keys(n);
+  for (int64_t& key : keys) key = static_cast<int64_t>((*rng)() % range);
+  return keys;
+}
+
+TEST(WideOpsReferenceTest, DuplicateHeavyKeysAndEmptyPartitions) {
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    auto left = Deal(UniformKeys(3000, 6, &rng), 7, {1, 4}, &rng);
+    auto right = Deal(UniformKeys(40, 9, &rng), 5, {0, 2, 3}, &rng);
+    ExpectWideOpsMatchReference(PlainCtx(), left, right, 4, true);
+    // More output partitions than keys: most come out empty.
+    ExpectWideOpsMatchReference(PlainCtx(), left, right, 16, true);
+    // An input with no records at all.
+    ExpectWideOpsMatchReference(PlainCtx(), Records<int64_t>(3), right, 4,
+                                true);
+  }
+}
+
+TEST(WideOpsReferenceTest, KeysInOneResidueClassModuloPartitions) {
+  // Every key hashes to partition 0 of 4, as all keys of one shuffled
+  // partition do.
+  std::vector<int64_t> pool;
+  for (int64_t k = 0; pool.size() < 1500; ++k) {
+    if (DfHash(k) % 4 == 0) pool.push_back(k);
+  }
+  std::mt19937_64 rng(11);
+  std::vector<int64_t> lkeys(5000);
+  std::vector<int64_t> rkeys(2000);
+  for (int64_t& key : lkeys) key = pool[rng() % pool.size()];
+  for (int64_t& key : rkeys) key = pool[rng() % pool.size()];
+  ExpectWideOpsMatchReference(PlainCtx(), Deal(lkeys, 4, {}, &rng),
+                              Deal(rkeys, 3, {}, &rng), 4, true);
+}
+
+TEST(WideOpsReferenceTest, StringKeys) {
+  std::mt19937_64 rng(5);
+  auto keys = [&](size_t n, int range) {
+    std::vector<std::string> out(n);
+    for (std::string& key : out) {
+      int id = static_cast<int>(rng() % range);
+      key = "k" + std::to_string(id) + std::string(id % 13, 'x');
+    }
+    return out;
+  };
+  ExpectWideOpsMatchReference(PlainCtx(), Deal(keys(4000, 700), 5, {2}, &rng),
+                              Deal(keys(1500, 900), 3, {}, &rng), 4, true);
+  ExpectWideOpsMatchReference(RebalancingCtx(),
+                              Deal(keys(4000, 700), 5, {}, &rng),
+                              Deal(keys(1500, 900), 3, {}, &rng), 4, false);
+}
+
+TEST(WideOpsReferenceTest, NestedPairKeys) {
+  using Key = std::pair<std::pair<int64_t, std::string>, int64_t>;
+  std::mt19937_64 rng(9);
+  auto keys = [&](size_t n) {
+    std::vector<Key> out(n);
+    for (Key& key : out) {
+      key = {{static_cast<int64_t>(rng() % 20), std::to_string(rng() % 3)},
+             static_cast<int64_t>(rng() % 15)};
+    }
+    return out;
+  };
+  ExpectWideOpsMatchReference(PlainCtx(), Deal(keys(3000), 4, {}, &rng),
+                              Deal(keys(800), 4, {3}, &rng), 4, true);
+}
+
+TEST(WideOpsReferenceTest, HotKeysWithRebalancingOnAndOff) {
+  for (uint64_t seed : {21, 22}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    // On the left ~80% of the records share key 0, on the right ~5%; the
+    // rest spread over 500 keys.
+    auto keys = [&](size_t n, uint64_t cold_in_20) {
+      std::vector<int64_t> out(n);
+      for (int64_t& key : out) {
+        key = rng() % 20 < cold_in_20 ? 1 + static_cast<int64_t>(rng() % 500)
+                                      : 0;
+      }
+      return out;
+    };
+    auto left = Deal(keys(6000, 4), 6, {}, &rng);
+    auto right = Deal(keys(300, 19), 3, {}, &rng);
+    ExpectWideOpsMatchReference(PlainCtx(), left, right, 4, true);
+    obs::Counter* rebalanced = obs::MetricsRegistry::Global().GetCounter(
+        obs::metric_names::kShuffleRebalanced);
+    const int64_t before = rebalanced->value();
+    ExpectWideOpsMatchReference(RebalancingCtx(), left, right, 4, false);
+    EXPECT_GT(rebalanced->value(), before);
+  }
+}
+
+TEST(WideOpsReferenceTest, PartitionLargerThanInitialTable) {
+  // One output partition with more distinct keys than a table starts
+  // with, so every operator's table grows while it is filled.
+  const size_t distinct = internal_dataset::kFlatIndexMaxInitialKeys + 5000;
+  std::mt19937_64 rng(31);
+  std::vector<int64_t> lkeys(distinct);
+  std::iota(lkeys.begin(), lkeys.end(), 0);
+  for (size_t i = 0; i < distinct / 8; ++i) {
+    lkeys.push_back(static_cast<int64_t>(rng() % distinct));
+  }
+  std::shuffle(lkeys.begin(), lkeys.end(), rng);
+  std::vector<int64_t> rkeys = lkeys;
+  std::shuffle(rkeys.begin(), rkeys.end(), rng);
+  rkeys.resize(distinct / 4);
+  ExpectWideOpsMatchReference(PlainCtx(), Deal(lkeys, 1, {}, &rng),
+                              Deal(rkeys, 2, {}, &rng), 1, true);
 }
 
 }  // namespace
