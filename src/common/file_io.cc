@@ -1,11 +1,13 @@
 #include "common/file_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 
 namespace tgraph {
 
@@ -26,6 +28,26 @@ std::string TempPathFor(const std::string& path) {
 }
 
 }  // namespace
+
+std::string NormalPath(const std::string& path) {
+  std::string normal = std::filesystem::path(path).lexically_normal().string();
+  if (normal.size() > 1 && normal.back() == '/') normal.pop_back();
+  return normal;
+}
+
+std::string FileIdentity(const struct stat& st) {
+  return std::to_string(st.st_dev) + "." + std::to_string(st.st_ino) + "." +
+         std::to_string(st.st_size) + "." +
+         std::to_string(static_cast<int64_t>(st.st_mtim.tv_sec) *
+                            1'000'000'000 +
+                        st.st_mtim.tv_nsec);
+}
+
+Result<std::string> StatIdentity(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return Errno("stat", path);
+  return FileIdentity(st);
+}
 
 Result<std::string> ReadFile(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -7,7 +7,25 @@
 #include "common/result.h"
 #include "common/status.h"
 
+struct stat;
+
 namespace tgraph {
+
+/// The one spelling of a directory path that keys per-directory state:
+/// lexically normal ("./d", "d/" and "d/x/.." all become "d") and without
+/// a trailing separator. No filesystem access, so a relative and an
+/// absolute spelling of one directory stay distinct, and so do two paths
+/// through a symlink.
+std::string NormalPath(const std::string& path);
+
+/// The identity of the version of a file `st` describes,
+/// "<device>.<inode>.<size>.<mtime ns>". A rewrite through WriteFileAtomic
+/// renames a new inode into place, and a rewrite in place changes the size
+/// or the mtime, so two versions of one path have different identities.
+std::string FileIdentity(const struct stat& st);
+
+/// FileIdentity of the file at `path`; IoError when it cannot be stat'd.
+Result<std::string> StatIdentity(const std::string& path);
 
 /// Reads the whole file at `path`. NotFound when it does not exist,
 /// IoError on any other failure.

@@ -113,7 +113,8 @@ bool IsLiveDir(const std::string& dir) {
          FileExists(dir + "/" + kWalFileName);
 }
 
-std::string WalPathFor(const std::string& dir, const std::string& wal_dir) {
+std::string WalPathFor(const std::string& path, const std::string& wal_dir) {
+  const std::string dir = NormalPath(path);
   if (wal_dir.empty()) return dir + "/" + kWalFileName;
   size_t slash = dir.find_last_of('/');
   std::string base =
@@ -735,8 +736,9 @@ void LiveGraphRegistry::set_options(LiveGraph::Options options) {
   options_ = std::move(options);
 }
 
-Result<LiveGraph*> LiveGraphRegistry::GetOrOpen(const std::string& dir,
+Result<LiveGraph*> LiveGraphRegistry::GetOrOpen(const std::string& path,
                                                 TimePoint horizon_if_create) {
+  const std::string dir = NormalPath(path);
   // Claim the open or wait for whoever holds it, as GraphCatalog does for
   // loads: the mutex is held for map bookkeeping only, never across
   // LiveGraph::Open, so the first open of a large graph (store load +
@@ -787,7 +789,7 @@ Result<LiveGraph*> LiveGraphRegistry::GetOrOpen(const std::string& dir,
 
 LiveGraph* LiveGraphRegistry::Find(const std::string& dir) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = graphs_.find(dir);
+  auto it = graphs_.find(NormalPath(dir));
   return it == graphs_.end() ? nullptr : it->second.get();
 }
 

@@ -61,8 +61,8 @@ bool IsLiveDir(const std::string& dir);
 
 /// The WAL path for live graph `dir`: `dir/wal` by default, or — when
 /// `wal_dir` is non-empty (tgraphd --wal-dir, e.g. a faster device) —
-/// `wal_dir/<basename>-<hash>.wal`, the hash disambiguating graphs whose
-/// directories share a basename.
+/// `wal_dir/<basename>-<hash>.wal` of NormalPath(dir), the hash
+/// disambiguating graphs whose directories share a basename.
 std::string WalPathFor(const std::string& dir, const std::string& wal_dir);
 
 /// \brief The newest compacted generation of a live graph: which prefix
@@ -354,6 +354,11 @@ class LiveGraph {
 /// \brief Process-wide table of open live graphs, keyed by directory. The
 /// server's catalog routes live directories here; `tgz ingest` (local
 /// mode) opens a registry of its own.
+///
+/// Directories are keyed by NormalPath, so "d", "d/" and "./d" reach one
+/// LiveGraph and one WAL. The normalization is lexical: a relative and an
+/// absolute spelling of one directory (or two paths through a symlink)
+/// are two keys, and must not both be used to ingest into one graph.
 class LiveGraphRegistry {
  public:
   explicit LiveGraphRegistry(dataflow::ExecutionContext* ctx) : ctx_(ctx) {}

@@ -232,7 +232,6 @@ inline constexpr char kQuerySlow[] = "server.query.slow";
 inline constexpr char kCacheHits[] = "server.cache.hits";
 inline constexpr char kCacheMisses[] = "server.cache.misses";
 inline constexpr char kCacheEvictions[] = "server.cache.evictions";
-inline constexpr char kCacheExpirations[] = "server.cache.expirations";
 inline constexpr char kCacheBytes[] = "server.cache.bytes";      // gauge
 inline constexpr char kCacheEntries[] = "server.cache.entries";  // gauge
 inline constexpr char kCatalogLoads[] = "server.catalog.loads";

@@ -1,5 +1,6 @@
 #include "server/catalog.h"
 
+#include "common/file_io.h"
 #include "ingest/live_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -8,51 +9,110 @@
 
 namespace tgraph::server {
 
-Result<std::shared_ptr<storage::StoreReader>> GraphCatalog::GetOrOpenStore(
-    const std::string& dir) {
+namespace {
+
+std::string LiveVersion(uint64_t epoch) {
+  std::string version = "e";
+  return version += std::to_string(epoch);
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const ingest::LiveSnapshot>>
+GraphCatalog::LiveSnapshotOf(const std::string& dir) {
+  if (live_graphs_ == nullptr ||
+      (live_graphs_->Find(dir) == nullptr && !ingest::IsLiveDir(dir))) {
+    return std::shared_ptr<const ingest::LiveSnapshot>();
+  }
+  TG_ASSIGN_OR_RETURN(ingest::LiveGraph * live, live_graphs_->GetOrOpen(dir));
+  return live->snapshot();
+}
+
+GraphCatalog::Dir& GraphCatalog::AtVersionLocked(const std::string& dir,
+                                                 const std::string& version) {
+  Dir& entry = dirs_[dir];
+  if (entry.version != version) {
+    // Waiters and loaders of the old version keep their shared_ptr<Slot>,
+    // so replacing the entry never strands them.
+    entry = Dir{version, nullptr, {}};
+    PublishGaugesLocked();
+  }
+  return entry;
+}
+
+void GraphCatalog::PublishGaugesLocked() const {
+  static obs::Gauge* graphs = obs::MetricsRegistry::Global().GetGauge(
+      obs::metric_names::kCatalogGraphs);
   static obs::Gauge* mmap_stores = obs::MetricsRegistry::Global().GetGauge(
       obs::metric_names::kCatalogMmapStores);
-  uint64_t evictions_seen = 0;
+  int64_t slots = 0;
+  int64_t stores = 0;
+  for (const auto& [dir, entry] : dirs_) {
+    slots += static_cast<int64_t>(entry.slots.size());
+    stores += entry.store != nullptr ? 1 : 0;
+  }
+  graphs->Set(slots);
+  mmap_stores->Set(stores);
+}
+
+Result<std::string> GraphCatalog::CurrentVersion(const std::string& path) {
+  const std::string dir = NormalPath(path);
+  TG_ASSIGN_OR_RETURN(std::shared_ptr<const ingest::LiveSnapshot> snap,
+                      LiveSnapshotOf(dir));
+  std::string version;
+  if (snap != nullptr) {
+    version = LiveVersion(snap->epoch());
+  } else {
+    TG_ASSIGN_OR_RETURN(version, StatIdentity(storage::StorePath(dir)));
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (dirs_.count(dir) != 0) AtVersionLocked(dir, version);
+  return version;
+}
+
+Result<std::shared_ptr<storage::StoreReader>> GraphCatalog::OpenStore(
+    const std::string& dir, std::string* version) {
+  TG_ASSIGN_OR_RETURN(std::string current,
+                      StatIdentity(storage::StorePath(dir)));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = stores_.find(dir);
-    if (it != stores_.end()) return it->second;
-    evictions_seen = evictions_;
+    auto it = dirs_.find(dir);
+    if (it != dirs_.end() && it->second.store != nullptr &&
+        it->second.store->identity() == current) {
+      *version = current;
+      return it->second.store;
+    }
   }
   TG_ASSIGN_OR_RETURN(std::unique_ptr<storage::StoreReader> opened,
                       storage::StoreReader::Open(storage::StorePath(dir)));
-  std::shared_ptr<storage::StoreReader> store = std::move(opened);
+  *version = opened->identity();
   std::lock_guard<std::mutex> lock(mu_);
-  // An Evict during the open may have replaced the file under us: serve
-  // this load from what it opened, but do not share the reader.
-  if (evictions_ != evictions_seen) return store;
-  auto [it, inserted] = stores_.emplace(dir, store);
-  mmap_stores->Set(static_cast<int64_t>(stores_.size()));
-  return it->second;  // a racing opener's reader wins; ours is dropped
+  Dir& entry = AtVersionLocked(dir, *version);
+  if (entry.store == nullptr) {
+    entry.store = std::move(opened);
+    PublishGaugesLocked();
+  }
+  return entry.store;  // a racing opener's reader wins; ours is dropped
 }
 
-Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
+Result<TGraph> GraphCatalog::GetOrLoad(const std::string& path,
                                        const std::optional<Interval>& range,
-                                       uint64_t* live_epoch) {
-  static obs::Gauge* graphs = obs::MetricsRegistry::Global().GetGauge(
-      obs::metric_names::kCatalogGraphs);
-
-  // Live directories are served from the current ingest snapshot,
-  // resolved exactly once per call: the epoch in the slot key pins this
-  // load to that snapshot even as later appends publish new ones.
-  std::shared_ptr<const ingest::LiveSnapshot> snap;
-  if (live_graphs_ != nullptr &&
-      (live_graphs_->Find(dir) != nullptr || ingest::IsLiveDir(dir))) {
-    TG_ASSIGN_OR_RETURN(ingest::LiveGraph * live, live_graphs_->GetOrOpen(dir));
-    snap = live->snapshot();
+                                       std::string* version) {
+  const std::string dir = NormalPath(path);
+  // The version is resolved exactly once per call: for a live directory
+  // the snapshot pins this load to one epoch even as later appends publish
+  // new ones, and for a stored one the reader maps one file.
+  TG_ASSIGN_OR_RETURN(std::shared_ptr<const ingest::LiveSnapshot> snap,
+                      LiveSnapshotOf(dir));
+  std::shared_ptr<storage::StoreReader> store;
+  std::string served;
+  if (snap != nullptr) {
+    served = LiveVersion(snap->epoch());
+  } else {
+    TG_ASSIGN_OR_RETURN(store, OpenStore(dir, &served));
   }
-  if (live_epoch != nullptr) {
-    *live_epoch = snap == nullptr ? 0 : snap->epoch();
-  }
-
-  std::string key = dir;
-  if (snap != nullptr) key += "|live@" + std::to_string(snap->epoch());
-  if (range.has_value()) key += "|" + range->ToString();
+  if (version != nullptr) *version = served;
+  const std::string range_key = range.has_value() ? range->ToString() : "";
 
   // Claim the load or wait for whoever holds it. A failed load erases its
   // slot before waking waiters, so looping re-examines a fresh map state:
@@ -60,10 +120,11 @@ Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
   std::shared_ptr<Slot> slot;
   while (true) {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = slots_.find(key);
-    if (it == slots_.end()) {
+    Dir& entry = AtVersionLocked(dir, served);
+    auto it = entry.slots.find(range_key);
+    if (it == entry.slots.end()) {
       slot = std::make_shared<Slot>();
-      slots_[key] = slot;
+      entry.slots[range_key] = slot;
       break;  // this thread owns the load
     }
     std::shared_ptr<Slot> existing = it->second;
@@ -78,15 +139,12 @@ Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
   obs::AddQueryCounter(obs::QueryCounter::kCatalogLoads, 1);
   storage::LoadOptions options;
   options.time_range = range;
-  // Serve off the directory's shared mmap reader. Sharing the reader
-  // also shares its decoded-segment cache, so a v3 segment is decoded at
-  // most once per directory no matter how many queries touch it.
-  Result<VeGraph> loaded = [&]() -> Result<VeGraph> {
-    if (snap != nullptr) return LoadLiveSnapshot(snap, range);
-    TG_ASSIGN_OR_RETURN(std::shared_ptr<storage::StoreReader> store,
-                        GetOrOpenStore(dir));
-    return storage::LoadVeGraphFromStore(ctx_, *store, options);
-  }();
+  // Serve off the version's shared mmap reader. Sharing the reader also
+  // shares its decoded-segment cache, so a v3 segment is decoded at most
+  // once per file no matter how many queries touch it.
+  Result<VeGraph> loaded =
+      snap != nullptr ? LoadLiveSnapshot(snap, range)
+                      : storage::LoadVeGraphFromStore(ctx_, *store, options);
   std::optional<TGraph> graph;
   if (loaded.ok()) {
     graph = TGraph::FromVe(*std::move(loaded), /*coalesced=*/true);
@@ -99,17 +157,20 @@ Result<TGraph> GraphCatalog::GetOrLoad(const std::string& dir,
   std::lock_guard<std::mutex> lock(mu_);
   slot->loading = false;
   if (!graph.has_value()) {
-    slot->error = loaded.status();
     // No negative caching: the next request retries. Erase by identity —
-    // an epoch prune may have dropped this slot already and the key could
-    // name a newer load.
-    auto it = slots_.find(key);
-    if (it != slots_.end() && it->second == slot) slots_.erase(it);
+    // a newer version may have replaced the entry already.
+    auto it = dirs_.find(dir);
+    if (it != dirs_.end()) {
+      auto found = it->second.slots.find(range_key);
+      if (found != it->second.slots.end() && found->second == slot) {
+        it->second.slots.erase(found);
+      }
+    }
     loaded_cv_.notify_all();
     return loaded.status();
   }
   slot->graph = std::move(graph);
-  graphs->Set(static_cast<int64_t>(slots_.size()));
+  PublishGaugesLocked();
   loaded_cv_.notify_all();
   return *slot->graph;
 }
@@ -127,62 +188,18 @@ Result<VeGraph> GraphCatalog::LoadLiveSnapshot(
   return *merged;
 }
 
-void GraphCatalog::PruneLiveEpochs(const std::string& dir,
+void GraphCatalog::PruneLiveEpochs(const std::string& path,
                                    uint64_t current_epoch) {
-  static obs::Gauge* graphs = obs::MetricsRegistry::Global().GetGauge(
-      obs::metric_names::kCatalogGraphs);
-  const std::string prefix = dir + "|live@";
-  const std::string keep = prefix + std::to_string(current_epoch);
+  const std::string dir = NormalPath(path);
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    const std::string& key = it->first;
-    const bool of_dir = key.compare(0, prefix.size(), prefix) == 0;
-    const bool of_current =
-        key.compare(0, keep.size(), keep) == 0 &&
-        (key.size() == keep.size() || key[keep.size()] == '|');
-    if (of_dir && !of_current) {
-      it = slots_.erase(it);  // in-flight readers keep their shared_ptr
-    } else {
-      ++it;
-    }
-  }
-  graphs->Set(static_cast<int64_t>(slots_.size()));
-}
-
-void GraphCatalog::Evict(const std::string& dir) {
-  static obs::Gauge* graphs = obs::MetricsRegistry::Global().GetGauge(
-      obs::metric_names::kCatalogGraphs);
-  static obs::Gauge* mmap_stores = obs::MetricsRegistry::Global().GetGauge(
-      obs::metric_names::kCatalogMmapStores);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++evictions_;
-  stores_.erase(dir);
-  // Slot keys are "<dir>" or "<dir>|<suffix>"; in-flight loaders keep
-  // their shared_ptr<Slot>, so erasing never strands a waiter.
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    const std::string& key = it->first;
-    const bool of_dir = key.compare(0, dir.size(), dir) == 0 &&
-                        (key.size() == dir.size() || key[dir.size()] == '|');
-    it = of_dir ? slots_.erase(it) : std::next(it);
-  }
-  graphs->Set(static_cast<int64_t>(slots_.size()));
-  mmap_stores->Set(static_cast<int64_t>(stores_.size()));
-}
-
-uint64_t GraphCatalog::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
-void GraphCatalog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  slots_.clear();
-  stores_.clear();
+  if (dirs_.count(dir) != 0) AtVersionLocked(dir, LiveVersion(current_epoch));
 }
 
 size_t GraphCatalog::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return slots_.size();
+  size_t slots = 0;
+  for (const auto& [dir, entry] : dirs_) slots += entry.slots.size();
+  return slots;
 }
 
 }  // namespace tgraph::server

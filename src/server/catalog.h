@@ -39,15 +39,15 @@ namespace tgraph::server {
 /// Failed loads are not negatively cached — a dataset that appears on
 /// disk later loads on the next request.
 ///
-/// Every stored directory is served off a single memory-mapped
-/// StoreReader (`graph.tgs`) shared by every ranged load of that
-/// directory: N concurrent time slices fault in (and share) one set of
-/// page-cache pages instead of parsing N heap copies of the file. A
-/// rewrite of the store renames a new file into place, so the shared
-/// mapping keeps the old bytes intact. A TQL STORE run by this server
-/// calls Evict(dir) afterwards, so later loads open the new file. A
-/// rewrite from outside the process is not seen: the catalog goes on
-/// serving the old graph for that directory until the process restarts.
+/// Every cached graph is keyed by the version of its directory that it
+/// read, and every lookup compares that with the directory's current
+/// version, so a rewrite by this process or any other is served from the
+/// next LOAD on. The catalog keeps one version per directory: seeing a
+/// new one drops the old one's graphs and reader. Each version of a
+/// stored directory is served off a single memory-mapped StoreReader
+/// shared by every ranged load of it: N concurrent time slices fault in
+/// (and share) one set of page-cache pages instead of parsing N heap
+/// copies of the file. Directories are keyed by NormalPath.
 class GraphCatalog {
  public:
   explicit GraphCatalog(dataflow::ExecutionContext* ctx) : ctx_(ctx) {}
@@ -56,22 +56,27 @@ class GraphCatalog {
   GraphCatalog& operator=(const GraphCatalog&) = delete;
 
   /// Returns the shared graph for `dir` (optionally range-restricted via
-  /// pushdown), loading it on first use. TGraph is a cheap shared handle,
-  /// so the returned copy aliases the catalog's data.
+  /// pushdown), loading it on first use of its current version. TGraph is
+  /// a cheap shared handle, so the returned copy aliases the catalog's
+  /// data.
   ///
   /// A *live* directory (streaming ingest; ingest::IsLiveDir) is served
-  /// from its LiveGraph's current snapshot instead of the disk loaders,
-  /// with the snapshot epoch folded into the slot key: the snapshot is
-  /// resolved once per call, so everything this call returns comes from
-  /// that one epoch even while ingestion publishes newer ones, and
-  /// superseded materializations stay addressable until pruned. When
-  /// `live_epoch` is non-null it receives the epoch this call actually
-  /// served (0 for a non-live directory) — the server keys cached query
-  /// results by it, since the current epoch may advance between a query's
+  /// from its LiveGraph's current snapshot instead of the disk loaders.
+  /// The snapshot is resolved once per call, so everything this call
+  /// returns comes from that one epoch even while ingestion publishes
+  /// newer ones. When `version` is non-null it receives the version this
+  /// call actually served (see CurrentVersion) — the server keys cached
+  /// query results by it, since a directory may change between a query's
   /// admission and its loads.
   Result<TGraph> GetOrLoad(const std::string& dir,
                            const std::optional<Interval>& range,
-                           uint64_t* live_epoch = nullptr);
+                           std::string* version = nullptr);
+
+  /// The version a load of `dir` started now would read: "e<epoch>" of a
+  /// live directory's snapshot, the FileIdentity of a stored directory's
+  /// `graph.tgs` (one stat). Seeing a new version drops the cached graphs
+  /// and reader of the old one.
+  Result<std::string> CurrentVersion(const std::string& dir);
 
   /// Routes live directories through `registry` (not owned; may be null
   /// to disable live serving). Set once before serving starts.
@@ -85,35 +90,38 @@ class GraphCatalog {
   /// soon as in-flight readers finish.
   void PruneLiveEpochs(const std::string& dir, uint64_t current_epoch);
 
-  /// Forgets `dir`: its shared reader and every cached graph loaded from
-  /// it. In-flight loads finish on what they opened but are not cached.
-  /// The server calls this after a STORE into `dir`.
-  void Evict(const std::string& dir);
-
-  /// Number of Evict calls so far. The server compares it before and
-  /// after a query to avoid caching a result computed from an evicted
-  /// graph.
-  uint64_t evictions() const;
-
-  /// Drops every cached graph (tests; not exposed over the protocol).
-  void Clear();
-
   size_t size() const;
 
  private:
   struct Slot {
     bool loading = true;
-    Status error;        ///< Set when loading finished unsuccessfully.
-    std::optional<TGraph> graph;
+    std::optional<TGraph> graph;  ///< Unset when the load failed.
   };
 
-  dataflow::ExecutionContext* ctx_;
-  ingest::LiveGraphRegistry* live_graphs_ = nullptr;
+  /// What the catalog holds of one directory: its graphs of one version.
+  struct Dir {
+    std::string version;
+    /// A stored directory's reader, which maps the file of `version`.
+    std::shared_ptr<storage::StoreReader> store;
+    std::map<std::string, std::shared_ptr<Slot>> slots;  ///< "" = unranged
+  };
 
-  /// The shared mmap reader for `dir`, opened on first use. Never opened
-  /// twice: racing openers reconcile through the map.
-  Result<std::shared_ptr<storage::StoreReader>> GetOrOpenStore(
+  /// The snapshot to serve a live `dir` from; null for a stored one.
+  Result<std::shared_ptr<const ingest::LiveSnapshot>> LiveSnapshotOf(
       const std::string& dir);
+
+  /// The shared reader of `dir`'s current `graph.tgs`, opened when the one
+  /// held maps another version. `version` receives the identity of the
+  /// file the reader maps, so a rewrite racing the open never files one
+  /// file's graphs under another's version.
+  Result<std::shared_ptr<storage::StoreReader>> OpenStore(
+      const std::string& dir, std::string* version);
+
+  /// `dir`'s entry at `version`. An entry of another version is replaced:
+  /// its graphs and reader are dropped, and in-flight loads of it finish
+  /// on what they hold. Caller holds mu_.
+  Dir& AtVersionLocked(const std::string& dir, const std::string& version);
+  void PublishGaugesLocked() const;
 
   /// The snapshot's graph, range-clipped the same way the static loaders
   /// clip (rows intersected with range ∩ lifetime, empties dropped). A
@@ -122,11 +130,12 @@ class GraphCatalog {
       const std::shared_ptr<const ingest::LiveSnapshot>& snap,
       const std::optional<Interval>& range);
 
+  dataflow::ExecutionContext* ctx_;
+  ingest::LiveGraphRegistry* live_graphs_ = nullptr;
+
   mutable std::mutex mu_;
   std::condition_variable loaded_cv_;
-  std::map<std::string, std::shared_ptr<Slot>> slots_;
-  std::map<std::string, std::shared_ptr<storage::StoreReader>> stores_;
-  uint64_t evictions_ = 0;
+  std::map<std::string, Dir> dirs_;
 };
 
 }  // namespace tgraph::server

@@ -1,7 +1,6 @@
 #include "server/result_cache.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/metrics.h"
 
@@ -9,42 +8,19 @@ namespace tgraph::server {
 
 namespace {
 
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 obs::Counter* CacheCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
 }  // namespace
 
-ResultCache::ResultCache(ResultCacheOptions options)
-    : options_(std::move(options)) {}
-
-bool ResultCache::Expired(const Entry& entry, int64_t now) const {
-  return options_.ttl_ms > 0 && now - entry.inserted_ms >= options_.ttl_ms;
-}
-
 std::optional<std::string> ResultCache::Get(const std::string& key) {
   static obs::Counter* hits = CacheCounter(obs::metric_names::kCacheHits);
   static obs::Counter* misses = CacheCounter(obs::metric_names::kCacheMisses);
-  static obs::Counter* expirations =
-      CacheCounter(obs::metric_names::kCacheExpirations);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    misses->Increment();
-    return std::nullopt;
-  }
-  int64_t now = options_.now_ms ? options_.now_ms() : SteadyNowMs();
-  if (Expired(*it->second, now)) {
-    Erase(it->second);
-    PublishGauges();
-    expirations->Increment();
     misses->Increment();
     return std::nullopt;
   }
@@ -59,14 +35,13 @@ void ResultCache::Put(const std::string& key, std::string value,
   auto it = index_.find(key);
   if (it != index_.end()) Erase(it->second);
   size_t incoming = key.size() + value.size();
-  if (incoming > options_.max_bytes) {
+  if (incoming > max_bytes_) {
     // Never let one oversized result flush the whole cache.
     PublishGauges();
     return;
   }
   EvictToFit(incoming);
-  int64_t now = options_.now_ms ? options_.now_ms() : SteadyNowMs();
-  lru_.push_front(Entry{key, std::move(value), std::move(tags), now});
+  lru_.push_front(Entry{key, std::move(value), std::move(tags)});
   index_[key] = lru_.begin();
   bytes_ += incoming;
   PublishGauges();
@@ -91,7 +66,7 @@ void ResultCache::EvictTag(const std::string& tag) {
 void ResultCache::EvictToFit(size_t incoming_bytes) {
   static obs::Counter* evictions =
       CacheCounter(obs::metric_names::kCacheEvictions);
-  while (!lru_.empty() && bytes_ + incoming_bytes > options_.max_bytes) {
+  while (!lru_.empty() && bytes_ + incoming_bytes > max_bytes_) {
     Erase(std::prev(lru_.end()));
     evictions->Increment();
   }

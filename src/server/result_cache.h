@@ -2,7 +2,6 @@
 #define TGRAPH_SERVER_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -12,38 +11,28 @@
 
 namespace tgraph::server {
 
-struct ResultCacheOptions {
-  /// Byte budget for cached values plus their keys; entries are evicted
-  /// least-recently-used-first to stay under it. 0 disables the cache.
-  size_t max_bytes = 64u << 20;
-
-  /// Entries older than this are treated as absent (and reclaimed on
-  /// access or during eviction). 0 means no expiry — results for immutable
-  /// datasets stay valid until evicted. The TTL is tgraphd's only defense
-  /// against a dataset directory changing on disk underneath the server,
-  /// so deployments that rewrite datasets in place should set it.
-  int64_t ttl_ms = 0;
-
-  /// Injectable clock (milliseconds, monotonic) for TTL tests.
-  std::function<int64_t()> now_ms;
-};
-
-/// \brief Thread-safe LRU + TTL cache from canonicalized query plans to
+/// \brief Thread-safe LRU cache from canonicalized query plans to
 /// serialized result tables — the "coalesced zoom results stay hot between
 /// requests" half of tgraphd (the graph catalog is the other half).
 ///
-/// Keys are (dataset, canonical plan) strings built by the server; values
-/// are the exact response bodies previously returned. Hit/miss/eviction
-/// counters are published to obs::MetricsRegistry under server.cache.*.
+/// Keys are (canonical script, versions read) strings built by the
+/// server; values are the exact response bodies previously returned.
+/// Hit/miss/eviction counters are published to obs::MetricsRegistry under
+/// server.cache.*.
 class ResultCache {
  public:
-  explicit ResultCache(ResultCacheOptions options = {});
+  /// `max_bytes` budgets cached values plus their keys; entries are
+  /// evicted least-recently-used-first to stay under it. 0 disables the
+  /// cache. Entries never expire: the server keys each one by the versions
+  /// of the directories and views it read, so an entry is never served for
+  /// data that changed after it was computed.
+  explicit ResultCache(size_t max_bytes) : max_bytes_(max_bytes) {}
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached value and refreshes its recency, or nullopt on
-  /// miss or expiry.
+  /// miss.
   std::optional<std::string> Get(const std::string& key);
 
   /// Inserts (or replaces) an entry, evicting LRU entries to fit the byte
@@ -56,9 +45,9 @@ class ResultCache {
 
   /// Drops every entry tagged with `tag` — scoped invalidation: ingesting
   /// into graph A reclaims A's cached results without touching B's.
-  /// (Correctness does not depend on this — live-graph keys carry the
-  /// snapshot epoch, so stale entries can never be *served* — this frees
-  /// their bytes promptly instead of waiting for LRU pressure.)
+  /// (Correctness does not depend on this — keys carry the versions read,
+  /// so stale entries can never be *served* — this frees their bytes
+  /// promptly instead of waiting for LRU pressure.)
   void EvictTag(const std::string& tag);
 
   /// Drops every entry.
@@ -72,11 +61,9 @@ class ResultCache {
     std::string key;
     std::string value;
     std::vector<std::string> tags;
-    int64_t inserted_ms = 0;
   };
 
   // Callers hold mu_.
-  bool Expired(const Entry& entry, int64_t now) const;
   void EvictToFit(size_t incoming_bytes);
   void Erase(std::list<Entry>::iterator it);
   static size_t EntryBytes(const Entry& entry) {
@@ -84,7 +71,7 @@ class ResultCache {
   }
   void PublishGauges();
 
-  const ResultCacheOptions options_;
+  const size_t max_bytes_;
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< Front = most recently used.

@@ -11,8 +11,8 @@
 #include <cstring>
 #include <map>
 #include <optional>
-#include <set>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -134,16 +134,14 @@ void RecordVerbLatency(Verb verb, const std::string& cache, int64_t wall_us) {
 }
 
 /// Per-request ViewCatalog adapter: forwards to the server's registry and
-/// records, per view name, the snapshot version VIEW statements actually
-/// served — the analogue of the loader's served-epoch recording, feeding
-/// the result-cache store key.
+/// records, as "view:<name>" → "v<version>", the snapshot version VIEW
+/// statements actually served beside the directory versions the loader
+/// records, feeding the result-cache store key.
 class RecordingViews : public tql::ViewCatalog {
  public:
   RecordingViews(views::ViewRegistry* registry,
-                 std::map<std::string, uint64_t>* served_versions,
-                 bool* mixed)
-      : registry_(registry), served_versions_(served_versions),
-        mixed_(mixed) {}
+                 std::map<std::string, std::string>* served, bool* mixed)
+      : registry_(registry), served_(served), mixed_(mixed) {}
 
   Result<std::string> CreateView(
       const tql::CreateViewStatement& create) override {
@@ -157,15 +155,16 @@ class RecordingViews : public tql::ViewCatalog {
     uint64_t version = 0;
     Result<std::string> rendered = registry_->QueryView(name, &version);
     if (rendered.ok()) {
-      auto [it, inserted] = served_versions_->emplace(name, version);
-      if (!inserted && it->second != version) *mixed_ = true;
+      const std::string served = "v" + std::to_string(version);
+      auto [it, inserted] = served_->emplace("view:" + name, served);
+      if (!inserted && it->second != served) *mixed_ = true;
     }
     return rendered;
   }
 
  private:
   views::ViewRegistry* registry_;
-  std::map<std::string, uint64_t>* served_versions_;
+  std::map<std::string, std::string>* served_;
   bool* mixed_;
 };
 
@@ -185,8 +184,7 @@ Server::Server(dataflow::ExecutionContext* ctx, ServerOptions options)
     : ctx_(ctx),
       options_(options),
       catalog_(ctx),
-      cache_(ResultCacheOptions{options.cache_bytes, options.cache_ttl_ms,
-                                nullptr}),
+      cache_(options.cache_bytes),
       views_(ctx, &live_graphs_,
              views::ViewRegistry::Options{
                  options.views_path, options.view_max_suffix_fraction,
@@ -205,7 +203,7 @@ Server::Server(dataflow::ExecutionContext* ctx, ServerOptions options)
   // materializations are pruned, registered views apply the delta (so
   // view staleness is bounded by one synchronous refresh), and the
   // graph's cached results are evicted. (Correctness never depends on
-  // this — epochs and view versions live in the cache keys.)
+  // this — directory and view versions live in the cache keys.)
   live.epoch_listener = [this](const std::string& dir, uint64_t epoch) {
     catalog_.PruneLiveEpochs(dir, epoch);
     views_.OnEpoch(dir, epoch);
@@ -516,7 +514,7 @@ void Server::HandleQuery(Session* session, const Request& request,
       ServerCounter(obs::metric_names::kServerDeadlineExceeded);
 
   const bool no_cache = (request.flags & kFlagNoCache) != 0;
-  // One parse serves the cache key, the STORE/cacheability scan and the
+  // One parse serves the cache key, the cacheability check and the
   // execution.
   Result<std::vector<tql::Statement>> statements = tql::Parse(request.body);
   if (!statements.ok()) {
@@ -527,66 +525,42 @@ void Server::HandleQuery(Session* session, const Request& request,
   }
   const std::string canonical = tql::CanonicalizeScript(*statements);
   slow->canonical = canonical;
-  bool cacheable = false;
+  // STORE has disk side effects, EXPLAIN ANALYZE must re-execute to
+  // measure.
+  const bool script_cacheable = tql::IsCacheableScript(*statements);
+  bool cacheable = script_cacheable && options_.cache_bytes > 0 && !no_cache;
+  slow->cache = !script_cacheable      ? "uncacheable"
+                : no_cache             ? "bypass"
+                : options_.cache_bytes == 0 ? "uncacheable"
+                                       : "miss";
+  // What the script reads, in statement order: "view:<name>" per VIEW,
+  // the directory per LOAD. Each tags the cached entry (scoped
+  // invalidation) and adds its version to the key: the version current at
+  // admission for the lookup, the version actually served for the store
+  // (below), so an entry is only ever served for the data it was computed
+  // from, even when an append or a rewrite lands mid-query.
+  std::vector<std::string> reads;
   std::string cache_key = canonical;
-  std::vector<std::string> cache_tags;
-  std::vector<std::string> live_paths;  // live LOAD paths, statement order
-  std::vector<std::string> view_names;  // VIEW statements, statement order
-  std::vector<std::string> store_paths;  // STORE targets, statement order
-  {
-    // Derive cacheability from the parsed script (STORE has disk side
-    // effects, EXPLAIN ANALYZE must re-execute to measure).
-    for (size_t i = 0; i < statements->size(); ++i) {
-      const tql::Statement* statement = &(*statements)[i];
-      if (const auto* explain = std::get_if<tql::ExplainStatement>(statement)) {
-        statement = explain->inner.get();  // EXPLAIN ANALYZE STORE also writes
+  if (cacheable) {
+    for (const tql::Statement& statement : *statements) {
+      std::string read;
+      Result<std::string> version = std::string();
+      if (const auto* view = std::get_if<tql::ViewStatement>(&statement)) {
+        read = "view:" + view->name;
+        version = "v" + std::to_string(views_.CurrentVersion(view->name));
+      } else if (const auto* load =
+                     std::get_if<tql::LoadStatement>(&statement)) {
+        read = NormalPath(load->path);
+        version = catalog_.CurrentVersion(read);
+      } else {
+        continue;
       }
-      if (const auto* store = std::get_if<tql::StoreStatement>(statement)) {
-        store_paths.push_back(store->path);
+      if (!version.ok()) {
+        cacheable = false;  // the query's own load will report why
+        break;
       }
-    }
-    bool script_cacheable = tql::IsCacheableScript(*statements);
-    cacheable = script_cacheable && options_.cache_bytes > 0 && !no_cache;
-    slow->cache = !script_cacheable      ? "uncacheable"
-                  : no_cache             ? "bypass"
-                  : options_.cache_bytes == 0 ? "uncacheable"
-                                         : "miss";
-    if (cacheable) {
-      // Tag the entry with every LOADed directory (scoped invalidation)
-      // and fold live (ingest) directories' snapshot epochs into the key.
-      // Lookups probe the epoch current at admission; a computed result
-      // is stored under the epoch(s) its loads actually read (below), so
-      // a cached entry is only ever served for the exact snapshot it was
-      // computed from — even when an append publishes a new epoch between
-      // a query's admission and its loads.
-      for (const tql::Statement& statement : *statements) {
-        // VIEW results change only when the view republishes, so the
-        // view's monotone snapshot version plays the role the snapshot
-        // epoch plays for live LOADs: folded into the key at admission,
-        // re-derived from what execution served at store time, and the
-        // "view:<name>" tag scopes DROP/fallback eviction to one view.
-        if (const auto* view = std::get_if<tql::ViewStatement>(&statement)) {
-          cache_tags.push_back("view:" + view->name);
-          view_names.push_back(view->name);
-          cache_key += "|view:" + view->name + "@v" +
-                       std::to_string(views_.CurrentVersion(view->name));
-          continue;
-        }
-        const auto* load = std::get_if<tql::LoadStatement>(&statement);
-        if (load == nullptr) continue;
-        cache_tags.push_back(load->path);
-        if (live_graphs_.Find(load->path) != nullptr ||
-            ingest::IsLiveDir(load->path)) {
-          Result<ingest::LiveGraph*> live = live_graphs_.GetOrOpen(load->path);
-          if (live.ok()) {
-            live_paths.push_back(load->path);
-            cache_key += "|" + load->path + "@" +
-                         std::to_string((*live)->epoch());
-          } else {
-            cacheable = false;  // the query's own load will report why
-          }
-        }
-      }
+      reads.push_back(read);
+      cache_key += "|" + read + "@" + *version;
     }
   }
   if (cacheable) {
@@ -603,27 +577,22 @@ void Server::HandleQuery(Session* session, const Request& request,
   session->deadline_at_ms =
       options_.deadline_ms > 0 ? SteadyNowMs() + options_.deadline_ms : 0;
   tql::Interpreter interpreter(ctx_);
-  // Record, per live path, the snapshot epoch the catalog actually served:
-  // the stored cache key is built from these, not the admission epochs.
-  std::map<std::string, uint64_t> served_epochs;
-  bool mixed_epochs = false;
+  // Record, per read, the version actually served: the stored cache key
+  // is built from these, not the admission versions.
+  std::map<std::string, std::string> served;
+  bool mixed = false;
   interpreter.set_loader(
-      [this, &served_epochs, &mixed_epochs](const tql::LoadStatement& load) {
-        uint64_t live_epoch = 0;
+      [this, &served, &mixed](const tql::LoadStatement& load) {
+        std::string version;
         Result<TGraph> graph =
-            catalog_.GetOrLoad(load.path, load.range, &live_epoch);
-        if (graph.ok() && live_epoch != 0) {
-          auto [it, inserted] = served_epochs.emplace(load.path, live_epoch);
-          if (!inserted && it->second != live_epoch) mixed_epochs = true;
+            catalog_.GetOrLoad(load.path, load.range, &version);
+        if (graph.ok()) {
+          auto [it, inserted] = served.emplace(NormalPath(load.path), version);
+          if (!inserted && it->second != version) mixed = true;
         }
         return graph;
       });
-  // View statements route to the server's registry; the adapter records
-  // the versions actually served for the store key below.
-  std::map<std::string, uint64_t> served_view_versions;
-  bool mixed_view_versions = false;
-  RecordingViews recording_views(&views_, &served_view_versions,
-                                 &mixed_view_versions);
+  RecordingViews recording_views(&views_, &served, &mixed);
   interpreter.set_views(&recording_views);
   // Observation-only: the interpreter records per-operator costs but
   // executes exactly as it would without the store, so cached and
@@ -642,14 +611,15 @@ void Server::HandleQuery(Session* session, const Request& request,
     }
     return Status::OK();
   });
-  const uint64_t evictions_before = catalog_.evictions();
   Result<std::string> output = interpreter.ExecuteScript(*statements);
-  // A STORE replaced its directory's file (even if a later statement
-  // failed): drop the catalog's reader and graphs for it and every cached
-  // result that LOADed it, so the next LOAD reads the new graph.
-  for (const std::string& path : store_paths) {
-    catalog_.Evict(path);
-    cache_.EvictTag(path);
+  // A STORE replaced its target's graph.tgs (even if a later statement
+  // failed): looking the new version up releases the old graphs early.
+  // Correctness does not depend on it, since every lookup compares them.
+  for (const tql::Statement& statement : *statements) {
+    const auto* explain = std::get_if<tql::ExplainStatement>(&statement);
+    const auto* store = std::get_if<tql::StoreStatement>(
+        explain != nullptr ? explain->inner.get() : &statement);
+    if (store != nullptr) (void)catalog_.CurrentVersion(store->path);
   }
   if (!stages.empty()) slow->stages_json = stages.StagesJson();
   if (!output.ok()) {
@@ -661,40 +631,22 @@ void Server::HandleQuery(Session* session, const Request& request,
   }
   response->body = *output;
   if (cacheable) {
-    // Store under the epochs the execution actually read. Caching under
-    // the admission key would, after a mid-query append, file an epoch
-    // N+1 result where epoch-N probes find it. Skip caching entirely when
-    // the loads disagree (two loads of one path straddled a publication,
-    // or a path turned live mid-query): such a result belongs to no
-    // single snapshot.
-    std::set<std::string> unique_live(live_paths.begin(), live_paths.end());
-    std::set<std::string> unique_views(view_names.begin(), view_names.end());
-    // A STORE from another session evicted a graph while this query ran:
-    // the result may come from the replaced graph, so do not cache it.
-    bool storable = catalog_.evictions() == evictions_before &&
-                    !mixed_epochs && !mixed_view_versions &&
-                    served_epochs.size() == unique_live.size() &&
-                    served_view_versions.size() == unique_views.size();
+    // Store under the versions the execution actually read. Caching under
+    // the admission key would, after a mid-query append or rewrite, file
+    // a result of the new data where probes for the old find it. Skip
+    // caching entirely when two reads of one directory or view disagree:
+    // such a result belongs to no single version.
+    bool storable = !mixed;
     std::string store_key = canonical;
-    for (const std::string& path : live_paths) {
-      auto it = served_epochs.find(path);
-      if (it == served_epochs.end()) {
+    for (const std::string& read : reads) {
+      auto it = served.find(read);
+      if (it == served.end()) {
         storable = false;
         break;
       }
-      store_key += "|" + path + "@" + std::to_string(it->second);
+      store_key += "|" + read + "@" + it->second;
     }
-    for (const std::string& name : view_names) {
-      auto it = served_view_versions.find(name);
-      if (it == served_view_versions.end()) {
-        storable = false;
-        break;
-      }
-      store_key += "|view:" + name + "@v" + std::to_string(it->second);
-    }
-    if (storable) {
-      cache_.Put(store_key, response->body, std::move(cache_tags));
-    }
+    if (storable) cache_.Put(store_key, response->body, std::move(reads));
   }
 }
 

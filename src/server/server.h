@@ -41,9 +41,6 @@ struct ServerOptions {
   /// Result-cache byte budget (0 disables caching).
   size_t cache_bytes = 64u << 20;
 
-  /// Result-cache entry TTL in milliseconds (0 = never expire).
-  int64_t cache_ttl_ms = 0;
-
   /// Per-query deadline. Execution checks it cooperatively between TQL
   /// statements; an exceeded deadline answers Cancelled. 0 = no deadline.
   int64_t deadline_ms = 60'000;

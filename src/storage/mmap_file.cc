@@ -9,6 +9,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/file_io.h"
+
 namespace tgraph::storage {
 
 Result<MmapFile> MmapFile::Open(const std::string& path) {
@@ -30,6 +32,7 @@ Result<MmapFile> MmapFile::Open(const std::string& path) {
   }
   MmapFile file;
   file.path_ = path;
+  file.identity_ = FileIdentity(st);
   file.size_ = static_cast<size_t>(st.st_size);
   if (file.size_ > 0) {
     void* base = ::mmap(nullptr, file.size_, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -54,7 +57,8 @@ MmapFile::~MmapFile() {
 MmapFile::MmapFile(MmapFile&& other) noexcept
     : base_(std::exchange(other.base_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      path_(std::move(other.path_)) {}
+      path_(std::move(other.path_)),
+      identity_(std::move(other.identity_)) {}
 
 MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   if (this != &other) {
@@ -62,6 +66,7 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
     base_ = std::exchange(other.base_, nullptr);
     size_ = std::exchange(other.size_, 0);
     path_ = std::move(other.path_);
+    identity_ = std::move(other.identity_);
   }
   return *this;
 }

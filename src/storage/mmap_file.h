@@ -34,6 +34,9 @@ class MmapFile {
   }
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
+  /// The FileIdentity of the file that was mapped (from fstat(2)); a
+  /// rename over `path()` after Open does not change it.
+  const std::string& identity() const { return identity_; }
 
   /// Hints the kernel that the whole mapping will be read soon
   /// (madvise(MADV_WILLNEED)); best-effort, ignored on failure.
@@ -43,6 +46,7 @@ class MmapFile {
   void* base_ = nullptr;
   size_t size_ = 0;
   std::string path_;
+  std::string identity_;
 };
 
 }  // namespace tgraph::storage

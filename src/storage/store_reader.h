@@ -47,6 +47,8 @@ class StoreReader {
 
   const std::string& path() const { return file_.path(); }
   size_t file_size() const { return file_.size(); }
+  /// The identity of the file this reader mapped (MmapFile::identity).
+  const std::string& identity() const { return file_.identity(); }
   /// Container version: kStoreVersion (2) or kStoreVersionV3 (3).
   uint32_t version() const { return version_; }
   const StoreFooter& footer() const { return footer_; }

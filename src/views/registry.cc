@@ -68,7 +68,9 @@ Result<std::string> ViewRegistry::CreateView(
 
   ViewDefinition definition;
   definition.name = create.name;
-  definition.source = create.path;
+  // Keyed like the live registry, so an epoch published through any
+  // spelling of the directory reaches the view.
+  definition.source = NormalPath(create.path);
   definition.stages = create.stages;
   definition.canonical = tql::Canonicalize(tql::Statement{create});
 

@@ -60,13 +60,14 @@ class ViewRegistry : public tql::ViewCatalog {
   }
 
   /// VIEW <name> with the served snapshot's version reported back —
-  /// tgraphd folds it into result-cache keys the way LOAD folds in live
-  /// epochs.
+  /// tgraphd folds it into result-cache keys the way LOAD folds in
+  /// directory versions.
   Result<std::string> QueryView(const std::string& name, uint64_t* version);
 
   /// Ingest epoch subscription: refreshes every view registered on
-  /// `dir`. Called synchronously from LiveGraph's publish path (Append
-  /// and the compactor), outside the live graph's locks.
+  /// `dir`, which LiveGraph spells as NormalPath does, like view sources.
+  /// Called synchronously from LiveGraph's publish path (Append and the
+  /// compactor), outside the live graph's locks.
   void OnEpoch(const std::string& dir, uint64_t epoch);
 
   /// The registered view, or nullptr. The returned object stays valid

@@ -24,10 +24,11 @@
 namespace tgraph::views {
 
 /// What CREATE VIEW registered: the name, the streaming source directory
-/// the view zooms over, the parsed stage expressions (kept so the
-/// pipeline can be rebuilt after a restart), and the canonicalized
-/// CREATE VIEW statement — the form persisted to the views file and the
-/// identity under which the definition survives restarts.
+/// the view zooms over (as NormalPath spells it), the parsed stage
+/// expressions (kept so the pipeline can be rebuilt after a restart), and
+/// the canonicalized CREATE VIEW statement — the form persisted to the
+/// views file and the identity under which the definition survives
+/// restarts.
 struct ViewDefinition {
   std::string name;
   std::string source;

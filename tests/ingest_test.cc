@@ -820,6 +820,43 @@ TEST_F(LiveGraphTest, RegistrySharesOneGraphPerDir) {
   EXPECT_EQ(registry.Find(dir), nullptr);
 }
 
+// "d", "d/" and "./d" name one directory, so they reach one LiveGraph and
+// one WAL: with all three open before any append, each append still gets
+// its own sequence number and every acknowledged batch survives a
+// reopen. (A relative spelling, since only relative paths can start with
+// "./".)
+TEST_F(LiveGraphTest, RegistryKeysEverySpellingOfADirOnce) {
+  const std::string dir = fs::relative(Dir("spellings")).string();
+  const std::vector<std::string> spellings = {dir, dir + "/", "./" + dir};
+  {
+    LiveGraphRegistry registry(testing::Ctx());
+    registry.set_options(NoCompactor());
+    std::vector<LiveGraph*> graphs;
+    for (const std::string& spelling : spellings) {
+      Result<LiveGraph*> live = registry.GetOrOpen(spelling);
+      ASSERT_TRUE(live.ok()) << live.status();
+      graphs.push_back(*live);
+    }
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      EXPECT_EQ(graphs[i], graphs[0]) << spellings[i];
+      Result<uint64_t> seq = graphs[i]->Append(
+          {AddVertex(static_cast<int64_t>(i) + 1,
+                     static_cast<TimePoint>(i) + 1, {})});
+      ASSERT_TRUE(seq.ok()) << seq.status();
+      EXPECT_EQ(*seq, i + 1) << spellings[i];
+    }
+    registry.CloseAll();
+  }
+  Result<std::unique_ptr<LiveGraph>> reopened =
+      LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  Result<const VeGraph*> merged = (*reopened)->snapshot()->Graph();
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ((*merged)->vertices().Count(),
+            static_cast<int64_t>(spellings.size()));
+  ASSERT_TRUE((*reopened)->Close().ok());
+}
+
 TEST_F(LiveGraphTest, WalPathForSeparatesWalDevice) {
   EXPECT_EQ(WalPathFor("/data/g", ""), "/data/g/wal");
   std::string a = WalPathFor("/data/g", "/wals");
@@ -827,6 +864,8 @@ TEST_F(LiveGraphTest, WalPathForSeparatesWalDevice) {
   EXPECT_NE(a, b);
   EXPECT_EQ(a.rfind("/wals/", 0), 0u) << a;
   EXPECT_NE(a.find("g-"), std::string::npos) << a;
+  EXPECT_EQ(WalPathFor("/data/g/", "/wals"), a);
+  EXPECT_EQ(WalPathFor("/data/./g", "/wals"), a);
 }
 
 TEST_F(LiveGraphTest, IsLiveDirDetection) {

@@ -13,7 +13,7 @@ int64_t CounterValue(const char* name) {
 }
 
 TEST(ResultCacheTest, GetAfterPutHitsAndTracksBytes) {
-  ResultCache cache(ResultCacheOptions{1024, 0, nullptr});
+  ResultCache cache(1024);
   EXPECT_EQ(cache.Get("k"), std::nullopt);
   cache.Put("k", "value");
   ASSERT_TRUE(cache.Get("k").has_value());
@@ -23,7 +23,7 @@ TEST(ResultCacheTest, GetAfterPutHitsAndTracksBytes) {
 }
 
 TEST(ResultCacheTest, PutReplacesExistingEntry) {
-  ResultCache cache(ResultCacheOptions{1024, 0, nullptr});
+  ResultCache cache(1024);
   cache.Put("k", "old");
   cache.Put("k", "newer");
   EXPECT_EQ(*cache.Get("k"), "newer");
@@ -33,7 +33,7 @@ TEST(ResultCacheTest, PutReplacesExistingEntry) {
 
 TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   // Each entry is 1 (key) + 9 (value) = 10 bytes; budget fits three.
-  ResultCache cache(ResultCacheOptions{30, 0, nullptr});
+  ResultCache cache(30);
   cache.Put("a", "123456789");
   cache.Put("b", "123456789");
   cache.Put("c", "123456789");
@@ -47,7 +47,7 @@ TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
 }
 
 TEST(ResultCacheTest, OversizedValueIsNotAdmitted) {
-  ResultCache cache(ResultCacheOptions{10, 0, nullptr});
+  ResultCache cache(10);
   cache.Put("small", "x");
   cache.Put("big", std::string(100, 'y'));  // would not fit even alone
   EXPECT_FALSE(cache.Get("big").has_value());
@@ -55,33 +55,12 @@ TEST(ResultCacheTest, OversizedValueIsNotAdmitted) {
   EXPECT_TRUE(cache.Get("small").has_value());
 }
 
-TEST(ResultCacheTest, TtlExpiresThroughInjectedClock) {
-  int64_t now = 1000;
-  ResultCacheOptions options;
-  options.max_bytes = 1024;
-  options.ttl_ms = 50;
-  options.now_ms = [&now] { return now; };
-  ResultCache cache(options);
-
-  cache.Put("k", "value");
-  now += 49;
-  EXPECT_TRUE(cache.Get("k").has_value());  // still fresh
-  now += 1;
-  int64_t expirations_before =
-      CounterValue(obs::metric_names::kCacheExpirations);
-  EXPECT_FALSE(cache.Get("k").has_value());  // exactly at TTL: expired
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(CounterValue(obs::metric_names::kCacheExpirations),
-            expirations_before + 1);
-}
-
 TEST(ResultCacheTest, CountersTrackHitsMissesEvictions) {
   int64_t hits_before = CounterValue(obs::metric_names::kCacheHits);
   int64_t misses_before = CounterValue(obs::metric_names::kCacheMisses);
   int64_t evictions_before = CounterValue(obs::metric_names::kCacheEvictions);
 
-  ResultCache cache(ResultCacheOptions{20, 0, nullptr});
+  ResultCache cache(20);
   cache.Get("absent");                   // miss
   cache.Put("a", "123456789");           // 10 bytes
   cache.Get("a");                        // hit
@@ -96,7 +75,7 @@ TEST(ResultCacheTest, CountersTrackHitsMissesEvictions) {
 }
 
 TEST(ResultCacheTest, ClearResetsEverything) {
-  ResultCache cache(ResultCacheOptions{1024, 0, nullptr});
+  ResultCache cache(1024);
   cache.Put("a", "1");
   cache.Put("b", "2");
   cache.Clear();
@@ -106,7 +85,7 @@ TEST(ResultCacheTest, ClearResetsEverything) {
 }
 
 TEST(ResultCacheTest, EvictTagDropsOnlyTaggedEntries) {
-  ResultCache cache(ResultCacheOptions{1024, 0, nullptr});
+  ResultCache cache(1024);
   cache.Put("qa", "ra", {"/data/a"});
   cache.Put("qb", "rb", {"/data/b"});
   cache.Put("qplain", "rplain");  // untagged: no dataset dependency
@@ -128,7 +107,7 @@ TEST(ResultCacheTest, EvictTagDropsOnlyTaggedEntries) {
 TEST(ResultCacheTest, EvictTagMatchesAnyTagOfMultiGraphResults) {
   // A query that LOADs two graphs is tagged with both; ingesting into
   // either one must invalidate it.
-  ResultCache cache(ResultCacheOptions{1024, 0, nullptr});
+  ResultCache cache(1024);
   cache.Put("join", "r", {"/data/a", "/data/b"});
   cache.Put("solo", "r", {"/data/b"});
   cache.EvictTag("/data/a");
@@ -140,7 +119,7 @@ TEST(ResultCacheTest, ViewTagsEvictOnlyThatViewsEntries) {
   // View results are tagged "view:<name>" (alongside the source graph's
   // directory tag): DROP VIEW a / a fallback rebuild of a must drop a's
   // entries and nothing else — not view b's, not plain graph results.
-  ResultCache cache(ResultCacheOptions{1024, 0, nullptr});
+  ResultCache cache(1024);
   cache.Put("qa", "ra", {"/data/live", "view:a"});
   cache.Put("qa2", "ra2", {"/data/live", "view:a"});
   cache.Put("qb", "rb", {"/data/live", "view:b"});
@@ -161,7 +140,7 @@ TEST(ResultCacheTest, ViewTagsEvictOnlyThatViewsEntries) {
 }
 
 TEST(ResultCacheTest, EvictTagOnAbsentTagIsANoOp) {
-  ResultCache cache(ResultCacheOptions{1024, 0, nullptr});
+  ResultCache cache(1024);
   cache.Put("k", "v", {"/data/a"});
   cache.EvictTag("/data/never-loaded");
   EXPECT_TRUE(cache.Get("k").has_value());

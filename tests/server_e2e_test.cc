@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -67,6 +68,14 @@ std::string ReadFileOrEmpty(const std::string& path) {
   while ((n = fread(buffer, 1, sizeof(buffer), f)) > 0) content.append(buffer, n);
   fclose(f);
   return content;
+}
+
+/// `script`'s output from a fresh interpreter reading from disk.
+std::string FreshOutput(const std::string& script) {
+  tql::Interpreter interpreter(testing::Ctx());
+  Result<std::string> output = interpreter.ExecuteScript(script);
+  EXPECT_TRUE(output.ok()) << output.status();
+  return output.ok() ? *output : std::string();
 }
 
 /// Starts one tgraphd in-process on an ephemeral loopback port, backed by
@@ -207,6 +216,43 @@ TEST_F(ServerE2eTest, LoadAfterStoreIntoTheSameDirectoryServesTheNewGraph) {
   Result<std::string> expected = fresh.ExecuteScript(read);
   ASSERT_TRUE(expected.ok()) << expected.status();
   EXPECT_EQ(after->body, *expected);
+}
+
+// A rewrite of a served directory by another process (`tgz save-store`
+// writes through WriteVeStore) is seen by the next query: a cached script,
+// the same script uncached and a range never loaded before all serve the
+// new graph, and the result cached before the rewrite is never served.
+TEST_F(ServerE2eTest, RewriteFromOutsideTheServerIsServedByTheNextQuery) {
+  auto server = StartServer(ServerOptions{});
+  Client client = Connect(*server);
+  const std::string read = "LOAD '" + graph_dir_ + "' AS g;\nINFO g;";
+  const std::string ranged =
+      "LOAD '" + graph_dir_ + "' FROM 2 TO 9 AS g;\nINFO g;";
+  Result<Response> before = client.Query(read);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_TRUE(client.Query(read)->cache_hit());
+
+  ASSERT_TRUE(storage::WriteVeStore(testing::RandomTGraph(/*seed=*/3,
+                                                          /*num_vertices=*/7),
+                                    graph_dir_, storage::GraphWriteOptions())
+                  .ok());
+  const std::string expected = FreshOutput(read);
+  ASSERT_NE(expected, before->body);
+
+  Result<Response> after = client.Query(read);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_FALSE(after->cache_hit());
+  EXPECT_EQ(after->body, expected);
+  Result<Response> uncached = client.Query(read, /*no_cache=*/true);
+  ASSERT_TRUE(uncached.ok()) << uncached.status();
+  EXPECT_EQ(uncached->body, expected);
+  Result<Response> never_loaded = client.Query(ranged);
+  ASSERT_TRUE(never_loaded.ok()) << never_loaded.status();
+  EXPECT_EQ(never_loaded->body, FreshOutput(ranged));
+  Result<Response> again = client.Query(read);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->cache_hit());
+  EXPECT_EQ(again->body, expected);
 }
 
 TEST_F(ServerE2eTest, MalformedQueryAnswersAnErrorNotACrash) {
@@ -370,6 +416,63 @@ TEST_F(ServerE2eTest, ConcurrentClientsShareCatalogAndCacheSafely) {
   }
   // One dataset, many sessions: the catalog held exactly one load.
   EXPECT_EQ(server->catalog().size(), 1u);
+}
+
+// Rewrites race concurrent cached and uncached reads of the directory:
+// every response is the whole answer of one version of the store, and
+// once the rewrites stop, every read serves the last one.
+TEST_F(ServerE2eTest, ReadsRacingRewritesServeOneWholeVersionEach) {
+  ServerOptions options;
+  options.workers = 4;
+  auto server = StartServer(options);
+  const std::string read = "LOAD '" + graph_dir_ + "' AS g;\nINFO g;";
+  const std::vector<VeGraph> versions = {
+      testing::Figure1(), testing::RandomTGraph(/*seed=*/3,
+                                                /*num_vertices=*/7)};
+  std::vector<std::string> expected;
+  for (const VeGraph& version : versions) {
+    ASSERT_TRUE(storage::WriteVeStore(version, graph_dir_,
+                                      storage::GraphWriteOptions())
+                    .ok());
+    expected.push_back(FreshOutput(read));
+  }
+
+  const int kThreads = 4;
+  std::atomic<bool> done{false};
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Client client;
+      if (!client.Connect("127.0.0.1", server->port()).ok()) {
+        failures[t] = 1;
+        return;
+      }
+      for (int i = 0; !done.load(); ++i) {
+        Result<Response> response =
+            client.Query(read, /*no_cache=*/(i % 2) == 1);
+        if (!response.ok() ||
+            std::find(expected.begin(), expected.end(), response->body) ==
+                expected.end()) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(storage::WriteVeStore(versions[i % 2], graph_dir_,
+                                      storage::GraphWriteOptions())
+                    .ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  done.store(true);
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
+  Client client = Connect(*server);
+  EXPECT_EQ(client.Query(read)->body, expected[1]);
+  EXPECT_EQ(client.Query(read, /*no_cache=*/true)->body, expected[1]);
 }
 
 TEST_F(ServerE2eTest, MetricsVerbServesPrometheusText) {
@@ -744,6 +847,39 @@ TEST_F(ServerE2eTest, ViewQueriesCacheByVersionAndInvalidateOnDrop) {
   Result<Response> gone = client.Query("VIEW people;");
   ASSERT_FALSE(gone.ok());
   EXPECT_TRUE(gone.status().IsNotFound()) << gone.status();
+}
+
+// A view registered on "d/" refreshes on the epoch an ingest through "d"
+// publishes: both spellings name one live graph.
+TEST_F(ServerE2eTest, ViewOnAnySpellingRefreshesOnTheSourcesEpoch) {
+  auto server = StartServer(ServerOptions{});
+  Client client = Connect(*server);
+  std::string live_dir = dir_ + "/live";
+  ASSERT_TRUE(
+      client.Ingest(live_dir, {AddVertexEvent(1, 1), AddVertexEvent(2, 2)},
+                    /*horizon=*/100)
+          .ok());
+  ASSERT_TRUE(client
+                  .Query("CREATE VIEW people ON '" + live_dir +
+                         "/' AS AZOOM BY type AGGREGATE COUNT() AS n;")
+                  .ok());
+  Result<Response> first = client.View("people");
+  ASSERT_TRUE(first.ok()) << first.status();
+
+  Result<Response> ack = client.Ingest(live_dir, {AddVertexEvent(3, 10)});
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  const size_t at = ack->body.find(" epoch=");
+  ASSERT_NE(at, std::string::npos) << ack->body;
+  const std::string epoch =
+      ack->body.substr(at, ack->body.find(' ', at + 1) - at);
+  // The epoch's publication refreshed the view before anyone read it.
+  Result<Response> listed = client.View("");
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  EXPECT_NE(listed->body.find(epoch + " "), std::string::npos)
+      << listed->body << " lacks" << epoch;
+  Result<Response> second = client.View("people");
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_NE(second->body, first->body);
 }
 
 TEST_F(ServerE2eTest, ViewsSurviveRestartAndConvergeByteIdentically) {

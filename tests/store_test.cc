@@ -230,5 +230,42 @@ TEST(StoreCatalogTest, CatalogSharesOneMmapAcrossRanges) {
   std::filesystem::remove_all(store_dir);
 }
 
+// A rewrite of the store between two lookups, as another process's
+// `tgz save-store` would make it, is seen by the next lookup: it reports a
+// new version and serves the new graph, also for a range never loaded
+// before, and the old version's slots are gone.
+TEST(StoreCatalogTest, CatalogServesTheNewGraphAfterARewrite) {
+  std::string store_dir = TempDir("store_catalog_rewrite");
+  VeGraph before = Figure1();
+  TG_CHECK_OK(WriteVeStore(before, store_dir));
+  server::GraphCatalog catalog(Ctx());
+  std::string first_version;
+  Result<TGraph> first =
+      catalog.GetOrLoad(store_dir, std::nullopt, &first_version);
+  TG_CHECK_OK(first.status());
+  TG_CHECK_OK(catalog.GetOrLoad(store_dir, Interval(2, 7)).status());
+  EXPECT_EQ(catalog.size(), 2u);
+
+  VeGraph after = RandomTGraph(/*seed=*/3, /*num_vertices=*/7);
+  ASSERT_NE(Canonical(after), Canonical(before));
+  TG_CHECK_OK(WriteVeStore(after, store_dir));
+
+  std::string second_version;
+  Result<TGraph> second =
+      catalog.GetOrLoad(store_dir + "/", std::nullopt, &second_version);
+  TG_CHECK_OK(second.status());
+  EXPECT_NE(second_version, first_version);
+  EXPECT_EQ(Canonical(second->ve()), Canonical(after));
+  EXPECT_EQ(catalog.size(), 1u);
+  Result<TGraph> ranged = catalog.GetOrLoad(store_dir, Interval(0, 5));
+  TG_CHECK_OK(ranged.status());
+  EXPECT_EQ(Canonical(ranged->ve()), Canonical(SliceVe(after, Interval(0, 5))));
+  EXPECT_EQ(catalog.size(), 2u);
+  Result<std::string> current = catalog.CurrentVersion(store_dir);
+  TG_CHECK_OK(current.status());
+  EXPECT_EQ(*current, second_version);
+  std::filesystem::remove_all(store_dir);
+}
+
 }  // namespace
 }  // namespace tgraph::storage

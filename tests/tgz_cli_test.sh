@@ -118,6 +118,11 @@ if [ -n "$TGZD" ]; then
   expect_usage_error --cache-bytes "$TGZD" --cache-bytes 64MiB
   expect_usage_error --view-max-suffix-fraction \
       "$TGZD" --view-max-suffix-fraction x
+  # An unknown flag (a typo, or the removed --cache-ttl-ms) is refused
+  # instead of starting a server that ignores it.
+  expect_usage_error --cache-bytse "$TGZD" --cache-bytse 0
+  expect_usage_error --cache-ttl-ms "$TGZD" --cache-ttl-ms=5
+  expect_usage_error --metrics "$TGZD" --metrics=1
   "$TGZD" --port 0 --workers 2 > "$DIR/tgzd.out" 2> "$DIR/tgzd.err" &
   TGZD_PID=$!
   # The startup line carries the bound ephemeral port.

@@ -1,8 +1,7 @@
 // tgzd — the resident TGraphZoom query server.
 //
 //   tgzd [--port N] [--workers N] [--queue-depth N]
-//        [--cache-bytes N] [--cache-ttl-ms N]
-//        [--deadline-ms N] [--idle-timeout-ms N]
+//        [--cache-bytes N] [--deadline-ms N] [--idle-timeout-ms N]
 //        [--stats-file FILE] [--trace-out FILE] [--metrics]
 //        [--metrics-port N] [--slow-query-log FILE] [--slow-query-ms N]
 //        [--wal-dir DIR] [--ingest-delta-events N] [--ingest-compact-ms N]
@@ -28,6 +27,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -78,7 +78,7 @@ int Help(std::FILE* out) {
   std::fprintf(
       out,
       "usage: tgzd [--port N] [--workers N] [--queue-depth N]\n"
-      "            [--cache-bytes N] [--cache-ttl-ms N] [--deadline-ms N]\n"
+      "            [--cache-bytes N] [--deadline-ms N]\n"
       "            [--idle-timeout-ms N] [--stats-file FILE]\n"
       "            [--trace-out FILE] [--metrics] [--metrics-port N]\n"
       "            [--slow-query-log FILE] [--slow-query-ms N]\n"
@@ -92,7 +92,6 @@ int Help(std::FILE* out) {
       "(default 16)\n"
       "  --cache-bytes N     result-cache budget, 0 disables (default "
       "64MiB)\n"
-      "  --cache-ttl-ms N    result-cache entry TTL, 0 = no expiry\n"
       "  --deadline-ms N     per-query deadline, 0 = none (default "
       "60000)\n"
       "  --idle-timeout-ms N close idle connections after N ms (default "
@@ -126,7 +125,8 @@ int Help(std::FILE* out) {
       "Graph dirs named in TQL LOAD statements hold a tgraph-store\n"
       "container (graph.tgs, docs/FORMAT.md); the catalog serves each off\n"
       "one shared mmap — and one shared decoded-segment cache — per\n"
-      "directory.\n");
+      "version of the file, so a rewrite is served from the next LOAD on,\n"
+      "and cached results are keyed by the versions they read.\n");
   return out == stdout ? 0 : 2;
 }
 
@@ -152,11 +152,19 @@ int main(int argc, char** argv) {
       flags[key] = argv[++i];
     }
   }
+  // Each flag is taken out of `flags` as it is read; what is left at the
+  // end is a flag tgzd does not know.
+  auto take = [&](const char* key) -> std::optional<std::string> {
+    auto it = flags.find(key);
+    if (it == flags.end()) return std::nullopt;
+    std::string value = std::move(it->second);
+    flags.erase(it);
+    return value;
+  };
   auto int_flag = [&](const char* key, int64_t fallback, int64_t min = 0,
                       int64_t max = std::numeric_limits<int64_t>::max()) {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : ParseNumber<int64_t>(key, it->second, min, max);
+    std::optional<std::string> value = take(key);
+    return value ? ParseNumber<int64_t>(key, *value, min, max) : fallback;
   };
 
   server::ServerOptions options;
@@ -167,36 +175,27 @@ int main(int argc, char** argv) {
       "queue-depth", options.queue_depth, 0, std::numeric_limits<int>::max()));
   options.cache_bytes = static_cast<size_t>(
       int_flag("cache-bytes", static_cast<int64_t>(options.cache_bytes)));
-  options.cache_ttl_ms = int_flag("cache-ttl-ms", options.cache_ttl_ms);
   options.deadline_ms = int_flag("deadline-ms", options.deadline_ms);
   options.idle_timeout_ms =
       int_flag("idle-timeout-ms", options.idle_timeout_ms);
-  if (auto it = flags.find("stats-file"); it != flags.end()) {
-    options.stats_path = it->second;
-  }
+  if (auto value = take("stats-file")) options.stats_path = *value;
   options.metrics_port = static_cast<int>(
       int_flag("metrics-port", options.metrics_port, 0, 65535));
-  if (auto it = flags.find("slow-query-log"); it != flags.end()) {
-    options.slow_query_log = it->second;
-  }
+  if (auto value = take("slow-query-log")) options.slow_query_log = *value;
   options.slow_query_ms = int_flag("slow-query-ms", options.slow_query_ms);
-  if (auto it = flags.find("wal-dir"); it != flags.end()) {
-    options.ingest_wal_dir = it->second;
-  }
+  if (auto value = take("wal-dir")) options.ingest_wal_dir = *value;
   options.ingest_delta_events = static_cast<size_t>(int_flag(
       "ingest-delta-events", static_cast<int64_t>(options.ingest_delta_events)));
   options.ingest_compact_ms =
       int_flag("ingest-compact-ms", options.ingest_compact_ms);
-  if (auto it = flags.find("views-file"); it != flags.end()) {
-    options.views_path = it->second;
-  }
-  if (auto it = flags.find("view-max-suffix-fraction"); it != flags.end()) {
+  if (auto value = take("views-file")) options.views_path = *value;
+  if (auto value = take("view-max-suffix-fraction")) {
     options.view_max_suffix_fraction =
-        ParseNumber<double>(it->first, it->second, 0.0);
+        ParseNumber<double>("view-max-suffix-fraction", *value, 0.0);
   }
-  std::string trace_out;
-  if (auto it = flags.find("trace-out"); it != flags.end()) {
-    trace_out = it->second;
+  const std::string trace_out = take("trace-out").value_or("");
+  if (!flags.empty()) {
+    Die("unknown flag --" + flags.begin()->first + " (see tgzd --help)");
   }
 
   if (::pipe(g_signal_pipe) != 0) Die("pipe: " + std::string(strerror(errno)));
