@@ -49,6 +49,12 @@ Result<std::string> StatIdentity(const std::string& path) {
   return FileIdentity(st);
 }
 
+Result<std::string> StatDirIdentity(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return Errno("stat", path);
+  return std::to_string(st.st_dev) + "." + std::to_string(st.st_ino);
+}
+
 Result<std::string> ReadFile(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -100,9 +106,10 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
 }
 
 void FsyncParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0               ? std::string("/")
+                                                     : path.substr(0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return;
   (void)::fsync(fd);

@@ -15,7 +15,7 @@ namespace tgraph {
 /// lexically normal ("./d", "d/" and "d/x/.." all become "d") and without
 /// a trailing separator. No filesystem access, so a relative and an
 /// absolute spelling of one directory stay distinct, and so do two paths
-/// through a symlink.
+/// through a symlink (StatDirIdentity tells those apart).
 std::string NormalPath(const std::string& path);
 
 /// The identity of the version of a file `st` describes,
@@ -26,6 +26,12 @@ std::string FileIdentity(const struct stat& st);
 
 /// FileIdentity of the file at `path`; IoError when it cannot be stat'd.
 Result<std::string> StatIdentity(const std::string& path);
+
+/// The identity of the directory at `path`, "<device>.<inode>": one key
+/// for every spelling of it (absolute, relative, through a symlink).
+/// Unlike FileIdentity it has no size or mtime, which change whenever an
+/// entry is added. IoError when it cannot be stat'd.
+Result<std::string> StatDirIdentity(const std::string& path);
 
 /// Reads the whole file at `path`. NotFound when it does not exist,
 /// IoError on any other failure.

@@ -5,7 +5,12 @@
 namespace tgraph {
 
 std::string Interval::ToString() const {
-  return "[" + std::to_string(start) + ", " + std::to_string(end) + ")";
+  // append(), not "[" + std::string&& (GCC 12 -Wrestrict false positive).
+  return std::string("[")
+      .append(std::to_string(start))
+      .append(", ")
+      .append(std::to_string(end))
+      .append(")");
 }
 
 std::ostream& operator<<(std::ostream& os, const Interval& i) {

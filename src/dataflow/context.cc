@@ -1,8 +1,6 @@
 #include "dataflow/context.h"
 
-#include <condition_variable>
 #include <cstdlib>
-#include <mutex>
 #include <string_view>
 #include <thread>
 
@@ -17,7 +15,9 @@ ExecutionContext::ExecutionContext(ContextOptions options) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
     if (workers <= 0) workers = 1;
   }
-  pool_ = std::make_unique<ThreadPool>(workers);
+  num_workers_ = workers;
+  // The thread that calls ParallelFor is the remaining worker.
+  pool_ = std::make_unique<ThreadPool>(workers - 1);
   default_parallelism_ = options.default_parallelism > 0
                              ? options.default_parallelism
                              : 2 * workers;
@@ -42,32 +42,22 @@ void ExecutionContext::ParallelFor(size_t n,
   stages->Increment();
   tasks->Add(static_cast<int64_t>(n));
   obs::Span span("dataflow.stage", "dataflow");
-  // A single-worker pool gains nothing from dispatch: every task would
-  // serialize through the pool anyway, paying a wakeup per index. Run
-  // inline (same order a one-worker pool would use).
-  if (n == 1 || pool_->num_threads() <= 1 || pool_->InWorkerThread()) {
+  // A stage no pool thread can help with runs inline: one task, a
+  // one-worker context (no pool threads), or a nested stage inside a task
+  // on a pool thread, which must not wait on its own pool.
+  if (n == 1 || pool_->num_threads() == 0 || pool_->InWorkerThread()) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = n;
-  // Carry the submitting thread's query context into the workers so task
-  // spans attribute to the owning query and nest under this stage.
+  // Carry the calling thread's query context into every task, including
+  // those this thread runs itself, so task spans attribute to the owning
+  // query and nest under this stage.
   const obs::QueryContext qctx = obs::CaptureQueryContext();
-  for (size_t i = 0; i < n; ++i) {
-    pool_->Submit([&, i] {
-      {
-        obs::ScopedQueryContext qscope(qctx);
-        obs::Span task_span("dataflow.task", "dataflow");
-        fn(i);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
+  pool_->Run(n, [&](size_t i) {
+    obs::ScopedQueryContext qscope(qctx);
+    obs::Span task_span("dataflow.task", "dataflow");
+    fn(i);
+  });
 }
 
 }  // namespace tgraph::dataflow

@@ -31,13 +31,14 @@ struct ShuffleOptions {
 
 /// \brief Configuration for an ExecutionContext.
 struct ContextOptions {
-  /// Worker threads; 0 means use the hardware concurrency.
+  /// Threads that run one stage's tasks: the calling thread plus
+  /// `num_workers - 1` pool threads. 0 means the hardware concurrency.
   int num_workers = 0;
   /// Partitions created by sources and shuffles when not specified
   /// explicitly; 0 means 2x the worker count.
   int default_parallelism = 0;
   /// Skew-aware shuffle rebalancing knobs.
-  ShuffleOptions shuffle;
+  ShuffleOptions shuffle{};
 };
 
 /// \brief The driver for dataflow execution: owns the worker pool and the
@@ -54,7 +55,7 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   int default_parallelism() const { return default_parallelism_; }
-  int num_workers() const { return pool_->num_threads(); }
+  int num_workers() const { return num_workers_; }
 
   /// Shuffle rebalancing knobs, read by every wide operator at execution
   /// time. The setter is not synchronized against running plans — change
@@ -64,12 +65,14 @@ class ExecutionContext {
     shuffle_options_ = options;
   }
 
-  /// Runs fn(0) ... fn(n-1) on the worker pool and blocks until all have
-  /// completed. Degrades to a sequential loop when invoked from a worker
-  /// thread (nested parallelism), avoiding pool starvation.
+  /// Runs fn(0) ... fn(n-1) as one fork-join stage and returns when all
+  /// have completed. The calling thread runs tasks too, beside at most
+  /// `num_workers() - 1` pool threads. Any thread may call it, several at
+  /// once; a nested call from a task on a pool thread runs inline.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
+  int num_workers_;
   std::unique_ptr<ThreadPool> pool_;
   int default_parallelism_;
   ShuffleOptions shuffle_options_;

@@ -161,7 +161,9 @@ VeGraph GenerateNGrams(dataflow::ExecutionContext* ctx,
     for (size_t c = 0; c + 1 < cuts.size(); ++c) {
       Properties props;
       props.Set(kTypeProperty, "word");
-      props.Set("word", "w" + std::to_string(w));
+      // append(), not "w" + std::string&& (GCC 12 -Wrestrict false
+      // positive).
+      props.Set("word", std::string("w").append(std::to_string(w)));
       if (config.attribute_change_every > 0) {
         props.Set("freq", static_cast<int64_t>(rng.NextBounded(1000)));
       }
@@ -220,9 +222,9 @@ VeGraph GeneratePowerLaw(dataflow::ExecutionContext* ctx,
   for (int64_t v = 0; v < n; ++v) {
     Properties props;
     props.Set(kTypeProperty, "node");
-    props.Set("group",
-              "g" + std::to_string(rng.NextBounded(static_cast<uint64_t>(
-                        std::max<int64_t>(1, config.num_groups)))));
+    props.Set("group", std::string("g").append(std::to_string(
+                           rng.NextBounded(static_cast<uint64_t>(
+                               std::max<int64_t>(1, config.num_groups))))));
     props.Set("weight", static_cast<int64_t>(rng.NextBounded(100)));
     vertices.push_back(VeVertex{v, Interval(0, horizon), std::move(props)});
   }

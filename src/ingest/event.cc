@@ -139,11 +139,14 @@ const char* EventKindName(EventKind kind) {
 
 std::string Event::ToString() const {
   std::string out = EventKindName(kind);
-  out += " " + std::to_string(id);
+  // Appended piecewise: " " + std::string&& trips a GCC 12 -Wrestrict
+  // false positive when inlined.
+  out.append(" ").append(std::to_string(id));
   if (kind == EventKind::kAddEdge) {
-    out += " " + std::to_string(src) + " " + std::to_string(dst);
+    out.append(" ").append(std::to_string(src));
+    out.append(" ").append(std::to_string(dst));
   }
-  out += " " + std::to_string(at);
+  out.append(" ").append(std::to_string(at));
   for (const auto& [key, value] : props.entries()) {
     out += " " + key + "=" + FormatValue(value);
   }

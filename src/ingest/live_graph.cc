@@ -510,7 +510,8 @@ Result<std::unique_ptr<LiveGraph>> LiveGraph::Open(
 LiveGraph::~LiveGraph() { (void)Close(); }
 
 std::shared_ptr<const LiveSnapshot> LiveGraph::snapshot() const {
-  return snapshot_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
 }
 
 uint64_t LiveGraph::Publish(
@@ -532,7 +533,10 @@ uint64_t LiveGraph::Publish(
       std::move(materialized), ctx_));
   epoch_gauge->Set(static_cast<int64_t>(epoch_));
   delta_gauge->Set(static_cast<int64_t>(snap->delta_events()));
-  snapshot_.store(snap, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.swap(snap);
+  }  // `snap` now holds the old snapshot, released outside the lock
   return epoch_;
 }
 
@@ -569,8 +573,7 @@ Result<uint64_t> LiveGraph::Append(const std::vector<Event>& events) {
           " must carry exactly one property");
     }
   }
-  std::shared_ptr<const LiveSnapshot> snap =
-      snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<const LiveSnapshot> snap = snapshot();
   // Folding is the consistency check: an error rejects the batch before
   // it reaches the WAL.
   Result<FoldedState> folded = snap->state_->Apply(ctx_, events, horizon_);
@@ -657,8 +660,7 @@ Status LiveGraph::Compact() {
   uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<const LiveSnapshot> latest =
-        snapshot_.load(std::memory_order_acquire);
+    std::shared_ptr<const LiveSnapshot> latest = snapshot();
     std::shared_ptr<const DeltaPartition> suffix =
         latest->delta_->Suffix(frozen_last_seq);
     std::vector<WalRecord> records;
@@ -704,7 +706,7 @@ void LiveGraph::CompactorLoop() {
     const bool due =
         requested ||
         (options_.compact_interval_ms > 0 &&
-         !snapshot_.load(std::memory_order_acquire)->delta_->empty());
+         !snapshot()->delta_->empty());
     if (!due) continue;
     lock.unlock();
     Status status = Compact();
@@ -739,6 +741,11 @@ void LiveGraphRegistry::set_options(LiveGraph::Options options) {
 Result<LiveGraph*> LiveGraphRegistry::GetOrOpen(const std::string& path,
                                                 TimePoint horizon_if_create) {
   const std::string dir = NormalPath(path);
+  // Key by the directory's identity, so every spelling of it (absolute,
+  // relative, through a symlink) reaches one LiveGraph and one WAL. Create
+  // it first, as Open would, so that it has one.
+  TG_RETURN_IF_ERROR(MkDirs(dir));
+  TG_ASSIGN_OR_RETURN(const std::string key, StatDirIdentity(dir));
   // Claim the open or wait for whoever holds it, as GraphCatalog does for
   // loads: the mutex is held for map bookkeeping only, never across
   // LiveGraph::Open, so the first open of a large graph (store load +
@@ -747,12 +754,12 @@ Result<LiveGraph*> LiveGraphRegistry::GetOrOpen(const std::string& path,
   LiveGraph::Options options;
   while (true) {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = graphs_.find(dir);
+    auto it = graphs_.find(key);
     if (it != graphs_.end()) return it->second.get();
-    auto opening = opening_.find(dir);
+    auto opening = opening_.find(key);
     if (opening == opening_.end()) {
       slot = std::make_shared<OpenSlot>();
-      opening_[dir] = slot;
+      opening_[key] = slot;
       options = options_;
       break;  // this thread owns the open
     }
@@ -773,7 +780,7 @@ Result<LiveGraph*> LiveGraphRegistry::GetOrOpen(const std::string& path,
 
   std::lock_guard<std::mutex> lock(mu_);
   slot->opening = false;
-  opening_.erase(dir);
+  opening_.erase(key);
   if (!graph.ok()) {
     // No negative caching: the error wakes current waiters, and the next
     // GetOrOpen claims a fresh slot and retries.
@@ -782,14 +789,16 @@ Result<LiveGraph*> LiveGraphRegistry::GetOrOpen(const std::string& path,
     return graph.status();
   }
   LiveGraph* raw = graph->get();
-  graphs_.emplace(dir, *std::move(graph));
+  graphs_.emplace(key, *std::move(graph));
   opened_cv_.notify_all();
   return raw;
 }
 
 LiveGraph* LiveGraphRegistry::Find(const std::string& dir) const {
+  Result<std::string> key = StatDirIdentity(NormalPath(dir));
+  if (!key.ok()) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = graphs_.find(NormalPath(dir));
+  auto it = graphs_.find(*key);
   return it == graphs_.end() ? nullptr : it->second.get();
 }
 
@@ -802,10 +811,10 @@ void LiveGraphRegistry::CloseAll() {
     opened_cv_.wait(lock, [this] { return opening_.empty(); });
     graphs.swap(graphs_);
   }
-  for (auto& [dir, graph] : graphs) {
+  for (auto& [key, graph] : graphs) {
     Status status = graph->Close();
     if (!status.ok()) {
-      TG_LOG(WARN) << "closing live graph " << dir
+      TG_LOG(WARN) << "closing live graph " << graph->dir()
                    << " failed: " << status.message();
     }
   }

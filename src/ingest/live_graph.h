@@ -153,12 +153,12 @@ class FoldedState {
 
 /// \brief A consistent, immutable view of a live graph at one publication
 /// instant: the folded state, the base generation, and the delta of
-/// batches not yet in a generation. Reads are completely lock-free —
-/// grab the snapshot (one atomic shared_ptr load), then everything
-/// reachable from it is frozen. Writers publish a *new* snapshot for every
-/// acknowledged batch and every compaction; they never mutate an old one,
-/// so a reader holding epoch N can never observe a partial batch from
-/// epoch N+1.
+/// batches not yet in a generation. Reads never wait for a writer —
+/// grab the snapshot (one shared_ptr copy under a leaf mutex), then
+/// everything reachable from it is frozen. Writers publish a *new*
+/// snapshot for every acknowledged batch and every compaction; they never
+/// mutate an old one, so a reader holding epoch N can never observe a
+/// partial batch from epoch N+1.
 class LiveSnapshot {
  public:
   uint64_t epoch() const { return epoch_; }
@@ -341,7 +341,12 @@ class LiveGraph {
   std::unique_ptr<Wal> wal_;              // guarded by mu_
   uint64_t next_seq_ = 1;                 // guarded by mu_
   TimePoint watermark_ = std::numeric_limits<TimePoint>::min();  // mu_
-  std::atomic<std::shared_ptr<const LiveSnapshot>> snapshot_;
+  /// Guards only the snapshot_ pointer; a leaf lock, held for a copy or
+  /// an assignment. A mutex rather than std::atomic<std::shared_ptr>:
+  /// libstdc++ 12's atomic load releases its internal lock bit relaxed,
+  /// which ThreadSanitizer reports as a race with the next store.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const LiveSnapshot> snapshot_;  // guarded by snapshot_mu_
   uint64_t epoch_ = 0;                    // guarded by mu_
 
   std::thread compactor_;
@@ -355,10 +360,11 @@ class LiveGraph {
 /// server's catalog routes live directories here; `tgz ingest` (local
 /// mode) opens a registry of its own.
 ///
-/// Directories are keyed by NormalPath, so "d", "d/" and "./d" reach one
-/// LiveGraph and one WAL. The normalization is lexical: a relative and an
-/// absolute spelling of one directory (or two paths through a symlink)
-/// are two keys, and must not both be used to ingest into one graph.
+/// Directories are keyed by their identity (StatDirIdentity: device and
+/// inode), so every spelling of one directory — "d", "d/", "./d", its
+/// absolute path, a path through a symlink — reaches one LiveGraph and one
+/// WAL within a process. Nothing stops a second process from opening the
+/// same directory.
 class LiveGraphRegistry {
  public:
   explicit LiveGraphRegistry(dataflow::ExecutionContext* ctx) : ctx_(ctx) {}

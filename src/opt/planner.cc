@@ -56,12 +56,17 @@ std::optional<std::vector<Step>> WithUpfrontConversion(
   if (std::holds_alternative<Pipeline::ConvertStep>(steps[pos])) {
     return std::nullopt;
   }
-  std::vector<Step> out = steps;
-  out.insert(out.begin() + static_cast<int64_t>(pos),
-             Pipeline::ConvertStep{target});
+  // Steps are built in place: moving a temporary Step into the vector
+  // makes GCC 12 report a -Wmaybe-uninitialized false positive on the
+  // WZoomStep alternative the temporary never holds.
+  std::vector<Step> out(steps.begin(),
+                        steps.begin() + static_cast<int64_t>(pos));
+  out.emplace_back(std::in_place_type<Pipeline::ConvertStep>, target);
+  out.insert(out.end(), steps.begin() + static_cast<int64_t>(pos),
+             steps.end());
   const Representation want = OutputRepresentation(steps, input_rep);
   if (OutputRepresentation(out, input_rep) != want) {
-    out.push_back(Pipeline::ConvertStep{want});
+    out.emplace_back(std::in_place_type<Pipeline::ConvertStep>, want);
   }
   return out;
 }

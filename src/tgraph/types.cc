@@ -10,15 +10,19 @@ uint64_t HashHistory(const History& history) {
   return h;
 }
 
+// The ToString functions start from std::string("v").append(...) rather
+// than "v" + std::string&&, which trips a GCC 12 -Wrestrict false positive
+// when inlined.
+
 std::string VeVertex::ToString() const {
-  return "v" + std::to_string(vid) + " " + interval.ToString() + " " +
-         properties.ToString();
+  return std::string("v").append(std::to_string(vid)) + " " +
+         interval.ToString() + " " + properties.ToString();
 }
 
 std::string VeEdge::ToString() const {
-  return "e" + std::to_string(eid) + " (" + std::to_string(src) + "->" +
-         std::to_string(dst) + ") " + interval.ToString() + " " +
-         properties.ToString();
+  return std::string("e").append(std::to_string(eid)) + " (" +
+         std::to_string(src) + "->" + std::to_string(dst) + ") " +
+         interval.ToString() + " " + properties.ToString();
 }
 
 namespace {
@@ -37,12 +41,14 @@ std::string HistoryToString(const History& history) {
 }  // namespace
 
 std::string OgVertex::ToString() const {
-  return "v" + std::to_string(vid) + " " + HistoryToString(history);
+  return std::string("v").append(std::to_string(vid)) + " " +
+         HistoryToString(history);
 }
 
 std::string OgEdge::ToString() const {
-  return "e" + std::to_string(eid) + " (" + std::to_string(v1.vid) + "->" +
-         std::to_string(v2.vid) + ") " + HistoryToString(history);
+  return std::string("e").append(std::to_string(eid)) + " (" +
+         std::to_string(v1.vid) + "->" + std::to_string(v2.vid) + ") " +
+         HistoryToString(history);
 }
 
 }  // namespace tgraph

@@ -126,8 +126,8 @@ struct WZoomSpec {
   WindowSpec window;
   Quantifier vertex_quantifier = Quantifier::All();
   Quantifier edge_quantifier = Quantifier::All();
-  ResolveSpec vertex_resolve;
-  ResolveSpec edge_resolve;
+  ResolveSpec vertex_resolve{};
+  ResolveSpec edge_resolve{};
 };
 
 }  // namespace tgraph

@@ -223,8 +223,11 @@ Status MaterializedView::Refresh(ingest::LiveGraph* live,
   next->source_epoch = snap->epoch();
   next->watermark = watermark;
   next->refreshed_unix_us = UnixNowUs();
-  current_.store(std::shared_ptr<const ViewSnapshot>(std::move(next)),
-                 std::memory_order_release);
+  std::shared_ptr<const ViewSnapshot> published = std::move(next);
+  {
+    std::lock_guard<std::mutex> lock(current_mu_);
+    current_.swap(published);
+  }  // `published` now holds the old snapshot, released outside the lock
 
   refreshes->Increment();
   apply_micros->Record(std::chrono::duration_cast<std::chrono::microseconds>(

@@ -37,7 +37,7 @@ struct ViewDefinition {
 };
 
 /// One immutable published state of a materialized view. Readers grab the
-/// current snapshot with a single atomic load and keep using it while the
+/// current snapshot with one pointer copy and keep using it while the
 /// maintainer publishes successors; nothing here mutates after publish.
 struct ViewSnapshot {
   ViewSnapshot(dataflow::ExecutionContext* ctx, Representation rep,
@@ -103,8 +103,8 @@ struct ViewSnapshot {
 /// counting (GroupCounts, for aZoom views that qualify), by an
 /// incremental cut-and-splice (incremental::PlanDelta), or by a full
 /// recompute, and publishes the result as a new immutable ViewSnapshot
-/// via an atomic pointer swap. Readers never block: Current() is one
-/// acquire load.
+/// by swapping one pointer. Readers never wait for a refresh: Current()
+/// copies that pointer under a mutex held only for the copy.
 class MaterializedView {
  public:
   struct Options {
@@ -134,7 +134,8 @@ class MaterializedView {
   /// The latest published snapshot; nullptr until the first successful
   /// Refresh.
   std::shared_ptr<const ViewSnapshot> Current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Brings the view up to `live`'s current epoch. No-op when already
@@ -169,7 +170,10 @@ class MaterializedView {
   /// Why counts_ is empty (guarded by apply_mu_): CountingFallback's
   /// reason, "max-suffix-fraction-0", or "non-integer-value".
   std::string not_counted_;
-  std::atomic<std::shared_ptr<const ViewSnapshot>> current_;
+  /// Guards only the current_ pointer (see LiveGraph::snapshot_mu_ for
+  /// why not std::atomic<std::shared_ptr>).
+  mutable std::mutex current_mu_;
+  std::shared_ptr<const ViewSnapshot> current_;  // guarded by current_mu_
 };
 
 }  // namespace tgraph::views

@@ -81,7 +81,9 @@ TEST(CowMapTest, VersionsMatchStdMapAndNeverChange) {
       const std::string* found = map.Find(key);
       auto it = want.find(key);
       ASSERT_EQ(found != nullptr, it != want.end()) << key;
-      if (found != nullptr) EXPECT_EQ(*found, it->second);
+      if (found != nullptr) {
+        EXPECT_EQ(*found, it->second);
+      }
     }
     // ForEachFrom visits exactly the entries at or above `from`, in order,
     // and stops when asked.
@@ -140,7 +142,10 @@ TEST(CowMapTest, DiffEqualsNaiveDiffOverRandomVersionPairs) {
         updates[key] = std::nullopt;
       } else {
         // Few distinct values, so a replaced value is sometimes equal.
-        updates[key] = "v" + std::to_string(rng.NextBounded(3));
+        // append(), not "v" + std::string&& (GCC 12 -Wrestrict false
+        // positive).
+        updates[key] =
+            std::string("v").append(std::to_string(rng.NextBounded(3)));
       }
     }
     std::vector<Map::Update> batch;

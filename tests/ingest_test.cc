@@ -314,7 +314,9 @@ TEST_F(LiveGraphTest, FoldEqualsOfflineAfterEveryBatch) {
           "seed " + std::to_string(seed) + " batch " + std::to_string(i);
       Result<uint64_t> seq = (*live)->Append(batches[i]);
       ASSERT_TRUE(seq.ok()) << where << ": " << seq.status();
-      if (i % 7 == 6) ASSERT_TRUE((*live)->Compact().ok()) << where;
+      if (i % 7 == 6) {
+        ASSERT_TRUE((*live)->Compact().ok()) << where;
+      }
       if (i == 17 || i == 30) {
         ASSERT_TRUE((*live)->Close().ok());
         live = LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
@@ -343,7 +345,9 @@ TEST_F(LiveGraphTest, RangedSliceEqualsSliceOfMergedGraph) {
     for (size_t i = 0; i < batches.size(); ++i) {
       Result<uint64_t> seq = (*live)->Append(batches[i]);
       ASSERT_TRUE(seq.ok()) << seq.status();
-      if (i % 11 == 10) ASSERT_TRUE((*live)->Compact().ok());
+      if (i % 11 == 10) {
+        ASSERT_TRUE((*live)->Compact().ok());
+      }
       if (i == 40) {
         ASSERT_TRUE((*live)->Close().ok());
         live = LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
@@ -726,7 +730,9 @@ TEST_F(LiveGraphTest, ConcurrentReadersNeverSeePartialBatches) {
     Result<uint64_t> seq = graph->Append(
         {AddVertex(2 * i + 1, at, {}), AddVertex(2 * i + 2, at, {})});
     ASSERT_TRUE(seq.ok()) << seq.status();
-    if (i == kBatches / 2) ASSERT_TRUE(graph->Compact().ok());
+    if (i == kBatches / 2) {
+      ASSERT_TRUE(graph->Compact().ok());
+    }
   }
   done.store(true, std::memory_order_release);
   reader.join();
@@ -840,6 +846,45 @@ TEST_F(LiveGraphTest, RegistryKeysEverySpellingOfADirOnce) {
     for (size_t i = 0; i < graphs.size(); ++i) {
       EXPECT_EQ(graphs[i], graphs[0]) << spellings[i];
       Result<uint64_t> seq = graphs[i]->Append(
+          {AddVertex(static_cast<int64_t>(i) + 1,
+                     static_cast<TimePoint>(i) + 1, {})});
+      ASSERT_TRUE(seq.ok()) << seq.status();
+      EXPECT_EQ(*seq, i + 1) << spellings[i];
+    }
+    registry.CloseAll();
+  }
+  Result<std::unique_ptr<LiveGraph>> reopened =
+      LiveGraph::Open(testing::Ctx(), dir, NoCompactor());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  Result<const VeGraph*> merged = (*reopened)->snapshot()->Graph();
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ((*merged)->vertices().Count(),
+            static_cast<int64_t>(spellings.size()));
+  ASSERT_TRUE((*reopened)->Close().ok());
+}
+
+// An absolute, a relative and a symlinked spelling of one directory must
+// reach one LiveGraph: two graphs on one WAL append at the same offset and
+// lose acknowledged batches.
+TEST_F(LiveGraphTest, RegistryKeysADirByIdentityNotSpelling) {
+  const std::string dir = fs::absolute(Dir("identity")).string();
+  const std::string link = Dir("identity_link");
+  fs::create_directories(dir);
+  fs::create_directory_symlink(dir, link);
+  const std::string relative = fs::relative(dir).string();
+  // Each spelling comes back after another one appended, as interleaved
+  // clients would: a graph opened per spelling would miss the other's
+  // records and re-ack their sequence numbers.
+  const std::vector<std::string> spellings = {dir,  relative, link,
+                                              dir,  relative, link};
+  {
+    LiveGraphRegistry registry(testing::Ctx());
+    registry.set_options(NoCompactor());
+    for (size_t i = 0; i < spellings.size(); ++i) {
+      Result<LiveGraph*> live = registry.GetOrOpen(spellings[i]);
+      ASSERT_TRUE(live.ok()) << live.status();
+      EXPECT_EQ(registry.Find(spellings[i]), *live) << spellings[i];
+      Result<uint64_t> seq = (*live)->Append(
           {AddVertex(static_cast<int64_t>(i) + 1,
                      static_cast<TimePoint>(i) + 1, {})});
       ASSERT_TRUE(seq.ok()) << seq.status();

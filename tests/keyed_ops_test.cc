@@ -533,7 +533,9 @@ TEST(WideOpsReferenceTest, StringKeys) {
     std::vector<std::string> out(n);
     for (std::string& key : out) {
       int id = static_cast<int>(rng() % range);
-      key = "k" + std::to_string(id) + std::string(id % 13, 'x');
+      // append(), not "k" + std::string&& (GCC 12 -Wrestrict false
+      // positive).
+      key = std::string("k").append(std::to_string(id)).append(id % 13, 'x');
     }
     return out;
   };

@@ -133,7 +133,9 @@ inline VeGraph RandomTGraph(uint64_t seed, int64_t num_vertices = 30,
       props.Set(kTypeProperty, "node");
       // value == cardinality means "no group" (tests the dropped-state path).
       if (value < group_cardinality) {
-        props.Set("group", "g" + std::to_string(value));
+        // append(), not "g" + std::string&&: the latter trips a GCC 12
+        // -Wrestrict false positive when inlined.
+        props.Set("group", std::string("g").append(std::to_string(value)));
       }
       props.Set("weight", static_cast<int64_t>(rng.NextBounded(100)));
       Interval interval(cuts[c], cuts[c + 1]);
@@ -158,7 +160,8 @@ inline VeGraph RandomTGraph(uint64_t seed, int64_t num_vertices = 30,
     TimePoint end = rng.NextInRange(start + 1, common.end);
     Properties props;
     props.Set(kTypeProperty, "link");
-    props.Set("kind", "k" + std::to_string(rng.NextBounded(3)));
+    props.Set("kind",
+              std::string("k").append(std::to_string(rng.NextBounded(3))));
     edges.push_back(VeEdge{eid++, a, b, Interval(start, end), std::move(props)});
   }
   return VeGraph::Create(Ctx(), std::move(vertices), std::move(edges));

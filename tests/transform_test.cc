@@ -64,7 +64,9 @@ TEST(RandomGroupsTest, StablePerVidAndBounded) {
     EXPECT_GE(group, 0);
     EXPECT_LT(group, 3);
     auto [it, inserted] = group_of.emplace(v.vid, group);
-    if (!inserted) EXPECT_EQ(it->second, group);  // stable across states
+    if (!inserted) {
+      EXPECT_EQ(it->second, group);  // stable across states
+    }
   }
 }
 

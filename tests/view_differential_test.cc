@@ -176,7 +176,9 @@ void RunDifferential(const std::string& tag, Pipeline pipeline,
         compact_every > 0 && (i + 1) % compact_every == 0;
     const bool compact_unseen =
         compact && ((i + 1) / compact_every) % 2 == 1;
-    if (compact_unseen) ASSERT_TRUE((*live)->Compact().ok()) << where;
+    if (compact_unseen) {
+      ASSERT_TRUE((*live)->Compact().ok()) << where;
+    }
     check(i + 1, where, /*new_events=*/true);
     if (::testing::Test::HasFatalFailure()) return;
     if (compact && !compact_unseen) {
