@@ -2,6 +2,7 @@
 #define TGRAPH_DATAFLOW_HASHING_H_
 
 #include <bit>
+#include <compare>
 #include <concepts>
 #include <cstdint>
 #include <string>
@@ -25,6 +26,9 @@ concept HasHashMethod = requires(const T& t) {
   { t.Hash() } -> std::convertible_to<uint64_t>;
 };
 
+template <typename T>
+concept HasRouteKey = requires(const T& t) { t.RouteKey(); };
+
 }  // namespace internal_hashing
 
 /// \brief Hashes any key type the dataflow engine shuffles by: integrals,
@@ -47,6 +51,36 @@ uint64_t DfHash(const T& value) {
                   "DfHash: type is not hashable; add a Hash() method");
   }
 }
+
+/// \brief The hash a shuffle routes a key by: record r lands in partition
+/// `RouteHash(key) % n`. A composite key routes by a declared prefix when it
+/// has a `RouteKey()` method — (vid, window) lands where vid lands, so a
+/// dataset partitioned by vid is already partitioned for a (vid, window)
+/// aggregation. Every other key routes by its DfHash. Per-partition hash
+/// tables keep hashing the full key with DfHash.
+template <typename T>
+uint64_t RouteHash(const T& key) {
+  if constexpr (internal_hashing::HasRouteKey<T>) {
+    return RouteHash(key.RouteKey());
+  } else {
+    return DfHash(key);
+  }
+}
+
+/// \brief A composite key that routes by its first component: an entity id
+/// plus what splits the entity's records, e.g. (vid, window). Records keyed
+/// by it land where records keyed by `prefix` alone land, so a relation
+/// routed by entity id feeds a per-(entity, ·) aggregation without a
+/// shuffle. Tables hash both components.
+template <typename Prefix, typename Rest>
+struct PrefixKey {
+  Prefix prefix{};
+  Rest rest{};
+
+  const Prefix& RouteKey() const { return prefix; }
+  uint64_t Hash() const { return HashCombine(DfHash(prefix), DfHash(rest)); }
+  auto operator<=>(const PrefixKey&) const = default;
+};
 
 }  // namespace tgraph::dataflow
 

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -218,7 +219,7 @@ int64_t SketchKeys(ExecutionContext* ctx, const Partitions<T>& input,
         input[p].size() >= kSketchSampleThreshold ? kSketchSampleStride : 1;
     strides[p] = stride;
     for (size_t i = 0; i < input[p].size(); i += stride) {
-      sketches[p]->Add(DfHash(key_of(input[p][i])));
+      sketches[p]->Add(RouteHash(key_of(input[p][i])));
     }
   });
   for (size_t p = 0; p < sketches.size(); ++p) {
@@ -253,74 +254,89 @@ ShufflePlan PlanShuffle(ExecutionContext* ctx, const Partitions<T>& input,
                           allow_spread);
 }
 
-/// Phase 2: routes every record of `input` according to `plan` and
-/// concatenates per-bucket runs in input-partition order. With an empty
-/// (non-rebalanced) plan this is exactly the legacy hash shuffle. The
-/// bucketing stage runs in parallel over input partitions and the
-/// concatenation stage in parallel over output partitions; both are
-/// deterministic in the input partitioning, independent of thread count
-/// and scheduling.
-template <typename T, typename KeyOf>
-Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, const Partitions<T>& input,
-                              const ShufflePlan& plan, const KeyOf& key_of,
-                              HotRouting routing) {
+/// Marks a destination that stands for every sub-partition of one hot key
+/// (HotRouting::kReplicate); the low bits hold the key's index in the plan.
+inline constexpr uint32_t kReplicatedDest = uint32_t{1} << 31;
+
+/// The body of ShuffleWithPlan; moves records out of `input` when kMove.
+template <bool kMove, typename T, typename KeyOf>
+Partitions<T> RouteRecords(
+    ExecutionContext* ctx,
+    std::conditional_t<kMove, Partitions<T>&, const Partitions<T>&> input,
+    const ShufflePlan& plan, const KeyOf& key_of, HotRouting routing) {
   TG_CHECK_GT(plan.num_base, 0u);
   TG_SPAN("dataflow.shuffle", "dataflow");
+  const size_t num_in = input.size();
   const size_t num_out = plan.total_partitions();
-  std::vector<Partitions<T>> bucketed(input.size());
-  std::vector<int64_t> routed(input.size(), 0);
-  ctx->ParallelFor(input.size(), [&](size_t p) {
-    bucketed[p].resize(num_out);
+  TG_CHECK_LT(num_out, size_t{kReplicatedDest});
+  // Counting pass: dest[p][i] is record i's output partition, and
+  // offsets[p][b] the number of records input p sends to output b.
+  std::vector<std::vector<uint32_t>> dest(num_in);
+  std::vector<std::vector<size_t>> offsets(num_in);
+  ctx->ParallelFor(num_in, [&](size_t p) {
+    std::vector<size_t>& count = offsets[p];
+    count.assign(num_out, 0);
+    dest[p].resize(input[p].size());
     // Round-robin cursor per hot key, offset by the partition index so
     // the first sub-partition is not systematically favored. Deterministic
     // in (input partitioning, record order), not in thread schedule.
-    std::vector<uint32_t> cursor(plan.hot.size(),
-                                 static_cast<uint32_t>(p));
-    int64_t count = 0;
-    for (const T& record : input[p]) {
-      uint64_t h = DfHash(key_of(record));
+    std::vector<uint32_t> cursor(plan.hot.size(), static_cast<uint32_t>(p));
+    for (size_t i = 0; i < input[p].size(); ++i) {
+      const uint64_t h = RouteHash(key_of(input[p][i]));
       const HotKey* hk = plan.Find(h);
-      if (hk == nullptr) {
-        bucketed[p][h % plan.num_base].push_back(record);
-        ++count;
+      size_t d = h % plan.num_base;
+      if (hk != nullptr) {
+        const size_t index = static_cast<size_t>(hk - plan.hot.data());
+        const auto splits = static_cast<uint32_t>(hk->splits);
+        switch (routing) {
+          case HotRouting::kSpread:
+            d = hk->first_sub + cursor[index]++ % splits;
+            break;
+          case HotRouting::kIsolate:
+            d = hk->first_sub;
+            break;
+          case HotRouting::kReplicate:
+            for (uint32_t s = 0; s < splits; ++s) ++count[hk->first_sub + s];
+            dest[p][i] = kReplicatedDest | static_cast<uint32_t>(index);
+            continue;
+        }
+      }
+      ++count[d];
+      dest[p][i] = static_cast<uint32_t>(d);
+    }
+  });
+  // Each output partition lists input 0's records first, then input 1's:
+  // turn the counts into each input's first slot in every output.
+  Partitions<T> out(num_out);
+  int64_t moved = 0;
+  for (size_t b = 0; b < num_out; ++b) {
+    size_t next = 0;
+    for (size_t p = 0; p < num_in; ++p) {
+      const size_t count = offsets[p][b];
+      offsets[p][b] = next;
+      next += count;
+    }
+    out[b].resize(next);
+    moved += static_cast<int64_t>(next);
+  }
+  NoteShuffle(moved, sizeof(T));
+  ctx->ParallelFor(num_in, [&](size_t p) {
+    std::vector<size_t>& slot = offsets[p];
+    for (size_t i = 0; i < input[p].size(); ++i) {
+      const uint32_t d = dest[p][i];
+      if ((d & kReplicatedDest) == 0) {
+        if constexpr (kMove) {
+          out[d][slot[d]++] = std::move(input[p][i]);
+        } else {
+          out[d][slot[d]++] = input[p][i];
+        }
         continue;
       }
-      size_t index = static_cast<size_t>(hk - plan.hot.data());
-      switch (routing) {
-        case HotRouting::kSpread: {
-          size_t sub = cursor[index]++ % static_cast<uint32_t>(hk->splits);
-          bucketed[p][hk->first_sub + sub].push_back(record);
-          ++count;
-          break;
-        }
-        case HotRouting::kIsolate:
-          bucketed[p][hk->first_sub].push_back(record);
-          ++count;
-          break;
-        case HotRouting::kReplicate:
-          for (int s = 0; s < hk->splits; ++s) {
-            bucketed[p][hk->first_sub + static_cast<size_t>(s)].push_back(
-                record);
-          }
-          count += hk->splits;
-          break;
+      const HotKey& hk = plan.hot[d & ~kReplicatedDest];
+      for (int s = 0; s < hk.splits; ++s) {
+        const size_t b = hk.first_sub + static_cast<size_t>(s);
+        out[b][slot[b]++] = input[p][i];
       }
-    }
-    routed[p] = count;
-  });
-  int64_t moved = 0;
-  for (int64_t r : routed) moved += r;
-  NoteShuffle(moved, sizeof(T));
-
-  Partitions<T> out(num_out);
-  ctx->ParallelFor(num_out, [&](size_t b) {
-    size_t total = 0;
-    for (size_t p = 0; p < bucketed.size(); ++p) total += bucketed[p][b].size();
-    out[b].reserve(total);
-    for (size_t p = 0; p < bucketed.size(); ++p) {
-      auto& bucket = bucketed[p][b];
-      std::move(bucket.begin(), bucket.end(), std::back_inserter(out[b]));
-      bucket.clear();
     }
   });
   std::vector<int64_t> sizes(out.size());
@@ -331,17 +347,31 @@ Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, const Partitions<T>& input,
   return out;
 }
 
-/// The legacy single-call shuffle: plan + route in one step, spreading
-/// hot keys. Callers that need the plan (to merge per-key state across
-/// sub-partitions) call PlanShuffle/ShuffleWithPlan separately.
+/// Phase 2: routes every record of `input` according to `plan`. Output
+/// partition b holds the records routed to b, input partition by input
+/// partition, each in record order. With an empty (non-rebalanced) plan
+/// this is the plain hash shuffle by `RouteHash(key) % num_base`.
+///
+/// A counting pass first records each record's destination and counts
+/// records per (input, output) pair; every output partition is then
+/// allocated once, at its final size, and each input partition moves (an
+/// rvalue `input`) or copies its records straight into their slots. Both
+/// passes run in parallel over input partitions, and the result depends on
+/// the input partitioning alone, not on the thread count or schedule.
+/// Records must be default-constructible and assignable.
 template <typename T, typename KeyOf>
-Partitions<T> ShuffleBy(ExecutionContext* ctx, const Partitions<T>& input,
-                        size_t num_out, const KeyOf& key_of,
-                        HotRouting routing = HotRouting::kIsolate) {
-  TG_CHECK_GT(num_out, 0u);
-  bool allow_spread = routing == HotRouting::kSpread;
-  ShufflePlan plan = PlanShuffle(ctx, input, num_out, key_of, allow_spread);
-  return ShuffleWithPlan(ctx, input, plan, key_of, routing);
+Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, const Partitions<T>& input,
+                              const ShufflePlan& plan, const KeyOf& key_of,
+                              HotRouting routing) {
+  return RouteRecords</*kMove=*/false, T>(ctx, input, plan, key_of, routing);
+}
+
+/// ShuffleWithPlan over partitions the caller owns: moves the records.
+template <typename T, typename KeyOf>
+Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, Partitions<T>&& input,
+                              const ShufflePlan& plan, const KeyOf& key_of,
+                              HotRouting routing) {
+  return RouteRecords</*kMove=*/true, T>(ctx, input, plan, key_of, routing);
 }
 
 }  // namespace internal_shuffle

@@ -100,7 +100,9 @@ VeGraph AZoomVe(const VeGraph& graph, const AZoomSpec& spec) {
   const SkolemFn& skolem = spec.skolem;
   auto init = spec.aggregator.init;
 
-  // Vertex states mapped to their output vertex id, with seeded properties.
+  // Vertex states mapped to their output vertex id, with seeded properties,
+  // routed by that id once: the splitters, the join with them and the
+  // per-interval aggregation below all run partition-local.
   struct MappedState {
     Interval interval;
     Properties seeded;
@@ -117,14 +119,12 @@ VeGraph AZoomVe(const VeGraph& graph, const AZoomSpec& spec) {
                     skolem(*group),
                     MappedState{v.interval, init(*group, v.vid, v.properties)});
               })
+          .PartitionByKey()
           .Cache();
 
   // Non-overlapping splitter intervals per output vertex (lines 1-5).
   auto splitters =
-      mapped
-          .Map([](const std::pair<VertexId, MappedState>& kv) {
-            return std::pair<VertexId, Interval>(kv.first, kv.second.interval);
-          })
+      mapped.MapValues([](const MappedState& state) { return state.interval; })
           .AggregateByKey<std::vector<Interval>>(
               {},
               [](std::vector<Interval>* acc, const Interval& i) {
@@ -133,14 +133,15 @@ VeGraph AZoomVe(const VeGraph& graph, const AZoomSpec& spec) {
               [](std::vector<Interval>* acc, std::vector<Interval>&& other) {
                 acc->insert(acc->end(), other.begin(), other.end());
               })
-          .Map([](const std::pair<VertexId, std::vector<Interval>>& kv) {
-            return std::pair<VertexId, std::vector<Interval>>(
-                kv.first, SplitIntervals(kv.second));
+          .MapValues([](const std::vector<Interval>& intervals) {
+            return SplitIntervals(intervals);
           });
 
   // Join states with their group's splitters, split, aggregate per
-  // (output id, elementary interval) (lines 6-12).
-  using SplitKey = std::pair<VertexId, std::pair<TimePoint, TimePoint>>;
+  // (output id, elementary interval) (lines 6-12). The split key routes by
+  // the output id, so the pieces stay in their partition.
+  using SplitKey =
+      dataflow::PrefixKey<VertexId, std::pair<TimePoint, TimePoint>>;
   auto merge = spec.aggregator.merge;
   auto aggregator = spec.aggregator;
   auto zoomed_vertices =
@@ -156,19 +157,23 @@ VeGraph AZoomVe(const VeGraph& graph, const AZoomSpec& spec) {
                                       state.seeded);
                   }
                 }
-              })
+              },
+              dataflow::kPreservesPartitioning)
           .ReduceByKey([merge](const Properties& a, const Properties& b) {
             return merge(a, b);
           })
-          .Map([aggregator](const std::pair<SplitKey, Properties>& kv) {
-            return VeVertex{
-                kv.first.first,
-                Interval(kv.first.second.first, kv.first.second.second),
-                Finalize(aggregator, kv.second)};
-          });
+          .Map(
+              [aggregator](const std::pair<SplitKey, Properties>& kv) {
+                return VeVertex{
+                    kv.first.prefix,
+                    Interval(kv.first.rest.first, kv.first.rest.second),
+                    Finalize(aggregator, kv.second)};
+              },
+              dataflow::kPreservesPartitioning);
 
   // Edge redirection (lines 13-18): two temporal joins against the vertex
-  // relation, intersecting validity and applying the Skolem function.
+  // relation, intersecting validity and applying the Skolem function. The
+  // group periods are routed by vid once, so each join moves only edges.
   struct GroupPeriod {
     Interval interval;
     VertexId new_vid;
@@ -184,6 +189,7 @@ VeGraph AZoomVe(const VeGraph& graph, const AZoomSpec& spec) {
                 out->emplace_back(v.vid,
                                   GroupPeriod{v.interval, skolem(*group)});
               })
+          .PartitionByKey()
           .Cache();
 
   struct EdgePartial {

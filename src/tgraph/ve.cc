@@ -36,13 +36,17 @@ int64_t VeGraph::NumEdges() const {
 
 VeGraph VeGraph::Coalesce() const {
   // The partitioning method (Section 4): group tuples per entity, sort each
-  // group by start time, fold adjacent value-equivalent tuples.
+  // group by start time, fold adjacent value-equivalent tuples. Every step
+  // keeps the entity id as the key, so a relation already routed by it is
+  // folded where it sits and the output stays routed.
   auto coalesced_vertices =
       vertices_
-          .Map([](const VeVertex& v) {
-            return std::pair<VertexId, HistoryItem>(
-                v.vid, HistoryItem{v.interval, v.properties});
-          })
+          .Map(
+              [](const VeVertex& v) {
+                return std::pair<VertexId, HistoryItem>(
+                    v.vid, HistoryItem{v.interval, v.properties});
+              },
+              dataflow::kPreservesPartitioning)
           .AggregateByKey<History>(
               History{},
               [](History* acc, const HistoryItem& item) {
@@ -52,13 +56,15 @@ VeGraph VeGraph::Coalesce() const {
                 acc->insert(acc->end(), std::make_move_iterator(other.begin()),
                             std::make_move_iterator(other.end()));
               })
-          .FlatMap<VeVertex>([](const std::pair<VertexId, History>& kv,
-                                std::vector<VeVertex>* out) {
-            for (HistoryItem& item : CoalesceHistory(kv.second)) {
-              out->push_back(VeVertex{kv.first, item.interval,
-                                      std::move(item.properties)});
-            }
-          });
+          .FlatMap<VeVertex>(
+              [](const std::pair<VertexId, History>& kv,
+                 std::vector<VeVertex>* out) {
+                for (HistoryItem& item : CoalesceHistory(kv.second)) {
+                  out->push_back(VeVertex{kv.first, item.interval,
+                                          std::move(item.properties)});
+                }
+              },
+              dataflow::kPreservesPartitioning);
   // Edge identity: the eid. Endpoints are constant per eid in a valid
   // TGraph, so we carry them through the fold.
   struct EdgeAcc {
@@ -68,9 +74,8 @@ VeGraph VeGraph::Coalesce() const {
   };
   auto coalesced_edges =
       edges_
-          .Map([](const VeEdge& e) {
-            return std::pair<EdgeId, VeEdge>(e.eid, e);
-          })
+          .Map([](const VeEdge& e) { return std::pair<EdgeId, VeEdge>(e.eid, e); },
+               dataflow::kPreservesPartitioning)
           .AggregateByKey<EdgeAcc>(
               EdgeAcc{},
               [](EdgeAcc* acc, const VeEdge& e) {
@@ -87,13 +92,16 @@ VeGraph VeGraph::Coalesce() const {
                                     std::make_move_iterator(other.history.begin()),
                                     std::make_move_iterator(other.history.end()));
               })
-          .FlatMap<VeEdge>([](const std::pair<EdgeId, EdgeAcc>& kv,
-                              std::vector<VeEdge>* out) {
-            for (HistoryItem& item : CoalesceHistory(kv.second.history)) {
-              out->push_back(VeEdge{kv.first, kv.second.src, kv.second.dst,
-                                    item.interval, std::move(item.properties)});
-            }
-          });
+          .FlatMap<VeEdge>(
+              [](const std::pair<EdgeId, EdgeAcc>& kv,
+                 std::vector<VeEdge>* out) {
+                for (HistoryItem& item : CoalesceHistory(kv.second.history)) {
+                  out->push_back(VeEdge{kv.first, kv.second.src, kv.second.dst,
+                                        item.interval,
+                                        std::move(item.properties)});
+                }
+              },
+              dataflow::kPreservesPartitioning);
   return VeGraph(coalesced_vertices, coalesced_edges, lifetime_);
 }
 

@@ -17,6 +17,11 @@ namespace tgraph {
 /// by default — consecutive states of an entity may live in different
 /// partitions. PartitionByEntity() reconstructs temporal locality at
 /// runtime, as described in Section 3.
+///
+/// A relation that claims a routing (Dataset::RoutedPartitions) is routed
+/// by entity id: vertices by vid, edges by eid. Coalesce and the zoom
+/// operators keep that routing wherever they keep the id as the key, so a
+/// chain of them shuffles each relation once per key.
 class VeGraph {
  public:
   VeGraph() = default;

@@ -132,7 +132,9 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
   std::vector<Interval> windows = WindowIntervals(generated);
   if (windows.empty()) return graph;
 
-  using VertexWindowKey = std::pair<VertexId, int64_t>;
+  // (entity id, window number) keys route by the entity id, so relations
+  // routed by id are aggregated per window where they sit.
+  using VertexWindowKey = dataflow::PrefixKey<VertexId, int64_t>;
   Quantifier vq = spec.vertex_quantifier;
   Quantifier eq = spec.edge_quantifier;
   ResolveSpec vresolve = spec.vertex_resolve;
@@ -153,7 +155,8 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
                       out->emplace_back(VertexWindowKey{v.vid, d},
                                         std::move(acc));
                     });
-              })
+              },
+              dataflow::kPreservesPartitioning)
           .ReduceByKey([](WindowAcc a, WindowAcc b) {
             CombineAcc(&a, std::move(b));
             return a;
@@ -162,11 +165,12 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
               [windows, vq, vresolve](
                   const std::pair<VertexWindowKey, WindowAcc>& kv,
                   std::vector<std::pair<VertexWindowKey, Properties>>* out) {
-                const Interval& window = windows[kv.first.second];
+                const Interval& window = windows[kv.first.rest];
                 if (!vq.Passes(Fraction(kv.second.covered, window))) return;
                 out->emplace_back(kv.first,
                                   ResolveProperties(kv.second.states, vresolve));
-              })
+              },
+              dataflow::kPreservesPartitioning)
           .Cache();
 
   // Edge alignment (lines 10-16), carrying endpoints through the fold.
@@ -175,7 +179,7 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
     VertexId dst = 0;
     WindowAcc acc;
   };
-  using EdgeWindowKey = std::pair<EdgeId, int64_t>;
+  using EdgeWindowKey = dataflow::PrefixKey<EdgeId, int64_t>;
   auto edge_windows =
       graph.edges()
           .FlatMap<std::pair<EdgeWindowKey, EdgeWindowValue>>(
@@ -192,32 +196,28 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
                       out->emplace_back(EdgeWindowKey{e.eid, d},
                                         std::move(value));
                     });
-              })
+              },
+              dataflow::kPreservesPartitioning)
           .ReduceByKey([](EdgeWindowValue a, EdgeWindowValue b) {
             CombineAcc(&a.acc, std::move(b.acc));
             return a;
           })
-          .FlatMap<std::pair<EdgeWindowKey, EdgeWindowValue>>(
-              [windows, eq](const std::pair<EdgeWindowKey, EdgeWindowValue>& kv,
-                            std::vector<std::pair<EdgeWindowKey,
-                                                  EdgeWindowValue>>* out) {
-                const Interval& window = windows[kv.first.second];
-                if (!eq.Passes(Fraction(kv.second.acc.covered, window))) return;
-                out->push_back(kv);
+          .Filter(
+              [windows, eq](const std::pair<EdgeWindowKey, EdgeWindowValue>& kv) {
+                const Interval& window = windows[kv.first.rest];
+                return eq.Passes(Fraction(kv.second.acc.covered, window));
               });
 
   // Dangling-edge removal (lines 17-19): two semijoins on (endpoint,
   // window), needed only when the vertex quantifier is more restrictive.
   if (vq.MoreRestrictiveThan(eq)) {
-    auto vertex_keys = vertex_windows.Map(
-        [](const std::pair<VertexWindowKey, Properties>& kv) {
-          return std::pair<VertexWindowKey, bool>(kv.first, true);
-        });
+    auto vertex_keys =
+        vertex_windows.MapValues([](const Properties&) { return true; });
     auto by_src = edge_windows.Map(
         [](const std::pair<EdgeWindowKey, EdgeWindowValue>& kv) {
           return std::pair<VertexWindowKey,
                            std::pair<EdgeWindowKey, EdgeWindowValue>>(
-              {kv.second.src, kv.first.second}, kv);
+              {kv.second.src, kv.first.rest}, kv);
         });
     auto by_dst =
         by_src.SemiJoin<bool>(vertex_keys)
@@ -226,7 +226,7 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
                         kv) {
               return std::pair<VertexWindowKey,
                                std::pair<EdgeWindowKey, EdgeWindowValue>>(
-                  {kv.second.second.dst, kv.second.first.second}, kv.second);
+                  {kv.second.second.dst, kv.second.first.rest}, kv.second);
             });
     edge_windows =
         by_dst.SemiJoin<bool>(vertex_keys)
@@ -237,14 +237,16 @@ VeGraph WZoomVe(const VeGraph& graph, const WZoomSpec& spec) {
 
   auto zoomed_vertices = vertex_windows.Map(
       [windows](const std::pair<VertexWindowKey, Properties>& kv) {
-        return VeVertex{kv.first.first, windows[kv.first.second], kv.second};
-      });
+        return VeVertex{kv.first.prefix, windows[kv.first.rest], kv.second};
+      },
+      dataflow::kPreservesPartitioning);
   auto zoomed_edges = edge_windows.Map(
       [windows, eresolve](const std::pair<EdgeWindowKey, EdgeWindowValue>& kv) {
-        return VeEdge{kv.first.first, kv.second.src, kv.second.dst,
-                      windows[kv.first.second],
+        return VeEdge{kv.first.prefix, kv.second.src, kv.second.dst,
+                      windows[kv.first.rest],
                       ResolveProperties(kv.second.acc.states, eresolve)};
-      });
+      },
+      dataflow::kPreservesPartitioning);
 
   VeGraph result(zoomed_vertices, zoomed_edges,
                  ZoomedLifetime(windows, graph.lifetime()));

@@ -25,8 +25,10 @@
 #include "dataflow/dataset.h"
 #include "gen/generators.h"
 #include "obs/metrics.h"
+#include "tests/routing_test_util.h"
 #include "tests/test_util.h"
 #include "tgraph/tgraph.h"
+#include "tgraph/wzoom.h"
 #include "tgraph/validate.h"
 
 namespace tgraph::dataflow {
@@ -253,6 +255,64 @@ TEST_P(ShuffleDifferential, PartitionByKeepsCoLocation) {
             RunWith(GetParam(), Legacy(), pipeline));
 }
 
+// Composite (vertex, window) keys route by the vertex, so one hub vertex's
+// windows share a route hash: the hot key the sketch finds is the hub, not
+// one of its windows. Spreading it and merging the sub-partitions by full
+// key must still balance the shuffle and change no result.
+TEST_P(ShuffleDifferential, HubPrefixKeysSpreadAndMerge) {
+  using Key = PrefixKey<int64_t, int64_t>;
+  using Record = std::pair<Key, int64_t>;
+  std::vector<Record> data;
+  for (const auto& [vid, i] : PowerLawRecords(20000, 53)) {
+    data.emplace_back(Key{vid, i % 40}, i);
+  }
+  auto pipeline = [&](ExecutionContext* ctx) {
+    auto records = Dataset<Record>::FromVector(ctx, data);
+    auto right =
+        records.Filter([](const Record& r) { return r.second % 7 == 0; });
+    auto grouped = records.GroupByKey().Collect();
+    for (auto& [key, values] : grouped) std::sort(values.begin(), values.end());
+    auto sums = records
+                    .ReduceByKey([](const int64_t& a, const int64_t& b) {
+                      return a + b;
+                    })
+                    .Collect();
+    auto joined = records.Join<int64_t>(right).Collect();
+    return std::tuple(Sorted(grouped), Sorted(sums), Sorted(joined));
+  };
+  obs::Counter* rebalanced = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kShuffleRebalanced);
+  const int64_t fired_before = rebalanced->value();
+  auto spread = RunWith(GetParam(), Rebalancing(), pipeline);
+  EXPECT_GT(rebalanced->value(), fired_before);
+  EXPECT_EQ(spread, RunWith(GetParam(), Legacy(), pipeline));
+
+  // The hub (~20% of the records plus its Zipf share) fills one partition
+  // of the plain hash layout; spreading it caps the largest partition near
+  // a quarter of that.
+  ExecutionContext ctx(ContextOptions{.num_workers = GetParam(),
+                                      .default_parallelism = 8,
+                                      .shuffle = Rebalancing()});
+  Partitions<Record> input = {data};
+  auto key_of = [](const Record& r) -> const Key& { return r.first; };
+  auto largest = [](const Partitions<Record>& parts) {
+    size_t most = 0;
+    for (const auto& part : parts) most = std::max(most, part.size());
+    return most;
+  };
+  internal_shuffle::ShufflePlan plain;
+  plain.num_base = 8;
+  internal_shuffle::ShufflePlan plan = internal_shuffle::PlanShuffle(
+      &ctx, input, 8, key_of, /*allow_spread=*/true);
+  ASSERT_TRUE(plan.rebalanced());
+  const size_t before = largest(internal_shuffle::ShuffleWithPlan(
+      &ctx, input, plain, key_of, internal_shuffle::HotRouting::kSpread));
+  const size_t after = largest(internal_shuffle::ShuffleWithPlan(
+      &ctx, input, plan, key_of, internal_shuffle::HotRouting::kSpread));
+  EXPECT_GE(before, 6000u);
+  EXPECT_LE(after, before / 2);
+}
+
 // ---------------------------------------------------------------------------
 // Zoom operators on a power-law hub graph, across all representations.
 // ---------------------------------------------------------------------------
@@ -342,6 +402,38 @@ TEST_P(ShuffleDifferential, WZoomAllRepresentations) {
     EXPECT_EQ(rebalanced, legacy)
         << "wZoom differs on " << RepresentationName(rep);
     EXPECT_FALSE(rebalanced.empty());
+  }
+}
+
+// Coalesce and the VE zoom operators keep the vid/eid routing of their
+// relations through key-preserving maps. Every relation that claims a
+// routing must sit where its id routes, or a later partition-local fold
+// would silently miss records; without rebalancing every claim is made.
+TEST_P(ShuffleDifferential, VeZoomRelationsSitWhereTheirIdsRoute) {
+  auto vid = [](const VeVertex& v) { return v.vid; };
+  auto eid = [](const VeEdge& e) { return e.eid; };
+  for (const ShuffleOptions& options : {Rebalancing(), Legacy()}) {
+    RunWith(GetParam(), options, [&](ExecutionContext* ctx) {
+      VeGraph graph = gen::GeneratePowerLaw(ctx, HubGraphConfig());
+      VeGraph azoomed = AZoomVe(graph, GroupZoom());
+      VeGraph coalesced = azoomed.Coalesce();
+      WZoomSpec all{WindowSpec::TimePoints(3), Quantifier::All(),
+                    Quantifier::All(), {}, {}};
+      const std::vector<size_t> claims = {
+          testing::ExpectRouted(azoomed.vertices(), vid),
+          testing::ExpectRouted(coalesced.vertices(), vid),
+          testing::ExpectRouted(coalesced.edges(), eid),
+          testing::ExpectRouted(WZoomVe(coalesced, all).vertices(), vid),
+          testing::ExpectRouted(WZoomVe(coalesced, all).edges(), eid),
+          testing::ExpectRouted(WZoomVe(coalesced, WindowZoom()).vertices(),
+                                vid),
+          testing::ExpectRouted(WZoomVe(coalesced, WindowZoom()).edges(),
+                                eid)};
+      if (!options.enable) {
+        for (size_t claim : claims) EXPECT_EQ(claim, 8u);
+      }
+      return 0;
+    });
   }
 }
 

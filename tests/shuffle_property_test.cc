@@ -128,6 +128,46 @@ void ExpectPartitionInvariant(const ShufflePlan& plan,
   }
 }
 
+// A composite key with a RouteKey() lands where its prefix lands, and a
+// shuffle that moves the records out of its input routes them exactly as
+// one that copies them.
+TEST(ShufflePrefixRouting, CompositeKeysLandWithTheirPrefix) {
+  ExecutionContext ctx = MakeContext();
+  using Key = PrefixKey<int64_t, int64_t>;
+  using Record = std::pair<Key, int64_t>;
+  auto key_of = [](const Record& r) -> const Key& { return r.first; };
+  std::vector<KV> data = MakeRecords(Distribution::kZipf, 6000, 25, 40);
+  Partitions<Record> input(3);
+  for (size_t i = 0; i < data.size(); ++i) {
+    input[i % 3].emplace_back(Key{data[i].first, data[i].second % 11},
+                              data[i].second);
+  }
+  ShufflePlan plan;
+  plan.num_base = 8;
+  Partitions<Record> copied =
+      ShuffleWithPlan(&ctx, input, plan, key_of, HotRouting::kSpread);
+  ASSERT_EQ(copied.size(), 8u);
+  for (size_t p = 0; p < copied.size(); ++p) {
+    for (const Record& r : copied[p]) {
+      EXPECT_EQ(RouteHash(r.first), DfHash(r.first.prefix));
+      EXPECT_EQ(DfHash(r.first.prefix) % 8, p);
+    }
+  }
+  Partitions<Record> moved = ShuffleWithPlan(&ctx, Partitions<Record>(input),
+                                             plan, key_of, HotRouting::kSpread);
+  EXPECT_EQ(moved, copied);
+
+  // With a plan that fired, the moving shuffle still matches the copying
+  // one record for record.
+  ShufflePlan hot = PlanShuffle(&ctx, input, 8, key_of, /*allow_spread=*/true);
+  ASSERT_TRUE(hot.rebalanced());
+  for (HotRouting routing : {HotRouting::kSpread, HotRouting::kIsolate}) {
+    EXPECT_EQ(ShuffleWithPlan(&ctx, Partitions<Record>(input), hot, key_of,
+                              routing),
+              ShuffleWithPlan(&ctx, input, hot, key_of, routing));
+  }
+}
+
 class ShuffleDistributions
     : public ::testing::TestWithParam<Distribution> {};
 

@@ -215,6 +215,30 @@ TEST_F(ExplainTest, ChainWorkIsChargedToTheChainNotTheNextStatement) {
   EXPECT_EQ(sum.shuffle_bytes, delta[obs::QueryCounter::kShuffleBytes]);
 }
 
+// AZOOM→WZOOM over VE shuffles each relation once per key it is keyed by:
+// aZoom's vertex states and group periods by vid, its edges by src and by
+// dst, and the zoomed edges by their new eid in the Coalesce wZoom needs.
+// Everything keyed by vid or eid after that — the splitter aggregation and
+// join, the per-interval and per-window aggregations, both Coalesce folds —
+// runs where its input already sits.
+TEST_F(ExplainTest, ZoomChainShufflesOncePerKey) {
+  MustRun("LOAD '" + dir_ + "' AS g;");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* stages = registry.GetCounter(obs::metric_names::kStages);
+  obs::QueryCounterValues delta;
+  const int64_t stages_before = stages->value();
+  {
+    obs::QueryCounterScope block;
+    MustRun(
+        "SET z = AZOOM g BY school AGGREGATE COUNT() AS n;"
+        "SET w = WZOOM z WINDOW 3 NODES ALL EDGES ALL;");
+    delta = block.Delta();
+  }
+  EXPECT_EQ(delta[obs::QueryCounter::kShuffles], 5);
+  EXPECT_EQ(delta[obs::QueryCounter::kShufflesRebalanced], 0);
+  EXPECT_EQ(stages->value() - stages_before, 50);
+}
+
 TEST_F(ExplainTest, InnerErrorPropagates) {
   Result<std::string> output = interpreter_.ExecuteScript(
       "EXPLAIN ANALYZE SET z = SLICE missing FROM 0 TO 1");
