@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -188,11 +189,77 @@ void NoteShufflePartitions(const ShufflePlan& plan,
 inline constexpr size_t kSketchSampleThreshold = 16384;
 inline constexpr size_t kSketchSampleStride = 8;
 
+/// \brief The records one shuffle routes. In place: partitions the
+/// shuffle reads and copies records out of. Owned: partitions it moves
+/// records out of, either handed over or produced by the shuffle's own
+/// first pass — `produce(p, &part)` runs inside that pass's task for
+/// partition p, which is how a narrow chain feeding the shuffle runs in
+/// the shuffle's tasks instead of in a stage of its own.
+template <typename T>
+class MapSide {
+ public:
+  using Produce = std::function<void(size_t, std::vector<T>*)>;
+
+  explicit MapSide(const Partitions<T>& parts)
+      : in_place_(&parts), size_(parts.size()) {}
+  explicit MapSide(Partitions<T>&& parts)
+      : owned_(std::move(parts)), size_(owned_.size()) {}
+  MapSide(size_t num_partitions, Produce produce)
+      : owned_(num_partitions),
+        produce_(std::move(produce)),
+        size_(num_partitions) {}
+
+  size_t size() const { return size_; }
+  /// False until the first pass over a produced side has run.
+  bool ready() const { return produce_ == nullptr; }
+  /// Whether records may be moved out of the partitions.
+  bool owned() const { return in_place_ == nullptr; }
+
+  /// Partition p (ready sides, or inside ForEachPartition).
+  const std::vector<T>& operator[](size_t p) const {
+    return in_place_ != nullptr ? (*in_place_)[p] : owned_[p];
+  }
+  /// Partition p of an owned side, to move records out of.
+  std::vector<T>& owned_part(size_t p) { return owned_[p]; }
+
+  /// Record count over all partitions (ready sides).
+  int64_t total() const {
+    int64_t total = 0;
+    for (size_t p = 0; p < size_; ++p) {
+      total += static_cast<int64_t>((*this)[p].size());
+    }
+    return total;
+  }
+
+  /// Runs fn(p, partition p) for every partition in one stage. The first
+  /// pass over a produced side fills each partition in its task first, in
+  /// a vector of the task's own that it then moves into place.
+  template <typename Fn>
+  void ForEachPartition(ExecutionContext* ctx, const Fn& fn) {
+    ctx->ParallelFor(size_, [&](size_t p) {
+      if (produce_ != nullptr) {
+        std::vector<T> part;
+        produce_(p, &part);
+        owned_[p] = std::move(part);
+      }
+      fn(p, (*this)[p]);
+    });
+    produce_ = nullptr;
+  }
+
+ private:
+  const Partitions<T>* in_place_ = nullptr;
+  Partitions<T> owned_;
+  Produce produce_;
+  size_t size_ = 0;
+};
+
 /// Phase 1: sketches key-hash frequencies of `input` in parallel and
 /// appends each partition's heavy-hitter candidates to `candidates`;
-/// returns the exact total record count. Skips the sketch pass (returning
-/// only the count) when `sketch` is false — callers pass false when
-/// rebalancing is disabled so the disabled path does no extra work.
+/// returns the exact total record count. Skips the sketch (returning only
+/// the count) when `sketch` is false — callers pass false when rebalancing
+/// is disabled so the disabled path does no extra work. A side that is
+/// not ready yet is produced in this pass either way.
 ///
 /// `min_fraction` is the per-partition candidate floor as a fraction of
 /// the partition's record count; callers derive it from the hot-key
@@ -202,25 +269,27 @@ inline constexpr size_t kSketchSampleStride = 8;
 /// margin; a borderline key that doesn't simply stays on the legacy
 /// hash path — under-detection degrades balance, never correctness.
 template <typename T, typename KeyOf>
-int64_t SketchKeys(ExecutionContext* ctx, const Partitions<T>& input,
+int64_t SketchKeys(ExecutionContext* ctx, MapSide<T>& input,
                    const KeyOf& key_of,
                    std::vector<FrequentSketch::Candidate>* candidates,
                    bool sketch, double min_fraction = 0.0) {
-  int64_t total = 0;
-  for (const auto& part : input) total += static_cast<int64_t>(part.size());
-  if (!sketch || total == 0) return total;
+  if (input.ready()) {
+    const int64_t total = input.total();
+    if (!sketch || total == 0) return total;
+  }
   TG_SPAN("dataflow.shuffle.sketch", "dataflow");
   std::vector<std::unique_ptr<FrequentSketch>> sketches(input.size());
   std::vector<size_t> strides(input.size(), 1);
-  ctx->ParallelFor(input.size(), [&](size_t p) {
-    if (input[p].empty()) return;
-    sketches[p] = std::make_unique<FrequentSketch>();
-    size_t stride =
-        input[p].size() >= kSketchSampleThreshold ? kSketchSampleStride : 1;
-    strides[p] = stride;
-    for (size_t i = 0; i < input[p].size(); i += stride) {
-      sketches[p]->Add(RouteHash(key_of(input[p][i])));
+  input.ForEachPartition(ctx, [&](size_t p, const std::vector<T>& part) {
+    if (!sketch || part.empty()) return;
+    auto cells = std::make_unique<FrequentSketch>();
+    const size_t stride =
+        part.size() >= kSketchSampleThreshold ? kSketchSampleStride : 1;
+    for (size_t i = 0; i < part.size(); i += stride) {
+      cells->Add(RouteHash(key_of(part[i])));
     }
+    strides[p] = stride;
+    sketches[p] = std::move(cells);
   });
   for (size_t p = 0; p < sketches.size(); ++p) {
     if (sketches[p] == nullptr) continue;
@@ -229,7 +298,7 @@ int64_t SketchKeys(ExecutionContext* ctx, const Partitions<T>& input,
     sketches[p]->AppendCandidates(candidates,
                                   static_cast<int64_t>(strides[p]), min_count);
   }
-  return total;
+  return input.total();
 }
 
 /// The per-partition candidate floor matching the hot-key threshold,
@@ -242,7 +311,7 @@ inline double CandidateFloor(const ShuffleOptions& options, size_t num_base) {
 
 /// Phase 1 (combined): sketch + plan for a single-input shuffle.
 template <typename T, typename KeyOf>
-ShufflePlan PlanShuffle(ExecutionContext* ctx, const Partitions<T>& input,
+ShufflePlan PlanShuffle(ExecutionContext* ctx, MapSide<T>& input,
                         size_t num_base, const KeyOf& key_of,
                         bool allow_spread) {
   const ShuffleOptions& options = ctx->shuffle_options();
@@ -254,16 +323,36 @@ ShufflePlan PlanShuffle(ExecutionContext* ctx, const Partitions<T>& input,
                           allow_spread);
 }
 
+/// PlanShuffle over partitions read in place.
+template <typename T, typename KeyOf>
+ShufflePlan PlanShuffle(ExecutionContext* ctx, const Partitions<T>& input,
+                        size_t num_base, const KeyOf& key_of,
+                        bool allow_spread) {
+  MapSide<T> side(input);
+  return PlanShuffle(ctx, side, num_base, key_of, allow_spread);
+}
+
 /// Marks a destination that stands for every sub-partition of one hot key
 /// (HotRouting::kReplicate); the low bits hold the key's index in the plan.
 inline constexpr uint32_t kReplicatedDest = uint32_t{1} << 31;
 
-/// The body of ShuffleWithPlan; moves records out of `input` when kMove.
-template <bool kMove, typename T, typename KeyOf>
-Partitions<T> RouteRecords(
-    ExecutionContext* ctx,
-    std::conditional_t<kMove, Partitions<T>&, const Partitions<T>&> input,
-    const ShufflePlan& plan, const KeyOf& key_of, HotRouting routing) {
+/// Phase 2: routes every record of `input` according to `plan`. Output
+/// partition b holds the records routed to b, input partition by input
+/// partition, each in record order. With an empty (non-rebalanced) plan
+/// this is the plain hash shuffle by `RouteHash(key) % num_base`.
+///
+/// A counting pass first records each record's destination and counts
+/// records per (input, output) pair; every output partition is then
+/// allocated once, at its final size, and each input partition moves (an
+/// owned side) or copies (in place) its records straight into their
+/// slots. Both passes run in parallel over input partitions, and the
+/// result depends on the input partitioning alone, not on the thread
+/// count or schedule. Records must be default-constructible and
+/// assignable.
+template <typename T, typename KeyOf>
+Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, MapSide<T>& input,
+                              const ShufflePlan& plan, const KeyOf& key_of,
+                              HotRouting routing) {
   TG_CHECK_GT(plan.num_base, 0u);
   TG_SPAN("dataflow.shuffle", "dataflow");
   const size_t num_in = input.size();
@@ -273,16 +362,15 @@ Partitions<T> RouteRecords(
   // offsets[p][b] the number of records input p sends to output b.
   std::vector<std::vector<uint32_t>> dest(num_in);
   std::vector<std::vector<size_t>> offsets(num_in);
-  ctx->ParallelFor(num_in, [&](size_t p) {
-    std::vector<size_t>& count = offsets[p];
-    count.assign(num_out, 0);
-    dest[p].resize(input[p].size());
+  input.ForEachPartition(ctx, [&](size_t p, const std::vector<T>& part) {
+    std::vector<size_t> count(num_out, 0);
+    std::vector<uint32_t> to(part.size());
     // Round-robin cursor per hot key, offset by the partition index so
     // the first sub-partition is not systematically favored. Deterministic
     // in (input partitioning, record order), not in thread schedule.
     std::vector<uint32_t> cursor(plan.hot.size(), static_cast<uint32_t>(p));
-    for (size_t i = 0; i < input[p].size(); ++i) {
-      const uint64_t h = RouteHash(key_of(input[p][i]));
+    for (size_t i = 0; i < part.size(); ++i) {
+      const uint64_t h = RouteHash(key_of(part[i]));
       const HotKey* hk = plan.Find(h);
       size_t d = h % plan.num_base;
       if (hk != nullptr) {
@@ -297,13 +385,15 @@ Partitions<T> RouteRecords(
             break;
           case HotRouting::kReplicate:
             for (uint32_t s = 0; s < splits; ++s) ++count[hk->first_sub + s];
-            dest[p][i] = kReplicatedDest | static_cast<uint32_t>(index);
+            to[i] = kReplicatedDest | static_cast<uint32_t>(index);
             continue;
         }
       }
       ++count[d];
-      dest[p][i] = static_cast<uint32_t>(d);
+      to[i] = static_cast<uint32_t>(d);
     }
+    dest[p] = std::move(to);
+    offsets[p] = std::move(count);
   });
   // Each output partition lists input 0's records first, then input 1's:
   // turn the counts into each input's first slot in every output.
@@ -322,21 +412,26 @@ Partitions<T> RouteRecords(
   NoteShuffle(moved, sizeof(T));
   ctx->ParallelFor(num_in, [&](size_t p) {
     std::vector<size_t>& slot = offsets[p];
-    for (size_t i = 0; i < input[p].size(); ++i) {
-      const uint32_t d = dest[p][i];
-      if ((d & kReplicatedDest) == 0) {
-        if constexpr (kMove) {
-          out[d][slot[d]++] = std::move(input[p][i]);
-        } else {
-          out[d][slot[d]++] = input[p][i];
+    // `part` is mutable when owned, so std::move moves; const when read
+    // in place, so it copies.
+    auto route = [&](auto& part) {
+      for (size_t i = 0; i < part.size(); ++i) {
+        const uint32_t d = dest[p][i];
+        if ((d & kReplicatedDest) == 0) {
+          out[d][slot[d]++] = std::move(part[i]);
+          continue;
         }
-        continue;
+        const HotKey& hk = plan.hot[d & ~kReplicatedDest];
+        for (int s = 0; s < hk.splits; ++s) {
+          const size_t b = hk.first_sub + static_cast<size_t>(s);
+          out[b][slot[b]++] = std::as_const(part[i]);
+        }
       }
-      const HotKey& hk = plan.hot[d & ~kReplicatedDest];
-      for (int s = 0; s < hk.splits; ++s) {
-        const size_t b = hk.first_sub + static_cast<size_t>(s);
-        out[b][slot[b]++] = input[p][i];
-      }
+    };
+    if (input.owned()) {
+      route(input.owned_part(p));
+    } else {
+      route(input[p]);
     }
   });
   std::vector<int64_t> sizes(out.size());
@@ -347,23 +442,13 @@ Partitions<T> RouteRecords(
   return out;
 }
 
-/// Phase 2: routes every record of `input` according to `plan`. Output
-/// partition b holds the records routed to b, input partition by input
-/// partition, each in record order. With an empty (non-rebalanced) plan
-/// this is the plain hash shuffle by `RouteHash(key) % num_base`.
-///
-/// A counting pass first records each record's destination and counts
-/// records per (input, output) pair; every output partition is then
-/// allocated once, at its final size, and each input partition moves (an
-/// rvalue `input`) or copies its records straight into their slots. Both
-/// passes run in parallel over input partitions, and the result depends on
-/// the input partitioning alone, not on the thread count or schedule.
-/// Records must be default-constructible and assignable.
+/// ShuffleWithPlan over partitions read in place: copies the records.
 template <typename T, typename KeyOf>
 Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, const Partitions<T>& input,
                               const ShufflePlan& plan, const KeyOf& key_of,
                               HotRouting routing) {
-  return RouteRecords</*kMove=*/false, T>(ctx, input, plan, key_of, routing);
+  MapSide<T> side(input);
+  return ShuffleWithPlan(ctx, side, plan, key_of, routing);
 }
 
 /// ShuffleWithPlan over partitions the caller owns: moves the records.
@@ -371,7 +456,8 @@ template <typename T, typename KeyOf>
 Partitions<T> ShuffleWithPlan(ExecutionContext* ctx, Partitions<T>&& input,
                               const ShufflePlan& plan, const KeyOf& key_of,
                               HotRouting routing) {
-  return RouteRecords</*kMove=*/true, T>(ctx, input, plan, key_of, routing);
+  MapSide<T> side(std::move(input));
+  return ShuffleWithPlan(ctx, side, plan, key_of, routing);
 }
 
 }  // namespace internal_shuffle

@@ -285,23 +285,27 @@ VeGraph FoldedState::Slice(dataflow::ExecutionContext* ctx, Interval range,
                            TimePoint horizon) const {
   // Each chunk clips into its own vector; joining them in chunk order
   // keeps Materialize()'s row order. A task takes a run of chunks, so the
-  // pool sees a few tasks rather than one per chunk.
+  // pool sees a few tasks rather than one per chunk. A chunk is clipped
+  // into a vector of the task's own and moved into its slot when done, so
+  // tasks side by side do not grow neighbouring slots.
   const size_t vertex_chunks = vertices_.chunk_count();
   const size_t chunks = vertex_chunks + edges_.chunk_count();
   std::vector<std::vector<VeVertex>> vertex_parts(vertex_chunks);
   std::vector<std::vector<VeEdge>> edge_parts(chunks - vertex_chunks);
   auto clip = [&](size_t c) {
     if (c < vertex_chunks) {
+      std::vector<VeVertex> out;
       vertices_.ForEachInChunk(c, [&](VertexId vid, const auto& states) {
         for (const HistoryItem& item : *states) {
           const Interval clipped = item.interval.Intersect(range);
           if (clipped.empty()) continue;
-          vertex_parts[c].push_back(VeVertex{vid, clipped, item.properties});
+          out.push_back(VeVertex{vid, clipped, item.properties});
         }
       });
+      vertex_parts[c] = std::move(out);
       return;
     }
-    std::vector<VeEdge>& out = edge_parts[c - vertex_chunks];
+    std::vector<VeEdge> out;
     edges_.ForEachInChunk(c - vertex_chunks, [&](EdgeId eid,
                                                  const auto& edge) {
       for (const HistoryItem& item : edge->states) {
@@ -311,6 +315,7 @@ VeGraph FoldedState::Slice(dataflow::ExecutionContext* ctx, Interval range,
             VeEdge{eid, edge->src, edge->dst, clipped, item.properties});
       }
     });
+    edge_parts[c - vertex_chunks] = std::move(out);
   };
   const size_t tasks = std::min<size_t>(
       chunks, static_cast<size_t>(std::max(1, ctx->default_parallelism())));

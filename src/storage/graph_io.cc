@@ -374,8 +374,13 @@ Result<dataflow::Partitions<T>> ScanStoreTable(dataflow::ExecutionContext* ctx,
                        static_cast<int64_t>(kept.size()));
   dataflow::Partitions<T> parts(kept.size());
   std::vector<Status> statuses(kept.size());
+  // Each task decodes into a vector of its own and moves it into its slot
+  // when done, so tasks side by side do not grow neighbouring slots.
   ctx->ParallelFor(kept.size(), [&](size_t i) {
-    statuses[i] = decode(kept[i], &parts[i]);
+    std::vector<T> part;
+    Status status = decode(kept[i], &part);
+    parts[i] = std::move(part);
+    statuses[i] = std::move(status);
   });
   for (const Status& status : statuses) TG_RETURN_IF_ERROR(status);
   return parts;

@@ -72,7 +72,7 @@ History AggregateSeededStates(std::vector<SeededState> states,
         merged = states[s].properties;
         seeded = true;
       } else {
-        merged = spec.aggregator.merge(merged, states[s].properties);
+        merged = spec.aggregator.merge(std::move(merged), states[s].properties);
       }
     }
     if (seeded) {
@@ -159,8 +159,8 @@ VeGraph AZoomVe(const VeGraph& graph, const AZoomSpec& spec) {
                 }
               },
               dataflow::kPreservesPartitioning)
-          .ReduceByKey([merge](const Properties& a, const Properties& b) {
-            return merge(a, b);
+          .ReduceByKey([merge](Properties a, const Properties& b) {
+            return merge(std::move(a), b);
           })
           .Map(
               [aggregator](const std::pair<SplitKey, Properties>& kv) {
@@ -399,8 +399,8 @@ RgGraph AZoomRg(const RgGraph& graph, const AZoomSpec& spec) {
                   out->emplace_back(skolem(*group),
                                     init(*group, v.vid, v.properties));
                 })
-            .ReduceByKey([merge](const Properties& a, const Properties& b) {
-              return merge(a, b);
+            .ReduceByKey([merge](Properties a, const Properties& b) {
+              return merge(std::move(a), b);
             })
             .Map([aggregator](const std::pair<VertexId, Properties>& kv) {
               return sg::Vertex{kv.first, Finalize(aggregator, kv.second)};

@@ -9,9 +9,12 @@
 namespace tgraph {
 
 /// Pairwise property merge used when two entity states overlap in time;
-/// must be commutative and associative (paper requirement on f_agg).
+/// must be commutative and associative (paper requirement on f_agg). The
+/// left argument is taken by value, so a caller folding into an
+/// accumulator passes it as an rvalue and the merge may grow it in place;
+/// a lambda taking `const Properties&` converts too.
 using PropertiesMerge =
-    std::function<Properties(const Properties&, const Properties&)>;
+    std::function<Properties(Properties, const Properties&)>;
 
 /// \brief Sorts `history` by interval start and merges every run of
 /// value-equivalent, temporally adjacent (or overlapping) states into one

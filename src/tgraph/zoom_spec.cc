@@ -97,8 +97,10 @@ VertexAggregator MakeAggregator(std::string new_type,
     return out;
   };
 
-  aggregator.merge = [aggregates](const Properties& a, const Properties& b) {
-    Properties out = a;
+  aggregator.merge = [aggregates](Properties a, const Properties& b) {
+    // `a` is the caller's accumulator when passed as an rvalue: updating
+    // it in place does not clone a copy-on-write map it solely owns.
+    Properties out = std::move(a);
     for (const AggregateSpec& agg : aggregates) {
       if (agg.kind == AggKind::kAvg) {
         CombineInto(&out, b, AvgSumKey(agg.output_property), AggKind::kSum);
